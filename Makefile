@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos bench bench-full bench-parallel bench-sliding bench-shard bench-dst bench-check pybench examples report quickcheck ci lint typecheck clean
+.PHONY: install test chaos bench bench-full bench-parallel bench-sliding bench-shard bench-dst bench-check bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
 
 # Bench defaults (override: make bench BENCH_SCALE=full BENCH_REPEATS=9).
 BENCH_SCALE ?= smoke
@@ -70,6 +70,24 @@ bench-dst:
 bench-check:
 	$(PYTHON) -m repro bench --scale smoke --repeats $(BENCH_REPEATS) \
 		--out $(BENCH_OUT) --compare $(BENCH_BASELINE) --tolerance 3.0
+
+# The end-to-end benchmark (benchmarks/e2e, declared by BENCHMARK.json):
+# four whole workloads, each repeat in a fresh process, to one JSON
+# document (about 2 minutes on a 2-CPU host).
+E2E_OUT ?= build/e2e.json
+
+bench-e2e:
+	@mkdir -p $(dir $(E2E_OUT))
+	$(PYTHON) benchmarks/e2e/run.py --out $(E2E_OUT)
+
+# Compare two bench-e2e documents against the BENCHMARK.json bounds:
+#   make bench-e2e-compare BASE=base.json NEW=new.json   (exit 1 on regression)
+bench-e2e-compare:
+	@if [ -z "$(BASE)" ] || [ -z "$(NEW)" ]; then \
+		echo "usage: make bench-e2e-compare BASE=base.json NEW=new.json"; \
+		exit 2; \
+	fi
+	$(PYTHON) benchmarks/e2e/compare.py $(BASE) $(NEW)
 
 # The legacy pytest-benchmark suite (needs the [test] extra).
 pybench:

@@ -43,7 +43,10 @@ CACHE_ACCESSORS = frozenset(
         "out_edges",
         "in_edges",
         "cost_row",
-        "sorted_terminals_from",
+        # PreparedInstance's sorted terminal block and its memoised
+        # per-source rows: the kernels scan the block arrays in place.
+        "terminal_block",
+        "terminal_row",
         # TemporalEdgeIndex / incremental-engine views (PR 5): window
         # slices, deltas, and the patched closure's hop matrix are all
         # handed out uncopied.

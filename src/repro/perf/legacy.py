@@ -27,10 +27,11 @@ exactly as they stood before the memoisation/hoisting pass:
   :func:`scalar_pruned_dst` -- the full MST_w solver ladder exactly as
   it stood before the batched density kernels
   (:mod:`repro.steiner.kernels`): per-vertex Python scans over the
-  memoised ``cost_row`` / ``sorted_terminals_from`` lists, one budget
-  checkpoint per scanned vertex.  These are the ``dst_kernels`` bench
-  baselines and the byte-identity oracles for the kernel property
-  suite.
+  memoised ``cost_row`` lists and terminal orders (now read from
+  ``terminal_row``, the instance's single sorted-terminal source), one
+  budget checkpoint per scanned vertex.  These are the ``dst_kernels``
+  bench baselines and the byte-identity oracles for the kernel
+  property suite.
 
 Do not "fix" or speed up this module; its value is being frozen.
 """
@@ -343,7 +344,7 @@ def _scalar_a_recursive(
         budget.checkpoint()
         row = prepared.cost_row(r)
         taken = 0
-        for x in prepared.sorted_terminals_from(r):
+        for x in prepared.terminal_row(r)[1]:
             if taken >= k:
                 break
             if x not in remaining:
@@ -407,7 +408,7 @@ def _scalar_base_greedy(
 ) -> ClosureTree:
     row = prepared.cost_row(r)
     chosen: list = []
-    for x in prepared.sorted_terminals_from(r):
+    for x in prepared.terminal_row(r)[1]:
         if len(chosen) >= k:
             break
         if x in remaining:
@@ -483,7 +484,7 @@ def _scalar_b_prefix(
         chosen: list = []
         cost = 0.0
         best_len = 0
-        for x in prepared.sorted_terminals_from(r):
+        for x in prepared.terminal_row(r)[1]:
             if len(chosen) >= k:
                 break
             if x not in remaining:
@@ -667,7 +668,7 @@ def _scalar_final_b(
         chosen: list = []
         cost = 0.0
         best_len = 0
-        for x in prepared.sorted_terminals_from(r):
+        for x in prepared.terminal_row(r)[1]:
             if len(chosen) >= k:
                 break
             if x not in remaining:

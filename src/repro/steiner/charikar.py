@@ -84,16 +84,16 @@ def _a_recursive(
 
     if i == 1:
         # Pick the k terminals with the cheapest closure edge from r
-        # (prefix of the per-source memoised terminal order).
+        # (a filtered prefix of r's memoised terminal row).
         budget.checkpoint()
-        row = prepared.cost_row(r)
+        costs, ids = prepared.terminal_row(r)
         taken = 0
-        for x in prepared.sorted_terminals_from(r):
+        for position, x in enumerate(ids):
             if taken >= k:
                 break
             if x not in remaining:
                 continue
-            leaf = ClosureTree(((r, x),), row[x], frozenset((x,)))
+            leaf = ClosureTree(((r, x),), costs[position], frozenset((x,)))
             tree = tree.merged(leaf)
             taken += 1
         return tree

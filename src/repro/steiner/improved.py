@@ -53,35 +53,6 @@ def improved_dst(
     return _a_improved(prepared, level, k, prepared.root, terminals, budget)
 
 
-def _base_greedy(
-    prepared: PreparedInstance,
-    k: int,
-    r: int,
-    remaining: Set[int],
-) -> ClosureTree:
-    """The shared ``i == 1`` base: k cheapest closure edges to terminals.
-
-    Scans the per-source memoised terminal order instead of re-sorting
-    ``remaining`` on every call; the selected sequence is identical
-    (``remaining`` is always a subset of the instance terminals).
-    """
-    row = prepared.cost_row(r)
-    chosen: list = []
-    for x in prepared.sorted_terminals_from(r):
-        if len(chosen) >= k:
-            break
-        if x in remaining:
-            chosen.append(x)
-    if not chosen:
-        return ClosureTree.EMPTY
-    cost = 0.0
-    for x in chosen:
-        cost += row[x]
-    return ClosureTree(
-        tuple((r, x) for x in chosen), cost, frozenset(chosen)
-    )
-
-
 def _a_improved(
     prepared: PreparedInstance,
     i: int,
@@ -94,8 +65,9 @@ def _a_improved(
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
     if i == 1:
+        # The shared base: the k cheapest closure edges to terminals.
         budget.checkpoint()
-        return _base_greedy(prepared, k, r, remaining)
+        return kernels.materialize_prefix(prepared, r, remaining, k)
 
     tree = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices
@@ -168,35 +140,9 @@ def _b_prefix(
     best_density = float("inf")
 
     if i == 1:
+        # The best-density prefix of r's cheapest-first terminal row.
         budget.checkpoint()
-        row = prepared.cost_row(r)
-        # Greedy prefix over the memoised cheapest-first order, tracking
-        # the best prefix length without building intermediate trees;
-        # the running left-to-right cost sum reproduces the incremental
-        # merge exactly (same float accumulation order).
-        chosen: list = []
-        cost = 0.0
-        best_len = 0
-        for x in prepared.sorted_terminals_from(r):
-            if len(chosen) >= k:
-                break
-            if x not in remaining:
-                continue
-            chosen.append(x)
-            cost += row[x]
-            density = (cost + incoming_cost) / len(chosen)
-            if density < best_density:
-                best_density = density
-                best_len = len(chosen)
-        if best_len == 0:
-            return ClosureTree.EMPTY
-        prefix = chosen[:best_len]
-        prefix_cost = 0.0
-        for x in prefix:
-            prefix_cost += row[x]
-        return ClosureTree(
-            tuple((r, x) for x in prefix), prefix_cost, frozenset(prefix)
-        )
+        return kernels.best_prefix_tree(prepared, r, remaining, k, incoming_cost)
 
     current = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices

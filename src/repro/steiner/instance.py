@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.errors import GraphFormatError, UnreachableRootError
 from repro.static.closure import MetricClosure, build_metric_closure
 from repro.static.digraph import StaticDigraph
+from repro.static.lazy import LazyMetricClosure
 
 Label = Hashable
 
@@ -28,9 +31,23 @@ Label = Hashable
 #: branch vertices -- need to stay resident).
 COST_ROW_MEMO_SIZE = 256
 
-#: Bound on the per-instance ``sorted_terminals_from`` memo, same
-#: rationale (each entry is a ``T``-tuple per source vertex).
-TERMINAL_ORDER_MEMO_SIZE = 256
+#: Bound on the per-instance ``terminal_row`` memo, same rationale
+#: (each entry is a pair of ``T``-lists per source vertex).
+TERMINAL_ROW_MEMO_SIZE = 256
+
+
+def _sort_terminal_costs(costs: Any, terminals: Iterable[int]) -> Tuple[Any, Any]:
+    """Each row's terminal costs in ascending ``(cost, index)`` order.
+
+    ``costs`` is a ``(rows, n)`` slice of the closure matrix; returns
+    ``(rows, T)`` float64 costs and the int64 terminal indices in the
+    same order.  A stable sort over ascending-index columns breaks cost
+    ties by terminal index.
+    """
+    cols = np.asarray(sorted(terminals), dtype=np.int64)
+    block = costs[:, cols]
+    order = np.argsort(block, axis=1, kind="stable")
+    return np.take_along_axis(block, order, axis=1), cols[order]
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,8 @@ class PreparedInstance:
         "root",
         "terminals",
         "_cost_rows",
-        "_terminal_orders",
+        "_terminal_rows",
+        "_terminal_block",
         "_kernels",
     )
 
@@ -98,9 +116,10 @@ class PreparedInstance:
         self.root = root
         self.terminals = terminals
         self._cost_rows: "OrderedDict[int, List[float]]" = OrderedDict()
-        self._terminal_orders: "OrderedDict[int, Tuple[int, ...]]" = (
+        self._terminal_rows: "OrderedDict[int, Tuple[List[float], List[int]]]" = (
             OrderedDict()
         )
+        self._terminal_block: Optional[Tuple[Any, Any]] = None
         # Per-backend batched-scan workspaces, owned and populated by
         # repro.steiner.kernels (kept opaque here to avoid a cycle).
         self._kernels: Dict[str, object] = {}
@@ -110,11 +129,11 @@ class PreparedInstance:
     ) -> Tuple[DSTInstance, MetricClosure, int, Tuple[int, ...]]:
         """Pickle only the problem data, never the memo dictionaries.
 
-        The ``cost_row`` / ``sorted_terminals_from`` memos and the
-        kernel workspaces are cheap, per-process acceleration state;
-        shipping them across a process boundary would bloat the payload
-        without changing any result (workers rebuild them lazily on
-        first use).
+        The ``cost_row`` / ``terminal_row`` memos, the sorted terminal
+        block and the kernel workspaces are cheap, per-process
+        acceleration state; shipping them across a process boundary
+        would bloat the payload without changing any result (workers
+        rebuild them lazily on first use).
         """
         return (self.instance, self.closure, self.root, self.terminals)
 
@@ -127,7 +146,8 @@ class PreparedInstance:
         self.root = root
         self.terminals = terminals
         self._cost_rows = OrderedDict()
-        self._terminal_orders = OrderedDict()
+        self._terminal_rows = OrderedDict()
+        self._terminal_block = None
         self._kernels = {}
 
     @property
@@ -166,26 +186,52 @@ class PreparedInstance:
             self._cost_rows.move_to_end(source)
         return row
 
-    def sorted_terminals_from(self, source: int) -> Tuple[int, ...]:
-        """All terminals sorted by ``(closure cost from source, index)``.
+    def terminal_block(self) -> Tuple[Any, Any]:
+        """Every source's terminal costs, cheapest first, and their order.
 
-        The ``i == 1`` greedy base case selects the ``k`` cheapest
-        *remaining* terminals; with this order memoised per source it
-        becomes a filtered prefix scan instead of a fresh sort per call
-        (the sort repeated ``O(n^{i-1})`` times in the recursion).
-        Bounded like :meth:`cost_row`
-        (:data:`TERMINAL_ORDER_MEMO_SIZE` entries, LRU eviction).
+        The ``(n, T)`` :func:`_sort_terminal_costs` block over the whole
+        closure, built once per instance with one vectorised stable
+        argsort.  The batched kernels scan it directly and
+        :meth:`terminal_row` hands out its rows; it is the instance's
+        single source of per-source terminal order.
         """
-        order = self._terminal_orders.get(source)
-        if order is None:
-            row = self.cost_row(source)
-            order = tuple(sorted(self.terminals, key=lambda x: (row[x], x)))
-            self._terminal_orders[source] = order
-            if len(self._terminal_orders) > TERMINAL_ORDER_MEMO_SIZE:
-                self._terminal_orders.popitem(last=False)
+        if self._terminal_block is None:
+            self._terminal_block = _sort_terminal_costs(
+                self.closure.dist, self.terminals
+            )
+        return self._terminal_block
+
+    def terminal_row(self, source: int) -> Tuple[List[float], List[int]]:
+        """``source``'s terminal costs in ascending ``(cost, index)`` order.
+
+        Returns ``(costs, ids)``: two plain lists of length ``T``, row
+        ``source`` of :meth:`terminal_block`.  Every scalar base case
+        scans this row -- the ``k`` cheapest remaining terminals form a
+        filtered prefix of it -- instead of an ``n``-length
+        :meth:`cost_row`.  Bounded like :meth:`cost_row`
+        (:data:`TERMINAL_ROW_MEMO_SIZE` entries, LRU eviction).
+
+        A :class:`~repro.static.lazy.LazyMetricClosure` sorts just this
+        source's row instead, so a level-1 solve still runs a single
+        Dijkstra; the values are the same.
+        """
+        row = self._terminal_rows.get(source)
+        if row is None:
+            if isinstance(self.closure, LazyMetricClosure):
+                costs, ids = _sort_terminal_costs(
+                    self.closure.costs_from(source)[np.newaxis, :], self.terminals
+                )
+                index = 0
+            else:
+                costs, ids = self.terminal_block()
+                index = source
+            row = (costs[index].tolist(), ids[index].tolist())
+            self._terminal_rows[source] = row
+            if len(self._terminal_rows) > TERMINAL_ROW_MEMO_SIZE:
+                self._terminal_rows.popitem(last=False)
         else:
-            self._terminal_orders.move_to_end(source)
-        return order
+            self._terminal_rows.move_to_end(source)
+        return row
 
 
 def prepare_instance(

@@ -42,8 +42,8 @@ class CountingInstance:
     """A :class:`PreparedInstance` proxy that tallies closure accesses.
 
     Implements the subset of the instance interface the solvers use
-    (``cost``, ``closure.costs_from``, ``num_vertices``, ``terminals``,
-    ``root``) and forwards everything else to the wrapped instance.
+    (``cost``, ``closure.costs_from``, ``cost_row``, ``terminal_row``,
+    ``num_vertices``, ``terminals``, ``root``).
     """
 
     class _CountingClosure:
@@ -90,17 +90,16 @@ class CountingInstance:
         return self._prepared.cost(u, v)
 
     # The plain PreparedInstance memoises these per source; the counting
-    # proxy deliberately does not, so every call tallies one logical row
-    # access and the counts keep exhibiting the paper's complexity
-    # bounds independently of the memoisation optimisations.
+    # proxy tallies every call as one logical row access whether or not
+    # the wrapped memo hits, so the counts keep exhibiting the paper's
+    # complexity bounds independently of the memoisation optimisations.
     def cost_row(self, source: int) -> list:
         self.counts.row_scans += 1
         return self._prepared.closure.costs_from(source).tolist()
 
-    def sorted_terminals_from(self, source: int) -> tuple:
+    def terminal_row(self, source: int) -> tuple:
         self.counts.row_scans += 1
-        row = self._prepared.closure.costs_from(source).tolist()
-        return tuple(sorted(self.terminals, key=lambda x: (row[x], x)))
+        return self._prepared.terminal_row(source)
 
 
 def count_operations(

@@ -7,12 +7,11 @@ cheapest-first remaining-terminal order from ``v``, which pair minimises
 with nested Python loops over the per-source memo lists; this module
 answers it with one batched pass:
 
-* the metric closure's dense ``(n, n)`` cost matrix is sliced to an
-  ``(n, T)`` terminal block and cost-sorted once per instance (stable
-  argsort over ascending terminal columns, reproducing the
-  ``(cost, index)`` tie-break of
-  :meth:`repro.steiner.instance.PreparedInstance.sorted_terminals_from`
-  exactly);
+* the instance's ``(n, T)`` sorted terminal block
+  (:meth:`repro.steiner.instance.PreparedInstance.terminal_block`) is
+  the closure sliced to terminal columns and cost-sorted once per
+  instance -- the same rows the scalar base cases read through
+  ``terminal_row``, so both paths see one ``(cost, index)`` order;
 * per scan, the uncovered-terminal bitmask gathers into the sorted
   layout, ``cumsum`` produces every prefix cost and count, and a single
   flattened ``argmin`` over the ``(n, T)`` density matrix picks the
@@ -30,12 +29,12 @@ subtree, Algorithm 3 covers one unreachable terminal and continues).
 
 Backend discipline (PR 7): :func:`workspace_for` consults
 ``active_backend()``, so ``force_backend()`` and ``REPRO_FORCE_PURE``
-route every scan through the pure path, which runs the same scalar
-arithmetic over per-vertex sorted cost columns and returns the same
-winner.  This module is the second owner of the ``_np`` discipline
-after :mod:`repro.temporal.columnar` (REP203): the numpy-only helpers
-dereference ``_np`` without per-function guards, which is why the
-backend-purity owner set lists this module.
+route every scan through the pure path, which runs the scalar
+:func:`best_prefix` scan over every vertex's terminal row and returns
+the same winner.  This module is the second owner of the ``_np``
+discipline after :mod:`repro.temporal.columnar` (REP203): the
+numpy-only helpers dereference ``_np`` without per-function guards,
+which is why the backend-purity owner set lists this module.
 
 Budget policy stays in the solver modules: callers batch the identical
 tick totals (``budget.checkpoint(amount)``) at iteration boundaries, so
@@ -48,7 +47,7 @@ and the solvers keep their scalar loops for those runs.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, Any, FrozenSet, List, Optional, Tuple
 
 from repro.steiner.instance import PreparedInstance
 from repro.steiner.tree import ClosureTree
@@ -73,7 +72,7 @@ KERNEL_MIN_CELLS = 4096
 #: Walk positions the pruned scan evaluates one-by-one in Python before
 #: switching to batched chunks.  After the first w-iteration the
 #: tau-ordered walk usually breaks within a handful of vertices, and a
-#: short scalar prefix scan (over the LRU-memoised sorted rows) costs
+#: short scalar prefix scan (over the LRU-memoised terminal rows) costs
 #: far less than even one numpy dispatch at that length.
 PRUNED_SCALAR_HEAD = 16
 
@@ -89,14 +88,13 @@ PRUNED_CHUNK_GROWTH = 4
 
 
 class KernelWorkspace:
-    """Per-instance, per-backend sorted-column state for the batched scans.
+    """Per-instance, per-backend state for the batched scans.
 
-    numpy backend: ``sorted_costs``/``sorted_ids`` are ``(n, T)``
-    float64/int64 arrays holding, for every source vertex, the closure
-    costs to all terminals in ascending ``(cost, index)`` order.  pure
-    backend: the same columns as per-vertex Python lists, built lazily
-    from the instance memos and kept for the workspace's lifetime (the
-    pure scans are the fallback CI leg, not the perf path).
+    numpy backend: ``sorted_costs``/``sorted_ids`` are the instance's
+    ``(n, T)`` sorted terminal block
+    (:meth:`~repro.steiner.instance.PreparedInstance.terminal_block`),
+    shared, not copied.  pure backend: no arrays; the scans read the
+    instance's memoised terminal rows.
 
     Workspaces are memoised on ``PreparedInstance._kernels`` keyed by
     backend name, so a ``force_backend()`` switch mid-process builds a
@@ -109,7 +107,6 @@ class KernelWorkspace:
         "num_terminals",
         "sorted_costs",
         "sorted_ids",
-        "_pure_rows",
     )
 
     def __init__(self, prepared: PreparedInstance, backend: str) -> None:
@@ -118,27 +115,8 @@ class KernelWorkspace:
         self.num_terminals = len(prepared.terminals)
         self.sorted_costs: Any = None
         self.sorted_ids: Any = None
-        self._pure_rows: Dict[int, Tuple[List[float], Tuple[int, ...]]] = {}
         if backend == "numpy":
-            cols = _np.asarray(sorted(prepared.terminals), dtype=_np.int64)
-            block = prepared.closure.dist[:, cols]
-            # Stable sort over ascending-index columns == the scalar
-            # ``(cost, index)`` tie-break of sorted_terminals_from.
-            order = _np.argsort(block, axis=1, kind="stable")
-            self.sorted_costs = _np.take_along_axis(block, order, axis=1)
-            self.sorted_ids = cols[order]
-
-    def pure_row(
-        self, prepared: PreparedInstance, source: int
-    ) -> Tuple[List[float], Tuple[int, ...]]:
-        """``source``'s terminal costs in sorted order, plus the order."""
-        row = self._pure_rows.get(source)
-        if row is None:
-            costs = prepared.cost_row(source)
-            ids = prepared.sorted_terminals_from(source)
-            row = ([costs[x] for x in ids], ids)
-            self._pure_rows[source] = row
-        return row
+            self.sorted_costs, self.sorted_ids = prepared.terminal_block()
 
 
 def workspace_for(prepared: object) -> Optional[KernelWorkspace]:
@@ -253,54 +231,106 @@ def _best_candidate_pure(
     best_length = 0
     best_density = math.inf
     for vertex in range(workspace.num_vertices):
-        incoming = incoming_row[vertex]
-        costs, ids = workspace.pure_row(prepared, vertex)
-        chosen = 0
-        cost = 0.0
-        for position, terminal in enumerate(ids):
-            if chosen >= k:
-                break
-            if terminal not in remaining:
-                continue
-            chosen += 1
-            cost += costs[position]
-            density = (cost + incoming) / chosen
-            if density < best_density:
-                best_vertex = vertex
-                best_length = chosen
-                best_density = density
+        _, length, _, density = best_prefix(
+            prepared, vertex, remaining, k, incoming_row[vertex]
+        )
+        # Each row's first minimum, then the first row strictly below
+        # the running best: the row-major first occurrence.
+        if density < best_density:
+            best_vertex = vertex
+            best_length = length
+            best_density = density
     if best_length == 0:
         return 0, 0, math.inf
     return best_vertex, best_length, best_density
 
 
+def best_prefix(
+    prepared: PreparedInstance,
+    source: int,
+    remaining: AbstractSet[int],
+    k: int,
+    incoming: float,
+) -> Tuple[List[int], int, float, float]:
+    """The best-density prefix of ``source``'s terminal row.
+
+    Walks the cheapest-first row, skipping terminals not in
+    ``remaining``, for at most ``k`` picks; the ``j``-prefix has density
+    ``(running cost + incoming) / j``.  Returns ``(chosen, length, cost,
+    density)`` for the first prefix achieving the minimum: it is
+    ``chosen[:length]`` (``chosen`` holds every pick scanned), and
+    ``cost`` is the running sum at that length, accumulated left to
+    right.  ``length == 0`` (density ``inf``) means no prefix has a
+    finite density.
+    """
+    costs, ids = prepared.terminal_row(source)
+    chosen: List[int] = []
+    count = 0
+    cost = 0.0
+    best_length = 0
+    best_cost = 0.0
+    best_density = math.inf
+    for position, terminal in enumerate(ids):
+        if count >= k:
+            break
+        if terminal not in remaining:
+            continue
+        chosen.append(terminal)
+        count += 1
+        cost += costs[position]
+        density = (cost + incoming) / count
+        if density < best_density:
+            best_length = count
+            best_cost = cost
+            best_density = density
+    return chosen, best_length, best_cost, best_density
+
+
+def best_prefix_tree(
+    prepared: PreparedInstance,
+    source: int,
+    remaining: AbstractSet[int],
+    k: int,
+    incoming: float,
+) -> ClosureTree:
+    """``B^1(k, source, X, e)``: :func:`best_prefix` as a star tree."""
+    chosen, length, cost, _ = best_prefix(prepared, source, remaining, k, incoming)
+    return _star_tree(source, chosen[:length], cost)
+
+
 def materialize_prefix(
     prepared: PreparedInstance,
     source: int,
-    remaining: FrozenSet[int],
+    remaining: AbstractSet[int],
     length: int,
 ) -> ClosureTree:
-    """The winning prefix subtree, built exactly as the scalar code does.
+    """The first ``length`` remaining terminals of ``source``'s row.
 
-    ``length`` first remaining terminals of the sorted order from
-    ``source``, cost re-summed left to right -- the same edges, cost
-    float, and cover the scalar base case constructs.
+    A star tree rooted at ``source`` whose cost is summed left to
+    right in row order (``EMPTY`` when nothing remains): the ``i == 1``
+    greedy base case, and the winning subtree of a batched scan.
     """
-    row = prepared.cost_row(source)
+    costs, ids = prepared.terminal_row(source)
     chosen: List[int] = []
-    for terminal in prepared.sorted_terminals_from(source):
+    cost = 0.0
+    for position, terminal in enumerate(ids):
         if len(chosen) >= length:
             break
         if terminal not in remaining:
             continue
         chosen.append(terminal)
-    cost = 0.0
-    for terminal in chosen:
-        cost += row[terminal]
+        cost += costs[position]
+    return _star_tree(source, chosen, cost)
+
+
+def _star_tree(source: int, terminals: List[int], cost: float) -> ClosureTree:
+    """Closure edges ``source -> t`` for each terminal, at ``cost``."""
+    if not terminals:
+        return ClosureTree.EMPTY
     return ClosureTree(
-        tuple((source, terminal) for terminal in chosen),
+        tuple([(source, terminal) for terminal in terminals]),
         cost,
-        frozenset(chosen),
+        frozenset(terminals),
     )
 
 
@@ -316,12 +346,12 @@ class PrunedScan:
 
     :meth:`step` then replays the scalar walk hybrid-style.  The first
     :data:`PRUNED_SCALAR_HEAD` walk positions are evaluated one vertex
-    per step with the scalar prefix scan (over the instance's memoised
-    sorted rows): after the first w-iteration the early break almost
-    always fires here, and a handful of Python evaluations beat any
-    numpy dispatch.  A walk that survives the head switches to batched
-    chunks of geometrically growing size, replaying the remaining walk
-    with array ops:
+    per step with the scalar :func:`best_prefix` scan (over the
+    instance's memoised terminal rows): after the first w-iteration
+    the early break almost always fires here, and a handful of Python
+    evaluations beat any numpy dispatch.  A walk that survives the head
+    switches to batched chunks of geometrically growing size, replaying
+    the remaining walk with array ops:
 
     * the early break fires at the first walk position whose stale
       ``tau`` is ``>=`` the running best density over the *evaluated*
@@ -419,23 +449,9 @@ class PrunedScan:
         self._cursor += 1
         if self._bound_cost is not None and incoming >= self._bound_cost:
             return 0
-        row = self._prepared.cost_row(vertex)
-        remaining = self._remaining
-        chosen = 0
-        cost = 0.0
-        density = math.inf
-        length = 0
-        for terminal in self._prepared.sorted_terminals_from(vertex):
-            if chosen >= self._k:
-                break
-            if terminal not in remaining:
-                continue
-            chosen += 1
-            cost += row[terminal]
-            candidate = (cost + incoming) / chosen
-            if candidate < density:
-                density = candidate
-                length = chosen
+        _, length, _, density = best_prefix(
+            self._prepared, vertex, self._remaining, self._k, incoming
+        )
         self._tau[vertex] = density
         if self.best_vertex is None or density < self.best_density:
             self.best_vertex = vertex

@@ -31,7 +31,6 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.steiner import kernels
-from repro.steiner.improved import _base_greedy
 from repro.steiner.instance import PreparedInstance
 from repro.steiner.tree import ClosureTree
 
@@ -194,7 +193,7 @@ def _final_a(
     k = min(k, len(remaining))
     if i == 1:
         budget.checkpoint()
-        return _base_greedy(prepared, k, r, remaining)
+        return kernels.materialize_prefix(prepared, r, remaining, k)
 
     tree = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices
@@ -233,33 +232,9 @@ def _final_b(
     best_density = math.inf
 
     if i == 1:
+        # Same prefix scan as improved._b_prefix's base case.
         budget.checkpoint()
-        row = prepared.cost_row(r)
-        # Same prefix scan as improved._b_prefix's base case: best
-        # prefix length first, one tree construction at the end.
-        chosen: list = []
-        cost = 0.0
-        best_len = 0
-        for x in prepared.sorted_terminals_from(r):
-            if len(chosen) >= k:
-                break
-            if x not in remaining:
-                continue
-            chosen.append(x)
-            cost += row[x]
-            density = (cost + incoming_cost) / len(chosen)
-            if density < best_density:
-                best_density = density
-                best_len = len(chosen)
-        if best_len == 0:
-            return ClosureTree.EMPTY
-        prefix = chosen[:best_len]
-        prefix_cost = 0.0
-        for x in prefix:
-            prefix_cost += row[x]
-        return ClosureTree(
-            tuple((r, x) for x in prefix), prefix_cost, frozenset(prefix)
-        )
+        return kernels.best_prefix_tree(prepared, r, remaining, k, incoming_cost)
 
     current = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices

@@ -12,6 +12,7 @@ Both are produced lazily and cached; a graph is immutable once built.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import (
     Any,
@@ -59,6 +60,8 @@ class TemporalGraph:
         "_edges",
         "_vertices",
         "_chronological",
+        "_chronological_starts",
+        "_zero_duration",
         "_arrival_sorted",
         "_adjacency_desc",
         "_adjacency_asc",
@@ -91,6 +94,8 @@ class TemporalGraph:
         self._edges: Tuple[TemporalEdge, ...] = tuple(edge_list)
         self._vertices: FrozenSet[Vertex] = frozenset(vertex_set)
         self._chronological: Optional[Tuple[TemporalEdge, ...]] = None
+        self._chronological_starts: Optional[List[float]] = None
+        self._zero_duration: Optional[bool] = None
         self._arrival_sorted: Optional[Tuple[TemporalEdge, ...]] = None
         self._adjacency_desc: Optional[Dict[Vertex, List[TemporalEdge]]] = None
         self._adjacency_asc: Optional[Dict[Vertex, List[TemporalEdge]]] = None
@@ -141,10 +146,11 @@ class TemporalGraph:
         return self._prepare_memo
 
     def __getstate__(self) -> Tuple[Any, Any]:
-        # Pickle only the defining state.  The lazy layout caches and
-        # the prepare memo are per-process derived state; shipping them
-        # (e.g. in a worker initializer payload) would multiply the
-        # payload by the size of the closure matrices.
+        # Pickle only the defining state.  The lazy layout caches (the
+        # chronological start keys and the zero-duration flag included)
+        # and the prepare memo are per-process derived state; shipping
+        # them (e.g. in a worker initializer payload) would multiply
+        # the payload by the size of the closure matrices.
         #
         # When the columnar store is already built (any graph that has
         # been through a batch/sweep driver), ship its backend-neutral
@@ -172,6 +178,8 @@ class TemporalGraph:
         else:
             self._edges, self._vertices = state
         self._chronological = None
+        self._chronological_starts = None
+        self._zero_duration = None
         self._arrival_sorted = None
         self._adjacency_desc = None
         self._adjacency_asc = None
@@ -228,6 +236,21 @@ class TemporalGraph:
                 sorted(self._edges, key=lambda e: (e.start, e.arrival))
             )
         return self._chronological
+
+    def chronological_slice(
+        self, t_alpha: float, t_omega: float
+    ) -> Tuple[TemporalEdge, ...]:
+        """The chronological edges whose start lies in ``[t_alpha, t_omega]``.
+
+        A contiguous run of :meth:`chronological_edges`, in the same
+        order, located by bisecting the cached start keys:
+        ``O(log M + output)``.
+        """
+        edges = self.chronological_edges()
+        if self._chronological_starts is None:
+            self._chronological_starts = [e.start for e in edges]
+        starts = self._chronological_starts
+        return edges[bisect_left(starts, t_alpha) : bisect_right(starts, t_omega)]
 
     def arrival_sorted_edges(self) -> Tuple[TemporalEdge, ...]:
         """Edges sorted by non-decreasing arrival time.
@@ -398,8 +421,13 @@ class TemporalGraph:
         return t_a, t_omega
 
     def has_zero_duration_edge(self) -> bool:
-        """Whether any edge has ``t_s(e) == t_a(e)`` (up to epsilon)."""
-        return any(is_zero(e.duration) for e in self._edges)
+        """Whether any edge has ``t_s(e) == t_a(e)`` (up to epsilon).
+
+        Computed on first call and memoised: the graph is immutable.
+        """
+        if self._zero_duration is None:
+            self._zero_duration = any(is_zero(e.duration) for e in self._edges)
+        return self._zero_duration
 
     def distinct_time_instances(self) -> int:
         """``|Gamma_G|``: the number of distinct timestamps in the graph."""

@@ -51,6 +51,12 @@ CASES = [
         "starts[0] = starts[0] + offset",
     ),
     (
+        "cache-mutation",
+        "REP102",
+        os.path.join("repro", "steiner", "rowuser.py"),
+        "ids.reverse()",
+    ),
+    (
         "determinism",
         "REP103",
         os.path.join("repro", "perf", "timing.py"),

@@ -1,7 +1,10 @@
 """Behavioural tests for TemporalGraph's cached derived structures."""
 
+import pickle
+
 import pytest
 
+import repro.temporal.graph as graph_module
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
 
@@ -29,6 +32,54 @@ class TestCaching:
         assert len(restricted.chronological_edges()) < len(
             figure1.chronological_edges()
         )
+
+
+class TestMemoisedDerivedState:
+    """The zero-duration flag and the chronological start keys."""
+
+    def test_zero_duration_flag_scans_once(self, figure3, monkeypatch):
+        calls = []
+
+        def counting_is_zero(x, eps=1e-9):
+            calls.append(x)
+            return abs(x) <= eps
+
+        monkeypatch.setattr(graph_module, "is_zero", counting_is_zero)
+        assert figure3.has_zero_duration_edge()
+        scanned = len(calls)
+        assert scanned > 0
+        assert figure3.has_zero_duration_edge()
+        assert len(calls) == scanned
+
+    def test_start_keys_cached_identity(self, figure1):
+        figure1.chronological_slice(0, 6)
+        starts = figure1._chronological_starts
+        assert starts == [e.start for e in figure1.chronological_edges()]
+        figure1.chronological_slice(2, 4)
+        assert figure1._chronological_starts is starts
+
+    def test_slice_is_the_start_window_of_the_chronological_order(self, figure1):
+        for t_alpha, t_omega in ((0, 6), (2, 2), (3, float("inf")), (99, 100)):
+            expected = tuple(
+                e
+                for e in figure1.chronological_edges()
+                if t_alpha <= e.start <= t_omega
+            )
+            assert figure1.chronological_slice(t_alpha, t_omega) == expected
+
+    def test_pickle_resets_and_never_ships_derived_state(self, figure1):
+        cold = pickle.dumps(figure1)
+        figure1.has_zero_duration_edge()
+        figure1.chronological_slice(0, 6)
+        assert figure1._zero_duration is not None
+        assert figure1._chronological_starts is not None
+        warm = pickle.dumps(figure1)
+        assert len(warm) == len(cold)
+        clone = pickle.loads(warm)
+        assert clone._zero_duration is None
+        assert clone._chronological_starts is None
+        assert clone.has_zero_duration_edge() == figure1.has_zero_duration_edge()
+        assert clone.chronological_slice(0, 6) == figure1.chronological_slice(0, 6)
 
 
 class TestImmutability:

@@ -34,6 +34,15 @@ class TestCountingInstance:
         counting.closure.costs_from(0)
         assert counting.counts.row_scans == 1
 
+    def test_counts_terminal_row_scans(self):
+        """One row scan per call, memo hit or not, same row as the instance."""
+        prepared = hub_instance()
+        counting = CountingInstance(prepared)
+        first = counting.terminal_row(0)
+        second = counting.terminal_row(0)
+        assert counting.counts.row_scans == 2
+        assert first == second == prepared.terminal_row(0)
+
     def test_delegates_values(self):
         prepared = hub_instance()
         counting = CountingInstance(prepared)
@@ -93,6 +102,14 @@ class TestComplexityClaims:
         )
         # the paper: O(n^i k^{2i}) vs O(n^i k^i) -- the advantage scales with k
         assert ratio_large > ratio_small
+
+    @pytest.mark.parametrize("solver", [charikar_dst, improved_dst, pruned_dst])
+    def test_level_one_reads_one_terminal_row(self, solver):
+        """The ``i == 1`` base is one terminal-row scan, no ``n``-length row."""
+        prepared = random_instance(9, k=5)
+        counts = count_operations(solver, prepared, 1)
+        assert counts.row_scans == 1
+        assert counts.cost_lookups == 0
 
     def test_level_one_identical_work(self):
         prepared = random_instance(9, k=5)

@@ -230,14 +230,16 @@ class TestRowMemoEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(graph=reachable_graphs())
     def test_sorted_terminals_matches_fresh_sort(self, graph):
+        """Each terminal row is a fresh ``(cost, index)`` sort of the closure."""
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         for source in range(prepared.num_vertices):
-            order = prepared.sorted_terminals_from(source)
-            costs = prepared.closure.costs_from(source)
-            expected = tuple(
-                sorted(prepared.terminals, key=lambda x: (costs[x], x))
-            )
-            assert order == expected
+            costs, ids = prepared.terminal_row(source)
+            row = prepared.closure.costs_from(source).tolist()
+            expected = sorted(prepared.terminals, key=lambda x: (row[x], x))
+            assert ids == expected
+            assert costs == [row[x] for x in expected]
+            # Memoised: same pair on repeat.
+            assert prepared.terminal_row(source) is prepared.terminal_row(source)
 
     def test_cost_row_memo_is_bounded(self, monkeypatch):
         """Eviction cap: the row memo never exceeds COST_ROW_MEMO_SIZE.
@@ -267,3 +269,56 @@ class TestRowMemoEquivalence:
         prepared.cost_row(1)
         assert 2 in prepared._cost_rows
         assert len(prepared._cost_rows) == 3
+
+    def test_terminal_row_memo_is_bounded(self, monkeypatch):
+        """The row LRU over the block is capped at TERMINAL_ROW_MEMO_SIZE.
+
+        Rows are cut from one ``(n, T)`` block built once per instance;
+        evicting a row drops only its lists, never the block, and a
+        re-query cuts an equal row from the same block.
+        """
+        monkeypatch.setattr(steiner_instance, "TERMINAL_ROW_MEMO_SIZE", 3)
+        graph = TemporalGraph(
+            [
+                TemporalEdge(0, v, t, t, 1.0)
+                for t, v in enumerate(range(1, 6), start=1)
+            ]
+        )
+        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        assert prepared.num_vertices >= 5
+        rows = [prepared.terminal_row(s) for s in range(5)]
+        block = prepared.terminal_block()
+        assert len(prepared._terminal_rows) == 3
+        assert set(prepared._terminal_rows) == {2, 3, 4}
+        rebuilt = prepared.terminal_row(0)
+        assert rebuilt == rows[0]
+        assert rebuilt is not rows[0]
+        assert prepared.terminal_block() is block
+        # LRU, not FIFO: touching source 2 keeps it through an insert.
+        prepared.terminal_row(2)
+        prepared.terminal_row(1)
+        assert 2 in prepared._terminal_rows
+        assert len(prepared._terminal_rows) == 3
+
+    def test_terminal_block_shape_and_pickle(self):
+        """The block is ``(n, T)``, built once, and never pickled."""
+        import pickle
+
+        graph = TemporalGraph(
+            [
+                TemporalEdge(0, v, t, t + 1, float(v))
+                for t, v in enumerate(range(1, 6), start=1)
+            ]
+        )
+        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        cold = len(pickle.dumps(prepared))
+        costs, ids = prepared.terminal_block()
+        assert costs.shape == ids.shape
+        assert costs.shape == (prepared.num_vertices, prepared.num_terminals)
+        assert prepared.terminal_block()[0] is costs
+        prepared.terminal_row(prepared.root)
+        assert len(pickle.dumps(prepared)) == cold
+        clone = pickle.loads(pickle.dumps(prepared))
+        assert clone._terminal_block is None
+        assert len(clone._terminal_rows) == 0
+        assert clone.terminal_row(clone.root) == prepared.terminal_row(prepared.root)

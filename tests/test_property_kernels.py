@@ -237,8 +237,9 @@ class TestKernelTieBreak:
         """Equal costs order by terminal index, on both backends.
 
         Unit weights force dense cost ties, so any tie-break drift
-        between the memoised scalar order and the kernel workspace's
-        stable argsort layout would surface immediately.
+        between the instance's terminal rows, a fresh ``(cost, index)``
+        sort of the closure row, and the kernel workspace's layout
+        would surface immediately.
         """
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         with kernel_floor(0):
@@ -247,18 +248,17 @@ class TestKernelTieBreak:
                     workspace = kernels.workspace_for(prepared)
                     assert workspace is not None
                     for source in range(prepared.num_vertices):
-                        row = prepared.cost_row(source)
-                        order = prepared.sorted_terminals_from(source)
-                        keys = [(row[x], x) for x in order]
-                        assert keys == sorted(keys)
-                        if workspace.backend == "numpy":
-                            layout = [int(x) for x in workspace.sorted_ids[source]]
-                            costs = [float(c) for c in workspace.sorted_costs[source]]
-                        else:
-                            costs, ids = workspace.pure_row(prepared, source)
-                            layout = list(ids)
-                        assert layout == list(order)
+                        row = prepared.closure.costs_from(source).tolist()
+                        order = sorted(prepared.terminals, key=lambda x: (row[x], x))
+                        costs, ids = prepared.terminal_row(source)
+                        assert ids == order
                         assert costs == [row[x] for x in order]
+                        if workspace.backend == "numpy":
+                            # One block per instance, shared, not copied.
+                            block_costs, block_ids = prepared.terminal_block()
+                            assert workspace.sorted_costs is block_costs
+                            assert workspace.sorted_ids is block_ids
+                            assert workspace.sorted_ids[source].tolist() == order
 
     @settings(max_examples=25, deadline=None)
     @given(graph=reachable_graphs(), data=st.data())

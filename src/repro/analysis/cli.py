@@ -11,7 +11,7 @@ Exit codes
 ``--project`` switches from the per-file rules (REP1xx) to the
 whole-program interprocedural pass (REP2xx): one parse of the tree,
 a project-wide call graph, and the budget-reachability /
-pickle-safety / backend-purity / never-raise rules on top, with an
+pickle-safety / columnar-internals / never-raise rules on top, with an
 optional findings baseline and an on-disk summary cache.
 """
 
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
             "stack (budget checkpoints, cache immutability, determinism, "
             "float epsilon discipline, validated edge construction, "
             "__all__ consistency; --project adds the whole-program "
-            "budget/pickle/backend/never-raise rules)"
+            "budget/pickle/columnar/never-raise rules)"
         ),
     )
     parser.add_argument(

@@ -8,7 +8,7 @@ Layers, bottom to top:
   resolution and the conservative call graph (trampolines, registry
   dispatch, the ExperimentContext cell protocol);
 * :mod:`repro.analysis.project.rules` -- REP201 budget-reachability,
-  REP202 pickle-safety, REP203 backend-purity, REP204 never-raise;
+  REP202 pickle-safety, REP203 columnar-internals, REP204 never-raise;
 * :mod:`repro.analysis.project.cache` -- source-hash summary cache with
   import-SCC invalidation;
 * :mod:`repro.analysis.project.baseline` -- ratchet baseline support;

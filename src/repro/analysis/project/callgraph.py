@@ -4,8 +4,8 @@ Nodes are ``"module:qualname"`` strings (``repro.experiments.runner:timed``,
 ``repro.incremental.msta:IncrementalMSTa.advance``,
 ``repro.experiments.msta_tables:_runtime_rows.<locals>.runtime_cell``).
 Edges carry the metadata the interprocedural rules key off: whether the
-call site passes a budget alias, whether it is dominated by a backend
-guard, and which exception handlers enclose it.
+call site passes a budget alias and which exception handlers enclose
+it.
 
 Beyond direct calls the builder resolves:
 
@@ -22,7 +22,7 @@ Beyond direct calls the builder resolves:
   forwarding (a function that passes its own parameter into a known
   trampoline's callable slot is itself a trampoline), and each call
   into a trampoline synthesizes ``caller -> callable`` edges with the
-  *call site's* budget/guard/handler metadata -- which is exactly what
+  *call site's* budget/handler metadata -- which is exactly what
   REP201 needs to see a budget dropped at ``timed_best_of(rounds,
   solver, ...)``;
 * ``<budget-alias>.cell(key, fn)`` -- the ExperimentContext cell
@@ -82,7 +82,6 @@ class Edge:
     lineno: int
     col: int
     passes_budget: bool
-    guarded: bool
     handlers: Tuple[str, ...]
     synthesized: bool = False
 
@@ -617,7 +616,6 @@ class ProjectGraph:
                             lineno=site.lineno,
                             col=site.col,
                             passes_budget=passes,
-                            guarded=site.guarded,
                             handlers=handlers,
                         )
                     )
@@ -638,7 +636,6 @@ class ProjectGraph:
                                     lineno=site.lineno,
                                     col=site.col,
                                     passes_budget=passes,
-                                    guarded=site.guarded,
                                     handlers=handlers,
                                     synthesized=True,
                                 )
@@ -665,7 +662,6 @@ class ProjectGraph:
                                     lineno=site.lineno,
                                     col=site.col,
                                     passes_budget=True,
-                                    guarded=site.guarded,
                                     handlers=handlers,
                                     synthesized=True,
                                 )
@@ -680,7 +676,6 @@ class ProjectGraph:
                                 lineno=checkpoint.lineno,
                                 col=0,
                                 passes_budget=True,
-                                guarded=checkpoint.guarded,
                                 handlers=tuple(checkpoint.handlers),
                                 synthesized=True,
                             )

@@ -16,16 +16,9 @@ from repro.analysis.project.callgraph import CLASS, Edge, FunctionEntry, Project
 from repro.analysis.project.symbols import ArgInfo, CallSite
 from repro.analysis.rules.budget import TARGET_MODULES
 
-#: The module that owns the dual-backend store; its private array
+#: The module that owns the columnar edge store; its private array
 #: internals stay off-limits everywhere else.
 COLUMNAR_OWNER = "repro.temporal.columnar"
-
-#: Modules that own the dual-backend ``_np`` discipline: the columnar
-#: store and the batched DST solver kernels.  Inside them, numpy-only
-#: helpers dereference ``_np`` behind a module-level backend dispatch
-#: instead of per-function guards; everywhere else every ``_np`` use
-#: must be dominated by a guard.
-BACKEND_OWNERS = frozenset({COLUMNAR_OWNER, "repro.steiner.kernels"})
 
 #: Handler names that protect a budgeted call for the REP204 contract.
 _COVERING_HANDLERS = frozenset(
@@ -372,45 +365,21 @@ class PickleSafetyRule(ProjectRule):
                     )
 
 
-class BackendPurityRule(ProjectRule):
-    """REP203: numpy-only code outside the columnar owner must be gated.
+class ColumnarInternalsRule(ProjectRule):
+    """REP203: ``ColumnarEdgeStore`` internals stay inside their module.
 
-    In optional-numpy modules (the ``try: import numpy`` pattern) every
-    ``_np`` dereference must be dominated by a backend guard, either
-    locally (``if _np is None: return``, ``if store.backend ==
-    "numpy":``) or interprocedurally (every call edge into the function
-    is guarded, or comes from a function that is itself only reachable
-    in guarded contexts).  The :data:`BACKEND_OWNERS` modules -- the
-    columnar store and the batched DST kernels, which *implement* the
-    dual-backend dispatch -- are exempt from the ``_np`` guard
-    requirement.  Outside ``repro.temporal.columnar`` no code may touch
-    ``ColumnarEdgeStore``'s private arrays, and the numpy-only
-    ``earliest_arrival`` kernel may only be called under a backend
-    guard.
+    Outside ``repro.temporal.columnar`` no code may touch the store's
+    private arrays (``_start_order``, ``_arrivals_sorted``, ...); the
+    public accessors hand out the same shared views and keep the
+    REP102 cache-mutation discipline in one place.
     """
 
-    name = "backend-purity"
+    name = "columnar-internals"
     code = "REP203"
     description = (
-        "numpy-only APIs and ColumnarEdgeStore internals outside "
-        "repro.temporal.columnar must be behind backend guards"
+        "ColumnarEdgeStore private internals may only be touched inside "
+        "repro.temporal.columnar"
     )
-
-    def _safe_contexts(self, graph: ProjectGraph) -> Set[str]:
-        safe: Set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for node in graph.functions:
-                if node in safe:
-                    continue
-                incoming = graph.in_edges.get(node, [])
-                if incoming and all(
-                    edge.guarded or edge.caller in safe for edge in incoming
-                ):
-                    safe.add(node)
-                    changed = True
-        return safe
 
     def _receiver_is_store(
         self, graph: ProjectGraph, entry: FunctionEntry, receiver: str
@@ -436,63 +405,26 @@ class BackendPurityRule(ProjectRule):
         return False
 
     def check(self, graph: ProjectGraph) -> Iterator[Finding]:
-        safe = self._safe_contexts(graph)
         seen: Set[Tuple[str, int, int]] = set()
         for node in sorted(graph.functions):
             entry = graph.functions[node]
-            module = entry.module.module
-            fn = entry.summary
-            in_scope = (
-                entry.module.has_optional_numpy
-                and module not in BACKEND_OWNERS
-            )
-            if in_scope and node not in safe:
-                for use in fn.numpy_uses:
-                    if use.guarded:
-                        continue
-                    key = (entry.module.path, use.lineno, use.col)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield self.finding(
-                        entry,
-                        use.lineno,
-                        use.col,
-                        "unguarded numpy use outside the columnar owner: "
-                        "gate it behind a backend check so the pure-stdlib "
-                        "fallback cannot diverge",
-                    )
-            if module == COLUMNAR_OWNER:
+            if entry.module.module == COLUMNAR_OWNER:
                 continue
-            for use in fn.attr_uses:
+            for use in entry.summary.attr_uses:
                 if not self._receiver_is_store(graph, entry, use.receiver):
                     continue
                 key = (entry.module.path, use.lineno, use.col)
                 if key in seen:
                     continue
-                if use.attr.startswith("_"):
-                    seen.add(key)
-                    yield self.finding(
-                        entry,
-                        use.lineno,
-                        use.col,
-                        f"access to ColumnarEdgeStore private internals "
-                        f"({use.attr}) outside the owning module; use the "
-                        f"public store interface",
-                    )
-                elif (
-                    use.attr == "earliest_arrival"
-                    and not use.guarded
-                    and node not in safe
-                ):
-                    seen.add(key)
-                    yield self.finding(
-                        entry,
-                        use.lineno,
-                        use.col,
-                        "numpy-only kernel earliest_arrival called without a "
-                        "backend guard; the pure backend has no such kernel",
-                    )
+                seen.add(key)
+                yield self.finding(
+                    entry,
+                    use.lineno,
+                    use.col,
+                    f"access to ColumnarEdgeStore private internals "
+                    f"({use.attr}) outside the owning module; use the "
+                    f"public store interface",
+                )
 
 
 class NeverRaiseRule(ProjectRule):
@@ -593,7 +525,7 @@ class NeverRaiseRule(ProjectRule):
 PROJECT_RULES: List[Type[ProjectRule]] = [
     BudgetReachabilityRule,
     PickleSafetyRule,
-    BackendPurityRule,
+    ColumnarInternalsRule,
     NeverRaiseRule,
 ]
 

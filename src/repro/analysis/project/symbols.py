@@ -16,16 +16,13 @@ included, keyed by qualname):
   / ``ExperimentContext(...)`` constructions;
 * every call site, with the dotted callee expression, the dotted root
   of each argument, lambda / locally-defined callables passed as
-  arguments, the enclosing ``try`` handlers, and whether the site is
-  dominated by a backend guard (``.backend == "numpy"``,
-  ``_np is not None``, ``numpy_available()`` -- including the
-  early-exit forms);
+  arguments, and the enclosing ``try`` handlers;
 * ``for`` loops that destructure a named iterable into tuple targets
   (the ``for name, solver in algorithms:`` pattern the call-graph
   layer uses to resolve escaped solver callables);
-* raise sites, ``<budget>.checkpoint()`` sites, ``_np`` dereferences,
-  and private-attribute / ``earliest_arrival`` accesses on inferred
-  :class:`ColumnarEdgeStore` receivers;
+* raise sites, ``<budget>.checkpoint()`` sites, and private-attribute
+  accesses (REP203 keeps those on inferred :class:`ColumnarEdgeStore`
+  receivers);
 * the ``"never raises"`` docstring marker of the REP204 contract.
 
 Module level, it records imports (for symbol resolution and the
@@ -46,7 +43,7 @@ from repro.analysis.astutil import dotted_name
 from repro.analysis.core import parse_module
 
 #: Bump when the summary shape changes: stale caches must not be read.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Parameter names treated as budget-carrying regardless of annotation.
 BUDGET_PARAM_NAMES = ("budget", "ctx", "context")
@@ -87,7 +84,6 @@ class CallSite:
     col: int
     args: List[ArgInfo] = field(default_factory=list)
     subscript_of: Optional[str] = None  # NAME for NAME[...](...) / NAME.get(...)(...)
-    guarded: bool = False
     handlers: List[str] = field(default_factory=list)
 
 
@@ -106,29 +102,18 @@ class CheckpointSite:
 
     receiver: str
     lineno: int
-    guarded: bool = False
     handlers: List[str] = field(default_factory=list)
 
 
 @dataclass
 class AttrUse:
-    """A private-attribute or ``earliest_arrival`` access on a receiver."""
+    """A private-attribute access on a receiver."""
 
     receiver: str  # dotted receiver expression root ("store", "self.index")
     attr: str
     lineno: int
     col: int
     is_call: bool = False
-    guarded: bool = False
-
-
-@dataclass
-class NumpyUse:
-    """A dereference of the optional ``_np`` module binding."""
-
-    lineno: int
-    col: int
-    guarded: bool = False
 
 
 @dataclass
@@ -163,7 +148,6 @@ class FunctionSummary:
     raises: List[RaiseSite] = field(default_factory=list)
     checkpoints: List[CheckpointSite] = field(default_factory=list)
     attr_uses: List[AttrUse] = field(default_factory=list)
-    numpy_uses: List[NumpyUse] = field(default_factory=list)
     for_bindings: Dict[str, ForBinding] = field(default_factory=dict)
     locals: Dict[str, LocalValue] = field(default_factory=dict)
     literals: Dict[str, "LiteralInfo"] = field(default_factory=dict)
@@ -218,7 +202,6 @@ class ModuleSummary:
     literals: Dict[str, LiteralInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
-    has_optional_numpy: bool = False
     suppressions: Dict[str, Optional[List[str]]] = field(default_factory=dict)
 
     def is_suppressed(self, line: int, rule: str) -> bool:
@@ -251,7 +234,6 @@ def _function_from_dict(data: Dict[str, Any]) -> FunctionSummary:
                 col=c.get("col", 0),
                 args=[ArgInfo(**a) for a in c.get("args", [])],
                 subscript_of=c.get("subscript_of"),
-                guarded=bool(c.get("guarded", False)),
                 handlers=list(c.get("handlers", [])),
             )
             for c in data.get("calls", [])
@@ -259,7 +241,6 @@ def _function_from_dict(data: Dict[str, Any]) -> FunctionSummary:
         raises=[RaiseSite(**r) for r in data.get("raises", [])],
         checkpoints=[CheckpointSite(**c) for c in data.get("checkpoints", [])],
         attr_uses=[AttrUse(**a) for a in data.get("attr_uses", [])],
-        numpy_uses=[NumpyUse(**n) for n in data.get("numpy_uses", [])],
         for_bindings={
             name: ForBinding(**b) for name, b in data.get("for_bindings", {}).items()
         },
@@ -321,87 +302,11 @@ def module_from_dict(data: Dict[str, Any]) -> ModuleSummary:
             )
             for name, cls in data.get("classes", {}).items()
         },
-        has_optional_numpy=bool(data.get("has_optional_numpy", False)),
         suppressions={
             line: (list(rules) if rules is not None else None)
             for line, rules in data.get("suppressions", {}).items()
         },
     )
-
-
-# ----------------------------------------------------------------------
-# Guard tests (REP203's domination machinery)
-# ----------------------------------------------------------------------
-def _is_backend_compare(test: ast.expr, op_types: Tuple[type, ...]) -> bool:
-    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-        return False
-    if not isinstance(test.ops[0], op_types):
-        return False
-    left, right = test.left, test.comparators[0]
-    for side, other in ((left, right), (right, left)):
-        if (
-            isinstance(side, ast.Attribute)
-            and side.attr == "backend"
-            and isinstance(other, ast.Constant)
-            and other.value == "numpy"
-        ):
-            return True
-    return False
-
-
-def _is_np_none_compare(test: ast.expr, op_types: Tuple[type, ...]) -> bool:
-    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-        return False
-    if not isinstance(test.ops[0], op_types):
-        return False
-    left, right = test.left, test.comparators[0]
-    for side, other in ((left, right), (right, left)):
-        if (
-            isinstance(side, ast.Name)
-            and side.id in ("_np", "np")
-            and isinstance(other, ast.Constant)
-            and other.value is None
-        ):
-            return True
-    return False
-
-
-def _is_availability_call(test: ast.expr) -> bool:
-    if not isinstance(test, ast.Call):
-        return False
-    name = dotted_name(test.func)
-    return bool(name) and name.split(".")[-1] == "numpy_available"
-
-
-def is_positive_guard(test: ast.expr) -> bool:
-    """``backend == "numpy"`` / ``_np is not None`` / ``numpy_available()``."""
-    if _is_backend_compare(test, (ast.Eq,)):
-        return True
-    if _is_np_none_compare(test, (ast.IsNot,)):
-        return True
-    if _is_availability_call(test):
-        return True
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(is_positive_guard(value) for value in test.values)
-    return False
-
-
-def is_negative_guard(test: ast.expr) -> bool:
-    """``backend != "numpy"`` / ``_np is None`` / ``not numpy_available()``."""
-    if _is_backend_compare(test, (ast.NotEq,)):
-        return True
-    if _is_np_none_compare(test, (ast.Is,)):
-        return True
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        return is_positive_guard(test.operand)
-    return False
-
-
-def _terminates(block: List[ast.stmt]) -> bool:
-    if not block:
-        return False
-    last = block[-1]
-    return isinstance(last, (ast.Return, ast.Raise, ast.Continue, ast.Break))
 
 
 # ----------------------------------------------------------------------
@@ -457,69 +362,44 @@ class _FunctionExtractor:
 
     # -- body walk -----------------------------------------------------
     def walk(self, body: List[ast.stmt]) -> None:
-        self._walk_block(body, guarded=False, handlers=())
+        self._walk_block(body, handlers=())
 
-    def _walk_block(
-        self, block: List[ast.stmt], guarded: bool, handlers: Tuple[str, ...]
-    ) -> None:
-        promoted = guarded
+    def _walk_block(self, block: List[ast.stmt], handlers: Tuple[str, ...]) -> None:
         for statement in block:
-            self._walk_statement(statement, promoted, handlers)
-            if (
-                isinstance(statement, ast.If)
-                and is_negative_guard(statement.test)
-                and _terminates(statement.body)
-                and not statement.orelse
-            ):
-                # `if <not numpy>: return ...` -- the rest of the block
-                # runs only on the numpy backend.
-                promoted = True
+            self._walk_statement(statement, handlers)
 
-    def _walk_statement(
-        self, statement: ast.stmt, guarded: bool, handlers: Tuple[str, ...]
-    ) -> None:
+    def _walk_statement(self, statement: ast.stmt, handlers: Tuple[str, ...]) -> None:
         if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return  # nested defs are summarized separately
         if isinstance(statement, ast.ClassDef):
-            return
-        if isinstance(statement, ast.If):
-            body_guard = guarded or is_positive_guard(statement.test)
-            # The guard expression itself dereferences `_np` (`_np is
-            # not None`); that use is the guard, not a violation.
-            test_guard = guarded or is_positive_guard(statement.test) or (
-                is_negative_guard(statement.test)
-            )
-            self._scan_expressions(statement.test, test_guard, handlers)
-            self._walk_block(statement.body, body_guard, handlers)
-            self._walk_block(statement.orelse, guarded, handlers)
             return
         if isinstance(statement, ast.Try):
             caught: List[str] = []
             for handler in statement.handlers:
                 caught.extend(_handler_names(handler))
             inner = handlers + tuple(caught)
-            self._walk_block(statement.body, guarded, inner)
+            self._walk_block(statement.body, inner)
             for handler in statement.handlers:
-                self._walk_block(handler.body, guarded, handlers)
-            self._walk_block(statement.orelse, guarded, handlers)
-            self._walk_block(statement.finalbody, guarded, handlers)
+                self._walk_block(handler.body, handlers)
+            self._walk_block(statement.orelse, handlers)
+            self._walk_block(statement.finalbody, handlers)
             return
         if isinstance(statement, (ast.For, ast.AsyncFor)):
             self._record_for(statement)
-            self._scan_expressions(statement.iter, guarded, handlers)
-            self._walk_block(statement.body, guarded, handlers)
-            self._walk_block(statement.orelse, guarded, handlers)
+            self._scan_expressions(statement.iter, handlers)
+            self._walk_block(statement.body, handlers)
+            self._walk_block(statement.orelse, handlers)
             return
         if isinstance(statement, ast.While):
-            self._scan_expressions(statement.test, guarded, handlers)
-            self._walk_block(statement.body, guarded, handlers)
-            self._walk_block(statement.orelse, guarded, handlers)
+            self._scan_expressions(statement.test, handlers)
+            self._walk_block(statement.body, handlers)
+            self._walk_block(statement.orelse, handlers)
             return
         if isinstance(statement, (ast.With, ast.AsyncWith)):
             for item in statement.items:
                 self._record_with_item(item)
-                self._scan_expressions(item.context_expr, guarded, handlers)
-            self._walk_block(statement.body, guarded, handlers)
+                self._scan_expressions(item.context_expr, handlers)
+            self._walk_block(statement.body, handlers)
             return
         if isinstance(statement, ast.Assign):
             self._record_assign(statement)
@@ -542,9 +422,9 @@ class _FunctionExtractor:
             )
         for child in ast.iter_child_nodes(statement):
             if isinstance(child, ast.expr):
-                self._scan_expressions(child, guarded, handlers)
+                self._scan_expressions(child, handlers)
             elif isinstance(child, ast.stmt):
-                self._walk_statement(child, guarded, handlers)
+                self._walk_statement(child, handlers)
 
     # -- recorders -----------------------------------------------------
     def _record_for(self, statement: ast.stmt) -> None:
@@ -642,22 +522,16 @@ class _FunctionExtractor:
                 summary.budget_aliases.append(name)
 
     # -- expression scan -----------------------------------------------
-    def _scan_expressions(
-        self, node: ast.expr, guarded: bool, handlers: Tuple[str, ...]
-    ) -> None:
+    def _scan_expressions(self, node: ast.expr, handlers: Tuple[str, ...]) -> None:
         for expr in ast.walk(node):
             if isinstance(expr, (ast.Lambda,)):
                 continue
             if isinstance(expr, ast.Call):
-                self._record_call(expr, guarded, handlers)
+                self._record_call(expr, handlers)
             elif isinstance(expr, ast.Attribute) and isinstance(
                 expr.ctx, (ast.Load, ast.Store)
             ):
-                self._record_attr(expr, guarded)
-            elif isinstance(expr, ast.Name) and expr.id == "_np":
-                self.summary.numpy_uses.append(
-                    NumpyUse(lineno=expr.lineno, col=expr.col_offset, guarded=guarded)
-                )
+                self._record_attr(expr)
 
     def _classify_arg(self, slot: str, value: ast.expr) -> ArgInfo:
         if isinstance(value, ast.Lambda):
@@ -685,9 +559,7 @@ class _FunctionExtractor:
             return ArgInfo(slot=slot, kind="literal")
         return ArgInfo(slot=slot, kind="other")
 
-    def _record_call(
-        self, call: ast.Call, guarded: bool, handlers: Tuple[str, ...]
-    ) -> None:
+    def _record_call(self, call: ast.Call, handlers: Tuple[str, ...]) -> None:
         target = dotted_name(call.func)
         subscript_of = None
         if target is None and isinstance(call.func, ast.Subscript):
@@ -707,7 +579,6 @@ class _FunctionExtractor:
             col=call.col_offset,
             args=args,
             subscript_of=subscript_of,
-            guarded=guarded,
             handlers=list(handlers),
         )
         self.summary.calls.append(site)
@@ -716,15 +587,12 @@ class _FunctionExtractor:
                 CheckpointSite(
                     receiver=target.rsplit(".", 1)[0],
                     lineno=call.lineno,
-                    guarded=guarded,
                     handlers=list(handlers),
                 )
             )
 
-    def _record_attr(self, attr: ast.Attribute, guarded: bool) -> None:
-        if not (attr.attr.startswith("_") or attr.attr == "earliest_arrival"):
-            return
-        if attr.attr.startswith("__"):
+    def _record_attr(self, attr: ast.Attribute) -> None:
+        if not attr.attr.startswith("_") or attr.attr.startswith("__"):
             return
         receiver = dotted_name(attr.value)
         if receiver is None:
@@ -735,7 +603,6 @@ class _FunctionExtractor:
                 attr=attr.attr,
                 lineno=attr.lineno,
                 col=attr.col_offset,
-                guarded=guarded,
             )
         )
 
@@ -778,20 +645,6 @@ def _literal_info(value: ast.expr, lineno: int) -> Optional[LiteralInfo]:
     if not info.values and not info.tuple_values:
         return None
     return info
-
-
-def _has_optional_numpy(tree: ast.Module) -> bool:
-    for node in tree.body:
-        if not isinstance(node, ast.Try):
-            continue
-        imports_numpy = any(
-            isinstance(stmt, ast.Import)
-            and any(alias.name == "numpy" for alias in stmt.names)
-            for stmt in node.body
-        )
-        if imports_numpy:
-            return True
-    return False
 
 
 def _extract_function(
@@ -905,7 +758,6 @@ def summarize_module(path: str, module_name: str) -> ModuleSummary:
         module=module_name,
         path=path,
         source_hash=_hash_source(parsed.source),
-        has_optional_numpy=_has_optional_numpy(tree),
         suppressions={
             str(line): (sorted(rules) if rules is not None else None)
             for line, rules in parsed.suppressions.items()

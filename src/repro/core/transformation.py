@@ -21,17 +21,14 @@ from contextlib import contextmanager
 from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.errors import UnreachableRootError
 from repro.static.digraph import StaticDigraph
 from repro.steiner.instance import DSTInstance
 from repro.temporal.edge import TemporalEdge, Vertex
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.window import TimeWindow
-
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
 
 
 @contextmanager
@@ -219,9 +216,9 @@ class _WindowIndex:
     the per-vertex sort.
 
     Built from the graph's columnar store: extraction is a batched
-    window query, and under the numpy backend the per-target instance
-    grouping is array work whose intermediate columns are kept
-    (``_aux``) for :func:`_transform_columnar`.  Arrival *values* are
+    window query, and the per-target instance grouping is array work
+    whose intermediate columns are kept (``_aux``) for
+    :func:`_transform_columnar`.  Arrival *values* are
     always taken from the edge objects, never from the float64 columns,
     so int-valued timestamps survive exactly as the object scan keeps
     them.
@@ -230,14 +227,7 @@ class _WindowIndex:
     __slots__ = ("_in_window", "arrivals_by_target", "_aux")
 
     def __init__(self, graph: TemporalGraph, window: TimeWindow) -> None:
-        store = graph.columnar()
-        if store.backend == "numpy":
-            self._build_columnar(store, window)
-        else:
-            positions = store.window_positions_graph_order(
-                window.t_alpha, window.t_omega
-            )
-            self._build(tuple(store.edges_at(positions)))
+        self._build_columnar(graph.columnar(), window)
 
     @property
     def in_window(self) -> Tuple[TemporalEdge, ...]:
@@ -286,7 +276,6 @@ class _WindowIndex:
         }
 
     def _build_columnar(self, store: Any, window: TimeWindow) -> None:
-        np = _np
         pos = store.window_positions_graph_order(window.t_alpha, window.t_omega)
         edges_tup = store.edges
         self._in_window = None
@@ -467,7 +456,6 @@ def _grouped_rank(
     running pair count minus the group's CSR offset is exactly the
     in-group rank.
     """
-    np = _np
     num_pairs = len(pair_t)
     num_queries = len(query_t)
     pair_flag = 0 if right else 1
@@ -501,7 +489,6 @@ def _transform_columnar(
     int/float time and weight values, the same skip count, and the same
     earliest-start duplicate representatives.
     """
-    np = _np
     aux = index._aux
     store = aux.store
     edges_tup = store.edges
@@ -716,23 +703,17 @@ def transform_temporal_graph(
     if window is None:
         window = TimeWindow.unbounded()
 
-    if graph.columnar().backend == "numpy":
-        # numpy-backed store: one GC pause spans the index build and
-        # the batched construction (byte-identical output, property-
-        # tested).  Indices derived from cached edge tuples
-        # (containment / sorted-index paths) carry no array view and
-        # fall through to the object loop below.
-        with _gc_paused():
-            if use_cache:
-                index = _window_index(graph, window)
-            else:
-                index = _WindowIndex(graph, window)
-            if index._aux is not None:
-                return _transform_columnar(graph, root, window, index)
-    elif use_cache:
-        index = _window_index(graph, window)
-    else:
-        index = _WindowIndex(graph, window)
+    # One GC pause spans the index build and the batched construction
+    # (byte-identical output, property-tested).  Indices derived from
+    # cached edge tuples (containment / sorted-index paths) carry no
+    # array view and fall through to the object loop below.
+    with _gc_paused():
+        if use_cache:
+            index = _window_index(graph, window)
+        else:
+            index = _WindowIndex(graph, window)
+        if index._aux is not None:
+            return _transform_columnar(graph, root, window, index)
     in_window = index.in_window
 
     # Step 1(a): arrival time instances per vertex; the root has the

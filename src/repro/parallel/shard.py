@@ -141,11 +141,10 @@ def plan_shards(
 class ShardPayload:
     """The compact per-worker slice: columns only, no edge objects.
 
-    ``columns`` is the backend-independent export of
+    ``columns`` is the stdlib export of
     :meth:`~repro.temporal.columnar.ColumnarEdgeStore.time_slice_columns`:
     locally re-interned vertex labels plus five stdlib
-    ``array``/tuple columns.  Pickles small, unpickles without numpy,
-    and :meth:`to_graph` rebuilds the slice subgraph through the
+    ``array``/tuple columns.  Pickles small, and :meth:`to_graph` rebuilds the slice subgraph through the
     validated :func:`~repro.temporal.edge.make_edge` factory.
     """
 

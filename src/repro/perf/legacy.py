@@ -15,9 +15,8 @@ exactly as they stood before the memoisation/hoisting pass:
   edge tuple per window query;
 * :func:`legacy_earliest_arrival` -- the pre-columnar
   ``earliest_arrival_times``: the heap-based label-setting sweep over
-  the per-vertex ascending adjacency (its body survives as the pure
-  backend's oracle in :mod:`repro.temporal.paths`; the copy here
-  additionally freezes the pre-PR un-normalised output form);
+  the per-vertex ascending adjacency, in its un-normalised output
+  form (the columnar identity suite's earliest-arrival oracle);
 * :func:`legacy_transform` -- the Section 4.2 transformation as
   implemented before the columnar batch construction: ``O(M)`` window
   scan, per-edge ``setdefault`` grouping, ``sorted(set(...))`` arrival

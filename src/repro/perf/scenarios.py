@@ -206,8 +206,8 @@ def _dst_kernels_state(spec: _ScaleSpec):
 
     Same pipeline as :func:`_mstw_state` but over
     ``spec.dst_kernels_dataset``, and the instance is verified to sit
-    above the kernel size floor: below it ``workspace_for`` returns
-    None and the "kernel" legs time the scalar loops -- a silent
+    above the kernel size floor: below it ``kernels.eligible`` is
+    False and the "kernel" legs time the scalar loops -- a silent
     no-op pair.  Shrinking the dataset must fail loudly instead.
     """
     from repro.steiner import kernels

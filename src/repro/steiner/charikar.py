@@ -100,11 +100,11 @@ def _a_recursive(
 
     num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
-    workspace = kernels.workspace_for(prepared) if i == 2 else None
+    batched = i == 2 and kernels.eligible(prepared)
     while k > 0:
         best: Optional[ClosureTree] = None
         best_density = float("inf")
-        if workspace is not None:
+        if batched:
             # Batched scan: the scalar double loop posts 1 tick per
             # vertex plus 1 per A^1 call (k of them per vertex), so one
             # batched checkpoint posts the identical n*(1+k) total and
@@ -112,7 +112,7 @@ def _a_recursive(
             budget.checkpoint(num_vertices * (1 + k))
             frozen_remaining = frozenset(remaining)
             v, best_len, best_density = kernels.best_prefix_candidate(
-                prepared, workspace, k, frozen_remaining, r
+                prepared, k, frozen_remaining, r
             )
             if best_len == 0:
                 # All candidates are infinite: the scalar loop keeps its

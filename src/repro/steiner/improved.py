@@ -72,19 +72,19 @@ def _a_improved(
     tree = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
-    workspace = kernels.workspace_for(prepared) if i == 2 else None
+    batched = i == 2 and kernels.eligible(prepared)
     while k > 0:
         best: Optional[ClosureTree] = None
         best_density = float("inf")
         frozen_remaining = frozenset(remaining)
-        if workspace is not None:
+        if batched:
             # Batched scan: the scalar loop below posts 2 ticks per
             # vertex (scan + B^1 base), so one batched checkpoint keeps
             # the per-rung budget totals -- and therefore the trip
             # w-iteration -- identical.
             budget.checkpoint(2 * num_vertices)
             v, best_len, best_density = kernels.best_prefix_candidate(
-                prepared, workspace, k, frozen_remaining, r
+                prepared, k, frozen_remaining, r
             )
             subtree = (
                 ClosureTree.EMPTY
@@ -147,17 +147,17 @@ def _b_prefix(
     current = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
-    workspace = kernels.workspace_for(prepared) if i == 2 else None
+    batched = i == 2 and kernels.eligible(prepared)
     while k > 0:
         sub_best: Optional[ClosureTree] = None
         sub_best_density = float("inf")
         frozen_remaining = frozenset(remaining)
-        if workspace is not None:
+        if batched:
             # Same batched scan as _a_improved's bottom level; 2n ticks
             # match the scalar loop's per-vertex checkpoints.
             budget.checkpoint(2 * num_vertices)
             v, best_len, sub_best_density = kernels.best_prefix_candidate(
-                prepared, workspace, k, frozen_remaining, r
+                prepared, k, frozen_remaining, r
             )
             subtree = (
                 ClosureTree.EMPTY

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class PreparedInstance:
         "_cost_rows",
         "_terminal_rows",
         "_terminal_block",
-        "_kernels",
     )
 
     def __init__(
@@ -120,18 +119,14 @@ class PreparedInstance:
             OrderedDict()
         )
         self._terminal_block: Optional[Tuple[Any, Any]] = None
-        # Per-backend batched-scan workspaces, owned and populated by
-        # repro.steiner.kernels (kept opaque here to avoid a cycle).
-        self._kernels: Dict[str, object] = {}
 
     def __getstate__(
         self,
     ) -> Tuple[DSTInstance, MetricClosure, int, Tuple[int, ...]]:
         """Pickle only the problem data, never the memo dictionaries.
 
-        The ``cost_row`` / ``terminal_row`` memos, the sorted terminal
-        block and the kernel workspaces are cheap, per-process
-        acceleration state; shipping them across a process boundary
+        The ``cost_row`` / ``terminal_row`` memos and the sorted
+        terminal block are cheap, per-process acceleration state; shipping them across a process boundary
         would bloat the payload without changing any result (workers
         rebuild them lazily on first use).
         """
@@ -148,7 +143,6 @@ class PreparedInstance:
         self._cost_rows = OrderedDict()
         self._terminal_rows = OrderedDict()
         self._terminal_block = None
-        self._kernels = {}
 
     @property
     def num_vertices(self) -> int:

@@ -27,20 +27,11 @@ used.  ``(0, 0, inf)`` is the all-infeasible convention; each solver
 maps it back to its own scalar behaviour (Algorithm 4 keeps the empty
 subtree, Algorithm 3 covers one unreachable terminal and continues).
 
-Backend discipline (PR 7): :func:`workspace_for` consults
-``active_backend()``, so ``force_backend()`` and ``REPRO_FORCE_PURE``
-route every scan through the pure path, which runs the scalar
-:func:`best_prefix` scan over every vertex's terminal row and returns
-the same winner.  This module is the second owner of the ``_np``
-discipline after :mod:`repro.temporal.columnar` (REP203): the
-numpy-only helpers dereference ``_np`` without per-function guards,
-which is why the backend-purity owner set lists this module.
-
 Budget policy stays in the solver modules: callers batch the identical
 tick totals (``budget.checkpoint(amount)``) at iteration boundaries, so
 a rung trips on exactly the same w-iteration as the scalar scan did.
 Instrumentation proxies (``CountingInstance``) are not
-``PreparedInstance`` objects, so :func:`workspace_for` declines them
+``PreparedInstance`` objects, so :func:`eligible` declines them
 and the solvers keep their scalar loops for those runs.
 """
 
@@ -49,14 +40,10 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Any, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.steiner.instance import PreparedInstance
 from repro.steiner.tree import ClosureTree
-from repro.temporal.columnar import active_backend
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
 
 #: Smallest ``num_vertices * num_terminals`` for which the batched
 #: kernels engage.  Below this floor the per-call numpy dispatch
@@ -87,68 +74,24 @@ PRUNED_CHUNK = 32
 PRUNED_CHUNK_GROWTH = 4
 
 
-class KernelWorkspace:
-    """Per-instance, per-backend state for the batched scans.
+def eligible(prepared: object) -> bool:
+    """Whether the batched scans should run for ``prepared``.
 
-    numpy backend: ``sorted_costs``/``sorted_ids`` are the instance's
-    ``(n, T)`` sorted terminal block
-    (:meth:`~repro.steiner.instance.PreparedInstance.terminal_block`),
-    shared, not copied.  pure backend: no arrays; the scans read the
-    instance's memoised terminal rows.
-
-    Workspaces are memoised on ``PreparedInstance._kernels`` keyed by
-    backend name, so a ``force_backend()`` switch mid-process builds a
-    fresh one instead of mixing layouts.
+    False for non-:class:`PreparedInstance` inputs (the instrumentation
+    proxies must keep exercising the scalar loops they count), for
+    terminal-free instances (nothing to scan), and for instances below
+    the :data:`KERNEL_MIN_CELLS` size floor (where the scalar loops are
+    faster than the numpy dispatch overhead).
     """
-
-    __slots__ = (
-        "backend",
-        "num_vertices",
-        "num_terminals",
-        "sorted_costs",
-        "sorted_ids",
+    return (
+        isinstance(prepared, PreparedInstance)
+        and bool(prepared.terminals)
+        and prepared.num_vertices * len(prepared.terminals) >= KERNEL_MIN_CELLS
     )
-
-    def __init__(self, prepared: PreparedInstance, backend: str) -> None:
-        self.backend = backend
-        self.num_vertices = prepared.num_vertices
-        self.num_terminals = len(prepared.terminals)
-        self.sorted_costs: Any = None
-        self.sorted_ids: Any = None
-        if backend == "numpy":
-            self.sorted_costs, self.sorted_ids = prepared.terminal_block()
-
-
-def workspace_for(prepared: object) -> Optional[KernelWorkspace]:
-    """The memoised workspace for ``prepared``, or None to stay scalar.
-
-    Returns None for non-:class:`PreparedInstance` inputs (the
-    instrumentation proxies must keep exercising the scalar loops they
-    count), for terminal-free instances (nothing to scan), and for
-    instances below the :data:`KERNEL_MIN_CELLS` size floor (where the
-    scalar loops are faster than the numpy dispatch overhead).
-    """
-    if not isinstance(prepared, PreparedInstance):
-        return None
-    if not prepared.terminals:
-        return None
-    if prepared.num_vertices * len(prepared.terminals) < KERNEL_MIN_CELLS:
-        return None
-    backend = active_backend()
-    if backend == "numpy" and _np is None:  # pragma: no cover - defensive
-        backend = "pure"
-    cache = prepared._kernels
-    workspace = cache.get(backend)
-    if workspace is None:
-        workspace = KernelWorkspace(prepared, backend)
-        cache[backend] = workspace
-    assert isinstance(workspace, KernelWorkspace)
-    return workspace
 
 
 def best_prefix_candidate(
     prepared: PreparedInstance,
-    workspace: KernelWorkspace,
     k: int,
     remaining: FrozenSet[int],
     source: int,
@@ -162,20 +105,28 @@ def best_prefix_candidate(
     to the scalar strict-``<`` winner.  ``(0, 0, inf)`` means no finite
     candidate exists.
     """
-    if workspace.backend == "numpy":
-        return _best_candidate_numpy(prepared, workspace, k, remaining, source)
-    return _best_candidate_pure(prepared, workspace, k, remaining, source)
+    incoming = prepared.closure.costs_from(source)
+    rmask = _remaining_mask(prepared.num_vertices, remaining)
+    densities, counts = _density_block(
+        prepared.terminal_block(), None, incoming, rmask, k
+    )
+    flat = int(np.argmin(densities))
+    vertex, position = divmod(flat, prepared.num_terminals)
+    density = float(densities[vertex, position])
+    if math.isinf(density):
+        return 0, 0, math.inf
+    return vertex, int(counts[vertex, position]), density
 
 
 def _remaining_mask(num_vertices: int, remaining: FrozenSet[int]) -> Any:
-    """A boolean scatter mask of the remaining terminals (numpy only)."""
-    mask = _np.zeros(num_vertices, dtype=bool)
+    """A boolean scatter mask of the remaining terminals."""
+    mask = np.zeros(num_vertices, dtype=bool)
     mask[list(remaining)] = True
     return mask
 
 
 def _density_block(
-    workspace: KernelWorkspace,
+    block: Tuple[Any, Any],
     rows: Any,
     incoming: Any,
     remaining_mask: Any,
@@ -183,66 +134,21 @@ def _density_block(
 ) -> Tuple[Any, Any]:
     """Densities and prefix counts for a block of source rows.
 
-    ``rows`` indexes the workspace's sorted layout (None for all rows);
-    returns ``(densities, counts)`` with infeasible entries (terminal
-    already covered, or prefix longer than ``k``) set to ``inf``.
+    ``block`` is the instance's sorted terminal block and ``rows``
+    indexes it (None for all rows); returns ``(densities, counts)``
+    with infeasible entries (terminal already covered, or prefix
+    longer than ``k``) set to ``inf``.
     """
-    if rows is None:
-        sorted_costs = workspace.sorted_costs
-        sorted_ids = workspace.sorted_ids
-    else:
-        sorted_costs = workspace.sorted_costs[rows]
-        sorted_ids = workspace.sorted_ids[rows]
+    sorted_costs, sorted_ids = block
+    if rows is not None:
+        sorted_costs = sorted_costs[rows]
+        sorted_ids = sorted_ids[rows]
     mask = remaining_mask[sorted_ids]
-    counts = _np.cumsum(mask, axis=1)
-    prefix_costs = _np.cumsum(_np.where(mask, sorted_costs, 0.0), axis=1)
-    densities = (prefix_costs + incoming[:, None]) / _np.maximum(counts, 1)
-    densities[~(mask & (counts <= k))] = _np.inf
+    counts = np.cumsum(mask, axis=1)
+    prefix_costs = np.cumsum(np.where(mask, sorted_costs, 0.0), axis=1)
+    densities = (prefix_costs + incoming[:, None]) / np.maximum(counts, 1)
+    densities[~(mask & (counts <= k))] = np.inf
     return densities, counts
-
-
-def _best_candidate_numpy(
-    prepared: PreparedInstance,
-    workspace: KernelWorkspace,
-    k: int,
-    remaining: FrozenSet[int],
-    source: int,
-) -> Tuple[int, int, float]:
-    incoming = prepared.closure.costs_from(source)
-    rmask = _remaining_mask(workspace.num_vertices, remaining)
-    densities, counts = _density_block(workspace, None, incoming, rmask, k)
-    flat = int(_np.argmin(densities))
-    vertex, position = divmod(flat, workspace.num_terminals)
-    density = float(densities[vertex, position])
-    if math.isinf(density):
-        return 0, 0, math.inf
-    return vertex, int(counts[vertex, position]), density
-
-
-def _best_candidate_pure(
-    prepared: PreparedInstance,
-    workspace: KernelWorkspace,
-    k: int,
-    remaining: FrozenSet[int],
-    source: int,
-) -> Tuple[int, int, float]:
-    incoming_row = prepared.cost_row(source)
-    best_vertex = 0
-    best_length = 0
-    best_density = math.inf
-    for vertex in range(workspace.num_vertices):
-        _, length, _, density = best_prefix(
-            prepared, vertex, remaining, k, incoming_row[vertex]
-        )
-        # Each row's first minimum, then the first row strictly below
-        # the running best: the row-major first occurrence.
-        if density < best_density:
-            best_vertex = vertex
-            best_length = length
-            best_density = density
-    if best_length == 0:
-        return 0, 0, math.inf
-    return best_vertex, best_length, best_density
 
 
 def best_prefix(
@@ -335,7 +241,7 @@ def _star_tree(source: int, terminals: List[int], cost: float) -> ClosureTree:
 
 
 class PrunedScan:
-    """Vectorised tau-ordered vertex walk for Algorithm 6 (numpy only).
+    """Vectorised tau-ordered vertex walk for Algorithm 6.
 
     One ``PrunedScan`` lives for the whole w-iteration loop of a
     ``FinalA^2``/``FinalB^2`` call and owns the scalar walk's evolving
@@ -374,7 +280,7 @@ class PrunedScan:
 
     __slots__ = (
         "_prepared",
-        "_workspace",
+        "_block",
         "_incoming",
         "_tau",
         "_walk",
@@ -390,14 +296,12 @@ class PrunedScan:
         "best_density",
     )
 
-    def __init__(
-        self, prepared: PreparedInstance, workspace: KernelWorkspace, source: int
-    ) -> None:
+    def __init__(self, prepared: PreparedInstance, source: int) -> None:
         self._prepared = prepared
-        self._workspace = workspace
+        self._block = prepared.terminal_block()
         self._incoming = prepared.closure.costs_from(source)
-        self._tau = _np.full(workspace.num_vertices, -_np.inf)
-        self._walk = _np.arange(workspace.num_vertices, dtype=_np.int64)
+        self._tau = np.full(prepared.num_vertices, -np.inf)
+        self._walk = np.arange(prepared.num_vertices, dtype=np.int64)
         self._k = 0
         self._remaining: FrozenSet[int] = frozenset()
         self._rmask: Any = None
@@ -415,7 +319,7 @@ class PrunedScan:
         """Start one w-iteration's walk over the stale-tau order."""
         # Stable argsort of the previous walk order by stale tau == the
         # scalar ``order.sort(key=tau.__getitem__)`` permutation.
-        self._walk = self._walk[_np.argsort(self._tau[self._walk], kind="stable")]
+        self._walk = self._walk[np.argsort(self._tau[self._walk], kind="stable")]
         self._k = k
         self._remaining = remaining
         self._rmask = None  # built lazily: only the chunked steps need it
@@ -463,68 +367,68 @@ class PrunedScan:
         """One batched walk chunk, replayed with array ops."""
         if self._rmask is None:
             self._rmask = _remaining_mask(
-                self._workspace.num_vertices, self._remaining
+                self._prepared.num_vertices, self._remaining
             )
         chunk = self._walk[self._cursor : self._cursor + self._chunk]
         self._cursor += len(chunk)
         self._chunk *= PRUNED_CHUNK_GROWTH
         size = len(chunk)
-        positions_range = _np.arange(size)
+        positions_range = np.arange(size)
 
         densities, counts = _density_block(
-            self._workspace, chunk, self._incoming[chunk], self._rmask, self._k
+            self._block, chunk, self._incoming[chunk], self._rmask, self._k
         )
-        best_positions = _np.argmin(densities, axis=1)
+        best_positions = np.argmin(densities, axis=1)
         row_density = densities[positions_range, best_positions]
         row_length = counts[positions_range, best_positions]
 
         if self._bound_cost is None:
-            skipped = _np.zeros(size, dtype=bool)
+            skipped = np.zeros(size, dtype=bool)
             effective = row_density
         else:
             skipped = self._incoming[chunk] >= self._bound_cost
-            effective = _np.where(skipped, _np.inf, row_density)
+            effective = np.where(skipped, np.inf, row_density)
 
         # Exclusive running minimum of the evaluated densities, seeded
         # with the best carried in from earlier steps: ``prev_best[p]``
         # is the scalar walk's ``best_density`` when it reaches ``p``.
         carry = self.best_density if self.best_vertex is not None else math.inf
-        prev_best = _np.empty(size)
+        prev_best = np.empty(size)
         prev_best[0] = carry
         if size > 1:
-            prev_best[1:] = _np.minimum(
-                carry, _np.minimum.accumulate(effective[:-1])
+            prev_best[1:] = np.minimum(
+                carry, np.minimum.accumulate(effective[:-1])
             )
         # ``have_prev[p]``: the scalar ``best_vertex is not None`` gate
         # (some vertex before ``p`` -- possibly in an earlier step --
         # was evaluated, not skipped).
-        have_prev = _np.empty(size, dtype=bool)
+        have_prev = np.empty(size, dtype=bool)
         have_prev[0] = self.best_vertex is not None
         if size > 1:
-            have_prev[1:] = have_prev[0] | (_np.cumsum(~skipped[:-1]) > 0)
+            have_prev[1:] = have_prev[0] | (np.cumsum(~skipped[:-1]) > 0)
 
         breaks = have_prev & (self._tau[chunk] >= prev_best)
         if breaks.any():
-            limit = int(_np.argmax(breaks))
+            limit = int(np.argmax(breaks))
             self._done = True
         else:
             limit = size
         evaluated = ~skipped & (positions_range < limit)
 
-        ticks = 2 * int(_np.count_nonzero(evaluated))
+        ticks = 2 * int(np.count_nonzero(evaluated))
         if ticks == 0:
             return ticks
         self._tau[chunk[evaluated]] = row_density[evaluated]
 
-        candidates = _np.where(evaluated, row_density, _np.inf)
-        index = int(_np.argmin(candidates))
+        candidates = np.where(evaluated, row_density, np.inf)
+        index = int(np.argmin(candidates))
         density = float(candidates[index])
         if math.isinf(density):
             # Every evaluated density is inf: the scalar walk keeps its
             # *first* evaluated vertex (the ``best_vertex is None``
             # arm), and never replaces a prior best with an inf.
             if self.best_vertex is None:
-                index = int(_np.argmax(evaluated))
+                index = int(np.argmax(evaluated))
                 self.best_vertex = int(chunk[index])
                 self.best_length = 0
                 self.best_density = math.inf
@@ -538,11 +442,10 @@ class PrunedScan:
 def pruned_scan(prepared: object, source: int) -> Optional[PrunedScan]:
     """A vectorised walk for one ``FinalA^2``/``FinalB^2`` call, or None.
 
-    Returns None on the pure backend (the scalar walk *is* the pure
-    implementation) and for non-:class:`PreparedInstance` inputs.
+    Returns None whenever :func:`eligible` declines ``prepared``;
+    the solver then runs the scalar walk.
     """
-    workspace = workspace_for(prepared)
-    if workspace is None or workspace.backend != "numpy":
+    if not eligible(prepared):
         return None
     assert isinstance(prepared, PreparedInstance)
-    return PrunedScan(prepared, workspace, source)
+    return PrunedScan(prepared, source)

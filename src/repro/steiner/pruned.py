@@ -11,7 +11,8 @@ of magnitude speedup from this pruning (our Table 5 bench reproduces
 the gap).
 
 The bottom-level scans (``i == 2``) run through the batched density
-kernels of :mod:`repro.steiner.kernels` on the numpy backend: a
+kernels of :mod:`repro.steiner.kernels` on real, large enough
+:class:`PreparedInstance` inputs: a
 :class:`repro.steiner.kernels.PrunedScan` owns the tau array and walk
 order for a whole ``FinalA^2``/``FinalB^2`` call and replays each
 w-iteration's tau-sorted walk -- early break, warm-bound skip, winner
@@ -19,9 +20,8 @@ selection -- as chunked array passes instead of per-vertex Python.
 Each chunk reports its tick total (two per evaluated vertex) and the
 solver checkpoints it, so rungs trip on the same w-iteration.
 Winners, tau values, budget trips, and ``_WarmMiss`` certification are
-bit-identical to the scalar walk, which remains below as the pure
-backend's implementation and for duck-typed instrumentation
-instances and deeper levels.
+bit-identical to the scalar walk, which remains below for small and
+duck-typed instrumentation instances and deeper levels.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _scan_vertices(
     ``tau`` holds each vertex's branch density from the previous
     w-iteration (``-inf`` initially); ``order`` is re-sorted by ``tau``
     before the scan so the early-break prunes all remaining vertices.
-    Both are updated in place.  When ``scan`` is given (numpy backend,
+    Both are updated in place.  When ``scan`` is given (batched
     bottom level) it owns that state as arrays instead and the walk
     runs in batched chunks; ``tau``/``order`` are then unused.
 

@@ -11,23 +11,14 @@ between the orders.  Window extraction, sliding-window deltas, the
 earliest-arrival sweep, and the Section 4.2 transformation then run as
 batched passes over these arrays.
 
-Backends
---------
-With numpy importable the columns are ``float64``/``int64`` ndarrays
-and queries use ``searchsorted``/boolean masks.  Without numpy -- or
-with ``REPRO_FORCE_PURE=1`` in the environment -- the columns fall back
-to stdlib ``array('d')``/``array('q')`` buffers queried with
-:mod:`bisect`, so the package keeps working (slower, byte-identical
-output; the equivalence is property-tested).  Tests can pin a backend
-for new stores with :func:`force_backend`, which takes precedence over
-the environment.
+The columns are numpy ``float64``/``int64`` arrays and queries use
+``searchsorted``/boolean masks.  Outputs are property-tested against
+the scalar object-level code frozen in :mod:`repro.perf.legacy`.
 
 Stores are derived, immutable state: a :class:`TemporalGraph` builds
-one lazily (``graph.columnar()``) and rebuilds it when the active
-backend changes.  Every build gets a fresh ``generation`` number from a
-process-wide counter; consumers that cache structures derived from a
-store (:func:`repro.temporal.index.edge_index_for`) key their cache on
-it so a rebuild can never serve stale derived state.
+one lazily (``graph.columnar()``) and keeps it for its lifetime, so
+structures derived from a store
+(:func:`repro.temporal.index.edge_index_for`) can be cached per graph.
 
 The sorted views handed out by the accessor methods
 (:meth:`ColumnarEdgeStore.sorted_starts` and friends) are the *cached*
@@ -38,91 +29,17 @@ it does for the ``TemporalGraph`` adjacency accessors.
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
 from array import array
-from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.temporal.edge import TemporalEdge, Vertex, make_edge
-
-#: Environment switch: a truthy value forces the pure-Python backend
-#: even when numpy is importable (the CI fallback matrix leg).
-FORCE_PURE_ENV = "REPRO_FORCE_PURE"
-
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
-_BACKEND_LOCK = threading.Lock()
-_BACKEND_OVERRIDE: Optional[str] = None
-
-#: Process-wide monotone store generations; never reused, so a cache
-#: keyed on a generation can only ever miss after a rebuild.
-_GENERATIONS = itertools.count(1)
 
 #: Arrival-chunk size of the vectorised earliest-arrival sweep: large
 #: enough to amortise per-chunk numpy overhead, small enough that the
 #: within-chunk fixpoint re-scan stays cheap.
 EA_CHUNK = 4096
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can be selected at all."""
-    return _np is not None
-
-
-def active_backend() -> str:
-    """The backend new stores are built with: ``"numpy"`` or ``"pure"``.
-
-    Precedence: :func:`force_backend` override, then the
-    ``REPRO_FORCE_PURE`` environment variable, then numpy availability.
-    """
-    override = _BACKEND_OVERRIDE
-    if override is not None:
-        return override
-    if os.environ.get(FORCE_PURE_ENV, "").strip() not in ("", "0"):
-        return "pure"
-    return "numpy" if _np is not None else "pure"
-
-
-@contextmanager
-def force_backend(backend: str) -> Iterator[None]:
-    """Pin the backend for stores built inside the ``with`` block.
-
-    ``backend`` is ``"numpy"`` or ``"pure"``; requesting numpy when it
-    is not importable raises.  Overrides the environment variable --
-    the identity property suite uses this to build both cores in one
-    process regardless of which CI matrix leg is running.  Graphs whose
-    store was built under a different backend rebuild on next access
-    (a new generation), which is exactly the invalidation path the
-    shared edge-index cache is tested against.
-    """
-    global _BACKEND_OVERRIDE
-    if backend not in ("numpy", "pure"):
-        raise ValueError(f"unknown columnar backend {backend!r}")
-    if backend == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    with _BACKEND_LOCK:
-        previous = _BACKEND_OVERRIDE
-        _BACKEND_OVERRIDE = backend
-    try:
-        yield
-    finally:
-        with _BACKEND_LOCK:
-            _BACKEND_OVERRIDE = previous
 
 
 class ColumnarEdgeStore:
@@ -140,13 +57,11 @@ class ColumnarEdgeStore:
 
     Vertex labels are interned to dense ids in first-occurrence order
     (edge sources/targets in insertion order, then the extras), so two
-    stores built from the same graph -- whatever their backend -- agree
-    on every id, which keeps cross-backend outputs identical.
+    stores built from the same graph agree on every id, which keeps
+    outputs ordered by intern id identical across processes.
     """
 
     __slots__ = (
-        "backend",
-        "generation",
         "edges",
         "vertex_labels",
         "vertex_ids",
@@ -171,14 +86,7 @@ class ColumnarEdgeStore:
         self,
         edges: Sequence[TemporalEdge],
         vertices: Optional[Iterable[Vertex]] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        self.backend = backend if backend is not None else active_backend()
-        if self.backend not in ("numpy", "pure"):
-            raise ValueError(f"unknown columnar backend {self.backend!r}")
-        if self.backend == "numpy" and _np is None:
-            raise RuntimeError("numpy backend requested but numpy is not importable")
-        self.generation = next(_GENERATIONS)
         self.edges: Tuple[TemporalEdge, ...] = tuple(edges)
 
         ids: Dict[Vertex, int] = {}
@@ -217,18 +125,8 @@ class ColumnarEdgeStore:
         self.arrivals_are_float = all(type(a) is float for a in arrivals)
         self.weights_are_float = all(type(w) is float for w in weights)
 
-        if self.backend == "numpy":
-            self._build_numpy(src_ids, dst_ids, starts, arrivals, weights)
-        else:
-            self._build_pure(src_ids, dst_ids, starts, arrivals, weights)
-
-    # ------------------------------------------------------------------
-    # Construction per backend
-    # ------------------------------------------------------------------
-    def _build_numpy(self, src, dst, starts, arrivals, weights) -> None:
-        np = _np
-        self.sources = np.asarray(src, dtype=np.int64)
-        self.targets = np.asarray(dst, dtype=np.int64)
+        self.sources = np.asarray(src_ids, dtype=np.int64)
+        self.targets = np.asarray(dst_ids, dtype=np.int64)
         self.starts = np.asarray(starts, dtype=np.float64)
         self.arrivals = np.asarray(arrivals, dtype=np.float64)
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -243,26 +141,6 @@ class ColumnarEdgeStore:
         self._start_by_arrival = self.starts[self._arrival_order]
         rank = np.empty(len(self.edges), dtype=np.int64)
         rank[self._start_order] = np.arange(len(self.edges), dtype=np.int64)
-        self._start_rank = rank
-
-    def _build_pure(self, src, dst, starts, arrivals, weights) -> None:
-        self.sources = array("q", src)
-        self.targets = array("q", dst)
-        self.starts = array("d", starts)
-        self.arrivals = array("d", arrivals)
-        self.weights = array("d", weights)
-        m = len(self.edges)
-        start_order = sorted(range(m), key=lambda p: (starts[p], arrivals[p], p))
-        arrival_order = sorted(range(m), key=lambda p: (arrivals[p], starts[p], p))
-        self._start_order = array("q", start_order)
-        self._arrival_order = array("q", arrival_order)
-        self._starts_sorted = array("d", (starts[p] for p in start_order))
-        self._arrivals_sorted = array("d", (arrivals[p] for p in arrival_order))
-        self._arrival_by_start = array("d", (arrivals[p] for p in start_order))
-        self._start_by_arrival = array("d", (starts[p] for p in arrival_order))
-        rank = array("q", bytes(8 * m)) if m else array("q")
-        for r, p in enumerate(start_order):
-            rank[p] = r
         self._start_rank = rank
 
     # ------------------------------------------------------------------
@@ -309,12 +187,8 @@ class ColumnarEdgeStore:
     # ------------------------------------------------------------------
     def start_bounds(self, t_alpha: float, t_omega: float) -> Tuple[int, int]:
         """``[lo, hi)`` into the start order with ``t_alpha <= start <= t_omega``."""
-        if self.backend == "numpy":
-            lo = int(_np.searchsorted(self._starts_sorted, t_alpha, side="left"))
-            hi = int(_np.searchsorted(self._starts_sorted, t_omega, side="right"))
-        else:
-            lo = bisect_left(self._starts_sorted, t_alpha)
-            hi = bisect_right(self._starts_sorted, t_omega)
+        lo = int(np.searchsorted(self._starts_sorted, t_alpha, side="left"))
+        hi = int(np.searchsorted(self._starts_sorted, t_omega, side="right"))
         return lo, hi
 
     def window_positions(self, t_alpha: float, t_omega: float):
@@ -322,30 +196,20 @@ class ColumnarEdgeStore:
 
         Chronological means ``(start, arrival, position)`` -- the order
         :meth:`TemporalGraph.chronological_edges` and the sorted edge
-        index use.  ``O(log M + candidates)``, vectorised under numpy.
+        index use.  ``O(log M + candidates)``, vectorised.
         """
         lo, hi = self.start_bounds(t_alpha, t_omega)
-        if self.backend == "numpy":
-            cand = self._start_order[lo:hi]
-            return cand[self._arrival_by_start[lo:hi] <= t_omega]
-        arrivals = self._arrival_by_start
-        order = self._start_order
-        return [order[i] for i in range(lo, hi) if arrivals[i] <= t_omega]
+        cand = self._start_order[lo:hi]
+        return cand[self._arrival_by_start[lo:hi] <= t_omega]
 
     def window_positions_graph_order(self, t_alpha: float, t_omega: float):
         """Same membership as :meth:`window_positions`, insertion order."""
-        picked = self.window_positions(t_alpha, t_omega)
-        if self.backend == "numpy":
-            return _np.sort(picked)
-        return sorted(picked)
+        return np.sort(self.window_positions(t_alpha, t_omega))
 
     def count_in(self, t_alpha: float, t_omega: float) -> int:
         """Number of in-window edges, nothing materialised."""
         lo, hi = self.start_bounds(t_alpha, t_omega)
-        if self.backend == "numpy":
-            return int((self._arrival_by_start[lo:hi] <= t_omega).sum())
-        arrivals = self._arrival_by_start
-        return sum(1 for i in range(lo, hi) if arrivals[i] <= t_omega)
+        return int((self._arrival_by_start[lo:hi] <= t_omega).sum())
 
     def delta_positions(
         self,
@@ -370,60 +234,36 @@ class ColumnarEdgeStore:
     ):
         a1, o1 = frm
         a2, o2 = to
-        if self.backend == "numpy":
-            np = _np
-            parts = []
-            if a2 < a1:
-                lo = int(np.searchsorted(self._starts_sorted, a2, side="left"))
-                hi = min(
-                    int(np.searchsorted(self._starts_sorted, a1, side="left")),
-                    int(np.searchsorted(self._starts_sorted, o2, side="right")),
-                )
-                if hi > lo:
-                    cand = self._start_order[lo:hi]
-                    parts.append(cand[self._arrival_by_start[lo:hi] <= o2])
-            if o2 > o1:
-                left = max(a1, a2)
-                lo = int(np.searchsorted(self._arrivals_sorted, o1, side="right"))
-                hi = int(np.searchsorted(self._arrivals_sorted, o2, side="right"))
-                if hi > lo:
-                    cand = self._arrival_order[lo:hi]
-                    parts.append(cand[self._start_by_arrival[lo:hi] >= left])
-            if not parts:
-                return np.empty(0, dtype=np.int64)
-            picked = np.concatenate(parts)
-            return picked[np.argsort(self._start_rank[picked], kind="stable")]
-        picked: List[int] = []
+        parts = []
         if a2 < a1:
-            lo = bisect_left(self._starts_sorted, a2)
+            lo = int(np.searchsorted(self._starts_sorted, a2, side="left"))
             hi = min(
-                bisect_left(self._starts_sorted, a1),
-                bisect_right(self._starts_sorted, o2),
+                int(np.searchsorted(self._starts_sorted, a1, side="left")),
+                int(np.searchsorted(self._starts_sorted, o2, side="right")),
             )
-            arrivals = self._arrival_by_start
-            order = self._start_order
-            picked.extend(order[i] for i in range(lo, hi) if arrivals[i] <= o2)
+            if hi > lo:
+                cand = self._start_order[lo:hi]
+                parts.append(cand[self._arrival_by_start[lo:hi] <= o2])
         if o2 > o1:
             left = max(a1, a2)
-            lo = bisect_right(self._arrivals_sorted, o1)
-            hi = bisect_right(self._arrivals_sorted, o2)
-            starts = self._start_by_arrival
-            order = self._arrival_order
-            picked.extend(order[i] for i in range(lo, hi) if starts[i] >= left)
-        rank = self._start_rank
-        picked.sort(key=lambda p: rank[p])
-        return picked
+            lo = int(np.searchsorted(self._arrivals_sorted, o1, side="right"))
+            hi = int(np.searchsorted(self._arrivals_sorted, o2, side="right"))
+            if hi > lo:
+                cand = self._arrival_order[lo:hi]
+                parts.append(cand[self._start_by_arrival[lo:hi] >= left])
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        picked = np.concatenate(parts)
+        return picked[np.argsort(self._start_rank[picked], kind="stable")]
 
     def earliest_arrival(
         self, source: Vertex, t_alpha: float, t_omega: float
     ) -> List[Tuple[Vertex, float]]:
-        """Earliest-arrival labels from ``source`` (numpy backend only).
+        """Earliest-arrival labels from ``source``.
 
         Returns ``[(vertex, arrival), ...]`` for every vertex reachable
         through a time-respecting path inside ``[t_alpha, t_omega]``,
-        ordered by ``(arrival, intern id)`` with float arrival times --
-        the canonical form the pure backend's heap sweep is normalised
-        to, so cross-backend outputs match byte for byte.
+        ordered by ``(arrival, intern id)`` with float arrival times.
 
         The sweep walks the arrival-sorted columns in chunks, never
         splitting an arrival tie group.  Within a chunk it iterates a
@@ -435,7 +275,6 @@ class ColumnarEdgeStore:
         edge of an earlier chunk -- one forward pass suffices, even
         with zero-duration edges.
         """
-        np = _np
         src = self.vertex_ids.get(source)
         if src is None:
             return []
@@ -475,12 +314,10 @@ class ColumnarEdgeStore:
     def edges_at(self, positions) -> List[TemporalEdge]:
         """Materialise ``TemporalEdge`` objects for insertion positions."""
         edges = self.edges
-        if self.backend == "numpy":
-            positions = positions.tolist()
-        return [edges[p] for p in positions]
+        return [edges[p] for p in positions.tolist()]
 
     # ------------------------------------------------------------------
-    # Backend-independent column export (pickling, shard payloads)
+    # Stdlib column export (pickling, shard payloads)
     # ------------------------------------------------------------------
     def _value_column(self, values: List[Any], exact: bool):
         """A shippable value column that round-trips value *and* type.
@@ -502,7 +339,7 @@ class ColumnarEdgeStore:
         return tuple(values)
 
     def export_columns(self) -> Dict[str, Any]:
-        """The store's defining state as backend-independent columns.
+        """The store's defining state as stdlib columns.
 
         Returns a dict of ``labels`` (interned vertex labels, intern-id
         order, including isolated extras) plus the five edge columns:
@@ -510,21 +347,14 @@ class ColumnarEdgeStore:
         ``starts``/``arrivals``/``weights`` as ``array('d')`` -- or
         tuples of the original Python values when the matching
         ``*_are_float`` flag is unset.  Only stdlib containers, so the
-        payload unpickles in processes without numpy and rebuilds the
-        identical edge tuple under either backend
-        (:func:`edges_from_columns`).
+        payload format does not depend on the numpy version and rebuilds
+        the identical edge tuple (:func:`edges_from_columns`).
         """
         edges = self.edges
-        if self.backend == "numpy":
-            sources = array("q", self.sources.tolist())
-            targets = array("q", self.targets.tolist())
-        else:
-            sources = array("q", self.sources)
-            targets = array("q", self.targets)
         return {
             "labels": tuple(self.vertex_labels),
-            "sources": sources,
-            "targets": targets,
+            "sources": array("q", self.sources.tolist()),
+            "targets": array("q", self.targets.tolist()),
             "starts": self._value_column(
                 [e.start for e in edges], self.starts_are_float
             ),
@@ -548,9 +378,7 @@ class ColumnarEdgeStore:
         ``TemporalEdge`` objects and no labels outside the slice, so a
         worker unpickling it never sees out-of-range edges.
         """
-        picked = self.window_positions_graph_order(t_alpha, t_omega)
-        if self.backend == "numpy":
-            picked = picked.tolist()
+        picked = self.window_positions_graph_order(t_alpha, t_omega).tolist()
         edges = self.edges
         ids: Dict[Vertex, int] = {}
         labels: List[Vertex] = []
@@ -587,8 +415,7 @@ class ColumnarEdgeStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ColumnarEdgeStore(M={self.num_edges}, n={self.num_vertices}, "
-            f"backend={self.backend}, generation={self.generation})"
+            f"ColumnarEdgeStore(M={self.num_edges}, n={self.num_vertices})"
         )
 
 

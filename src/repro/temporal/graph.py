@@ -111,17 +111,14 @@ class TemporalGraph:
     def columnar(self) -> Any:
         """The graph's :class:`repro.temporal.columnar.ColumnarEdgeStore`.
 
-        Built lazily on first use and cached; rebuilt (with a fresh
-        ``generation``) when the active columnar backend has changed
-        since the cached store was built, so a ``force_backend`` /
-        ``REPRO_FORCE_PURE`` switch can never serve arrays from the
-        wrong backend.  Consumers caching state derived from the store
-        must key it on ``store.generation``.
+        Built lazily on first use, then kept for the graph's lifetime:
+        every later call returns the same object, so state derived from
+        the store may be cached per graph.
         """
-        from repro.temporal.columnar import ColumnarEdgeStore, active_backend
+        from repro.temporal.columnar import ColumnarEdgeStore
 
         store = self._columnar
-        if store is None or store.backend != active_backend():
+        if store is None:
             store = ColumnarEdgeStore(self._edges, self._vertices)
             self._columnar = store
         return store
@@ -153,15 +150,12 @@ class TemporalGraph:
         # the payload by the size of the closure matrices.
         #
         # When the columnar store is already built (any graph that has
-        # been through a batch/sweep driver), ship its backend-neutral
-        # column export instead of the per-edge object tuple: a handful
-        # of stdlib arrays pickles several times smaller and faster than
-        # M ``TemporalEdge`` NamedTuples, and unpickles identically in a
-        # worker without numpy.  The guard on ``store.edges`` keeps a
-        # stale store (impossible today -- graphs are immutable -- but
-        # cheap to check) from shadowing the real edges.
+        # been through a batch or sweep run), ship its stdlib column
+        # export instead of the per-edge object tuple: a handful of
+        # stdlib arrays pickles several times smaller and faster than
+        # M ``TemporalEdge`` NamedTuples.
         store = self._columnar
-        if store is not None and store.edges is self._edges:
+        if store is not None:
             return (_COLUMNAR_STATE_TAG, store.export_columns())
         return (self._edges, self._vertices)
 

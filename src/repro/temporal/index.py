@@ -6,8 +6,7 @@ epidemic example, interactive exploration) re-extract hundreds of
 windows.  :class:`TemporalEdgeIndex` answers each window query in
 ``O(log M + output)`` from the graph's columnar store
 (:mod:`repro.temporal.columnar`): binary search over the start-sorted
-column plus an arrival mask, vectorised under numpy and bisect-driven
-under the pure-Python fallback.
+column plus a vectorised arrival mask.
 
 For *sliding* workloads the index additionally answers the symmetric
 difference between two windows (:meth:`TemporalEdgeIndex.delta`) in
@@ -77,11 +76,6 @@ class TemporalEdgeIndex:
     @property
     def num_edges(self) -> int:
         return len(self._edges)
-
-    @property
-    def generation(self) -> int:
-        """Generation of the columnar store this index was built from."""
-        return int(self._store.generation)
 
     def edges_in(self, window: TimeWindow) -> List[TemporalEdge]:
         """All edges with ``start >= t_alpha`` and ``arrival <= t_omega``.
@@ -274,10 +268,9 @@ class TemporalEdgeIndex:
         return len(self._edges)
 
 
-#: graph -> (store generation, shared index); weak keys, and the index
-#: itself holds no reference back to the graph, so entries die with
-#: their graph.
-_SHARED_INDICES: "weakref.WeakKeyDictionary[TemporalGraph, Tuple[int, TemporalEdgeIndex]]" = (
+#: graph -> shared index; weak keys, and the index itself holds no
+#: reference back to the graph, so entries die with their graph.
+_SHARED_INDICES: "weakref.WeakKeyDictionary[TemporalGraph, TemporalEdgeIndex]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -292,25 +285,12 @@ def edge_index_for(
     ``O(M log M)`` build is paid once per graph.  With ``create=False``
     the call only reports an existing index (``None`` otherwise) --
     used by paths that should stay ``O(M)`` when nothing sliding-shaped
-    has touched the graph yet.
-
-    The cache entry is keyed by the graph's columnar-store generation:
-    a store rebuild (e.g. a ``force_backend`` switch) invalidates the
-    cached index, so a stale index over dropped arrays can never be
-    served.  A ``create=False`` probe whose cached entry is stale
-    reports ``None`` without rebuilding anything.
+    has touched the graph yet.  A graph's columnar store is built once
+    and never replaced, so a cached index stays valid until the graph
+    is dropped.
     """
-    entry = _SHARED_INDICES.get(graph)
-    if entry is not None:
-        generation, index = entry
-        store = graph.columnar_or_none()
-        if store is not None and store.generation == generation:
-            return index
-        # Stale: the backing store was rebuilt (or dropped) since the
-        # index was cached.  Fall through to a rebuild or a miss.
-        del _SHARED_INDICES[graph]
-    if not create:
-        return None
-    index = TemporalEdgeIndex(graph)
-    _SHARED_INDICES[graph] = (index.generation, index)
+    index = _SHARED_INDICES.get(graph)
+    if index is None and create:
+        index = TemporalEdgeIndex(graph)
+        _SHARED_INDICES[graph] = index
     return index

@@ -8,9 +8,10 @@ correct for arbitrary (including zero) edge durations.  They serve both
 as a library feature and as independent oracles against which the
 paper's optimised Algorithms 1 and 2 are tested.
 
-All functions are label-setting (Dijkstra-style) over arrival times,
-which is valid because arrival times along a time-respecting path are
-non-decreasing.
+Apart from :func:`earliest_arrival_times`, which runs the columnar
+store's scatter-min sweep, the functions are label-setting
+(Dijkstra-style) over arrival times, which is valid because arrival
+times along a time-respecting path are non-decreasing.
 """
 
 from __future__ import annotations
@@ -42,61 +43,19 @@ def earliest_arrival_times(
     absent from the result.
 
     Arrival times are reported as floats, and the result dict is built
-    in canonical ``(arrival, columnar intern id)`` order, whichever
-    backend computed it.  Under the numpy backend the sweep is the
-    columnar store's chunked scatter-min relaxation
-    (:meth:`ColumnarEdgeStore.earliest_arrival`); the pure backend runs
-    the heap-based label-setting sweep below, normalised to the same
-    form.  Both are correct for zero-duration edges, unlike the
-    one-pass Algorithm 1, and the equivalence is property-tested.
+    in canonical ``(arrival, columnar intern id)`` order.  The sweep is
+    the columnar store's chunked scatter-min relaxation
+    (:meth:`ColumnarEdgeStore.earliest_arrival`), which is correct for
+    zero-duration edges, unlike the one-pass Algorithm 1; it is
+    property-tested against the heap-based label-setting sweep frozen
+    as :func:`repro.perf.legacy.legacy_earliest_arrival`.
     """
     if window is None:
         window = TimeWindow.unbounded()
     if source not in graph.vertices:
         return {}
     store = graph.columnar()
-    if store.backend == "numpy":
-        return dict(store.earliest_arrival(source, window.t_alpha, window.t_omega))
-    raw = _earliest_arrival_heap(graph, source, window)
-    ids = store.vertex_ids
-    return {
-        v: float(t)
-        for v, t in sorted(raw.items(), key=lambda kv: (kv[1], ids[kv[0]]))
-    }
-
-
-def _earliest_arrival_heap(
-    graph: TemporalGraph,
-    source: Vertex,
-    window: TimeWindow,
-) -> Dict[Vertex, float]:
-    """The reference heap sweep (pure backend path, and the test oracle).
-
-    A vertex popped with the minimum tentative arrival is final,
-    because every subsequent relaxation can only yield arrivals that
-    are at least as late.
-    """
-    adjacency = _ascending_adjacency(graph)
-    starts = graph.ascending_starts()
-    arrival: Dict[Vertex, float] = {source: window.t_alpha}
-    settled: Set[Vertex] = set()
-    heap: List[Tuple[float, int, Vertex]] = [(window.t_alpha, 0, source)]
-    counter = 1
-    while heap:
-        t, _, u = heapq.heappop(heap)
-        if u in settled or t > arrival.get(u, math.inf):
-            continue
-        settled.add(u)
-        # Relax every out-edge departing at or after our arrival at u.
-        idx = bisect_left(starts[u], t)
-        for edge in adjacency[u][idx:]:
-            if edge.arrival > window.t_omega:
-                continue
-            if edge.arrival < arrival.get(edge.target, math.inf):
-                arrival[edge.target] = edge.arrival
-                heapq.heappush(heap, (edge.arrival, counter, edge.target))
-                counter += 1
-    return arrival
+    return dict(store.earliest_arrival(source, window.t_alpha, window.t_omega))
 
 
 def earliest_arrival_path(

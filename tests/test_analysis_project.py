@@ -4,12 +4,12 @@ Fixture contract: every tree under ``tests/fixtures/project/violations``
 trips its namesake rule -- and only it -- a known number of times with
 all four project rules active (one finding per offending module; the
 pickle-safety tree carries two offenders, the legacy cell driver plus
-the shard-boundary lambda; the backend-purity tree carries two
-unguarded optional-numpy modules, neither in the owner set), and the
-matching ``clean`` tree is silent -- including an unguarded
-``repro.steiner.kernels`` twin, which the ``BACKEND_OWNERS`` exemption
-must keep quiet.  The live ``src`` tree must be project-clean with the
-committed (empty) baseline.
+the shard-boundary lambda; the columnar-internals tree carries two
+private ``ColumnarEdgeStore`` reads outside the owner module, one
+through a ``graph.columnar()`` local and one through an annotated
+parameter), and the matching ``clean`` tree is silent -- including
+the owner module's own private reads.  The live ``src`` tree must be
+project-clean with the committed (empty) baseline.
 """
 
 import json
@@ -35,7 +35,7 @@ BASELINE = os.path.join(REPO_ROOT, "lint-baseline.json")
 RULES = {
     "budget-reachability": "REP201",
     "pickle-safety": "REP202",
-    "backend-purity": "REP203",
+    "columnar-internals": "REP203",
     "never-raise": "REP204",
 }
 
@@ -43,7 +43,7 @@ RULES = {
 EXPECTED_FINDINGS = {
     "budget-reachability": 1,
     "pickle-safety": 2,  # legacy cell driver + shard-boundary lambda
-    "backend-purity": 2,  # temporal helper + non-owner steiner batch module
+    "columnar-internals": 2,  # columnar() local + annotated parameter
     "never-raise": 1,
 }
 
@@ -265,9 +265,9 @@ def test_cache_invalidates_whole_import_cycle(tmp_path):
 
 def test_cache_disabled_parses_everything(tmp_path):
     root = tmp_path / "case"
-    shutil.copytree(_tree("clean", "backend-purity"), root)
+    shutil.copytree(_tree("clean", "columnar-internals"), root)
     _f, _e, stats = analyze_project([str(root)], excludes=(), cache_path=None)
-    assert stats.parsed == 2  # temporal helper + steiner kernels owner twin
+    assert stats.parsed == 3  # owner module + two public-accessor users
     assert stats.reused == 0
 
 
@@ -286,7 +286,7 @@ def test_project_list_rules(capsys):
 def test_project_rule_selection(capsys):
     tree = _tree("violations", "pickle-safety")
     code = main(
-        ["--project", "--no-default-excludes", "--rule", "backend-purity", tree]
+        ["--project", "--no-default-excludes", "--rule", "columnar-internals", tree]
     )
     capsys.readouterr()
     assert code == EXIT_CLEAN

@@ -1,31 +1,23 @@
 """Unit tests for the columnar edge store and its cache discipline.
 
-The cross-backend *output identity* is property-tested in
-``test_property_columnar.py``; this file pins down the store's
-contracts one by one -- backend selection precedence, interning order,
-generation monotonicity, the per-graph store cache, and the
-generation-keyed shared edge index (the regression test for serving a
-stale index over a rebuilt store).
+*Output identity* against the scalar code the store replaced is
+property-tested in ``test_property_columnar.py``; this file pins down
+the store's contracts one by one -- interning order, sort orders, the
+per-graph store built once, the shared edge index cached per graph,
+and the columnar pickle form.
 """
 
 from __future__ import annotations
 
-import pytest
+import gc
+import pickle
+from array import array
 
-from repro.temporal.columnar import (
-    ColumnarEdgeStore,
-    active_backend,
-    force_backend,
-    numpy_available,
-)
+from repro.temporal.columnar import ColumnarEdgeStore
 from repro.temporal.edge import TemporalEdge
-from repro.temporal.graph import TemporalGraph
-from repro.temporal.index import TemporalEdgeIndex, edge_index_for
+from repro.temporal.graph import _COLUMNAR_STATE_TAG, TemporalGraph
+from repro.temporal.index import _SHARED_INDICES, TemporalEdgeIndex, edge_index_for
 from repro.temporal.window import TimeWindow
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not importable"
-)
 
 
 def small_graph() -> TemporalGraph:
@@ -41,42 +33,10 @@ def small_graph() -> TemporalGraph:
 
 
 # ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-def test_force_backend_overrides_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_PURE", "1")
-    assert active_backend() == "pure"
-    if numpy_available():
-        with force_backend("numpy"):
-            assert active_backend() == "numpy"
-        assert active_backend() == "pure"
-
-
-def test_force_pure_env_values(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_PURE", "0")
-    default = "numpy" if numpy_available() else "pure"
-    assert active_backend() == default
-    monkeypatch.setenv("REPRO_FORCE_PURE", "")
-    assert active_backend() == default
-    monkeypatch.setenv("REPRO_FORCE_PURE", "yes")
-    assert active_backend() == "pure"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        with force_backend("cuda"):
-            pass  # pragma: no cover
-    with pytest.raises(ValueError):
-        ColumnarEdgeStore((), backend="cuda")
-
-
-# ----------------------------------------------------------------------
 # Store construction
 # ----------------------------------------------------------------------
 def test_interning_is_first_occurrence_order():
-    graph = small_graph()
-    with force_backend("pure"):
-        store = graph.columnar()
+    store = small_graph().columnar()
     # Edge endpoints in insertion order, then the extras.
     assert store.vertex_labels == ["b", "c", "a", "isolated"]
     assert store.vertex_ids == {"b": 0, "c": 1, "a": 2, "isolated": 3}
@@ -87,9 +47,7 @@ def test_interning_is_first_occurrence_order():
 
 
 def test_sort_orders_and_ranks():
-    graph = small_graph()
-    with force_backend("pure"):
-        store = graph.columnar()
+    store = small_graph().columnar()
     # (start, arrival, position): positions 1 (1,2), 2 (1,4), 0 (3,5), 3 (6,7)
     assert list(store.positions_by_start()) == [1, 2, 0, 3]
     assert list(store.sorted_starts()) == [1.0, 1.0, 3.0, 6.0]
@@ -107,26 +65,16 @@ def test_value_type_flags():
     mixed = TemporalGraph(
         [TemporalEdge(0, 1, 1.0, 2.0, 3.0), TemporalEdge(1, 0, 4, 5, 6)]
     )
-    with force_backend("pure"):
-        assert float_graph.columnar().arrivals_are_float
-        assert float_graph.columnar().weights_are_float
-        assert not int_graph.columnar().arrivals_are_float
-        assert not int_graph.columnar().weights_are_float
-        assert not mixed.columnar().arrivals_are_float
-        assert not mixed.columnar().weights_are_float
-
-
-def test_generations_are_unique_and_monotone():
-    edges = small_graph().edges
-    with force_backend("pure"):
-        a = ColumnarEdgeStore(edges)
-        b = ColumnarEdgeStore(edges)
-    assert b.generation > a.generation
+    assert float_graph.columnar().arrivals_are_float
+    assert float_graph.columnar().weights_are_float
+    assert not int_graph.columnar().arrivals_are_float
+    assert not int_graph.columnar().weights_are_float
+    assert not mixed.columnar().arrivals_are_float
+    assert not mixed.columnar().weights_are_float
 
 
 def test_empty_store():
-    with force_backend("pure"):
-        store = ColumnarEdgeStore(())
+    store = ColumnarEdgeStore(())
     assert store.num_edges == 0
     assert store.start_bounds(0.0, 10.0) == (0, 0)
     assert list(store.window_positions(0.0, 10.0)) == []
@@ -135,17 +83,10 @@ def test_empty_store():
 
 
 # ----------------------------------------------------------------------
-# Queries (exact values; cross-backend identity lives in the property suite)
+# Queries (exact values; oracle identity lives in the property suite)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "backend",
-    ["pure", pytest.param("numpy", marks=needs_numpy)],
-)
-def test_window_queries(backend):
-    graph = small_graph()
-    with force_backend(backend):
-        store = graph.columnar()
-    assert store.backend == backend
+def test_window_queries():
+    store = small_graph().columnar()
     # Window [1, 4]: positions 1 (1->2) and 2 (1->4) qualify; position 0
     # starts at 3 but arrives at 5, outside.
     assert [int(p) for p in store.window_positions(1.0, 4.0)] == [1, 2]
@@ -157,14 +98,8 @@ def test_window_queries(backend):
     ]
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["pure", pytest.param("numpy", marks=needs_numpy)],
-)
-def test_delta_positions(backend):
-    graph = small_graph()
-    with force_backend(backend):
-        store = graph.columnar()
+def test_delta_positions():
+    store = small_graph().columnar()
     added, removed = store.delta_positions((1.0, 4.0), (1.0, 7.0))
     assert [int(p) for p in added] == [0, 3]
     assert [int(p) for p in removed] == []
@@ -173,58 +108,37 @@ def test_delta_positions(backend):
     assert sorted(int(p) for p in removed) == [1, 2]
 
 
-@needs_numpy
 def test_earliest_arrival_kernel():
-    graph = small_graph()
-    with force_backend("numpy"):
-        store = graph.columnar()
+    store = small_graph().columnar()
     labels = store.earliest_arrival("a", 0.0, 10.0)
     assert labels == [("a", 0.0), ("b", 2.0), ("c", 4.0)]
     assert store.earliest_arrival("missing", 0.0, 10.0) == []
 
 
 # ----------------------------------------------------------------------
-# The per-graph store cache
+# The per-graph store and the shared edge index
 # ----------------------------------------------------------------------
-def test_graph_store_is_cached_and_rebuilt_on_backend_switch():
+def test_graph_store_is_built_once():
     graph = small_graph()
     assert graph.columnar_or_none() is None
-    with force_backend("pure"):
-        first = graph.columnar()
-        assert graph.columnar() is first
-        assert graph.columnar_or_none() is first
-    if not numpy_available():
-        return
-    with force_backend("numpy"):
-        rebuilt = graph.columnar()
-    assert rebuilt is not first
-    assert rebuilt.backend == "numpy"
-    assert rebuilt.generation > first.generation
+    first = graph.columnar()
+    assert graph.columnar() is first
+    assert graph.columnar_or_none() is first
+    graph.restricted(1.0, 4.0)  # store-backed queries never replace it
+    assert graph.columnar() is first
 
 
-# ----------------------------------------------------------------------
-# Regression: the shared edge index must be keyed on store generation
-# ----------------------------------------------------------------------
-def test_edge_index_cache_invalidated_by_store_rebuild():
-    """A backend switch rebuilds the store; the cached ``TemporalEdgeIndex``
-    over the dropped arrays must not be served for the new store."""
+def test_edge_index_cached_until_graph_dropped():
     graph = small_graph()
-    with force_backend("pure"):
-        index = edge_index_for(graph)
-        assert isinstance(index, TemporalEdgeIndex)
-        assert edge_index_for(graph) is index
-        assert index.generation == graph.columnar().generation
-    if not numpy_available():
-        return
-    with force_backend("numpy"):
-        store = graph.columnar()  # rebuild under the new backend
-        # A create=False probe must report the stale entry as a miss...
-        assert edge_index_for(graph, create=False) is None
-        # ...and a full call must rebuild against the new store.
-        fresh = edge_index_for(graph)
-        assert fresh is not index
-        assert fresh.generation == store.generation
-        assert edge_index_for(graph) is fresh
+    index = edge_index_for(graph)
+    assert isinstance(index, TemporalEdgeIndex)
+    assert edge_index_for(graph) is index
+    assert edge_index_for(graph, create=False) is index
+    assert graph in _SHARED_INDICES
+    before = len(_SHARED_INDICES)
+    del graph
+    gc.collect()
+    assert len(_SHARED_INDICES) == before - 1
 
 
 def test_edge_index_create_false_does_not_build():
@@ -236,14 +150,13 @@ def test_edge_index_create_false_does_not_build():
 def test_edge_index_results_match_restricted():
     graph = small_graph()
     window = TimeWindow(1.0, 4.0)
-    with force_backend("pure"):
-        index = edge_index_for(graph)
-        assert [tuple(e) for e in index.edges_in_graph_order(window)] == [
-            tuple(e)
-            for e in graph.edges
-            if e.within(window.t_alpha, window.t_omega)
-        ]
-        assert index.count_in(window) == 2
+    index = edge_index_for(graph)
+    assert [tuple(e) for e in index.edges_in_graph_order(window)] == [
+        tuple(e)
+        for e in graph.edges
+        if e.within(window.t_alpha, window.t_omega)
+    ]
+    assert index.count_in(window) == 2
 
 
 # ----------------------------------------------------------------------
@@ -251,13 +164,8 @@ def test_edge_index_results_match_restricted():
 # ----------------------------------------------------------------------
 def test_warm_graph_pickles_in_columnar_form():
     """A cached store switches the pickle to tagged column arrays."""
-    import pickle
-
-    from repro.temporal.graph import _COLUMNAR_STATE_TAG
-
     graph = small_graph()
-    with force_backend("pure"):
-        graph.columnar()
+    graph.columnar()
     tag, columns = graph.__getstate__()
     assert tag == _COLUMNAR_STATE_TAG
     assert set(columns) >= {
@@ -269,8 +177,6 @@ def test_warm_graph_pickles_in_columnar_form():
 
 
 def test_cold_graph_pickles_in_legacy_form():
-    import pickle
-
     graph = small_graph()
     assert graph.columnar_or_none() is None
     state = graph.__getstate__()
@@ -290,25 +196,15 @@ def test_legacy_state_still_loads():
 
 
 def test_columnar_pickle_rebuilds_caches_lazily():
-    import pickle
-
     graph = small_graph()
-    with force_backend("pure"):
-        graph.columnar()
-        clone = pickle.loads(pickle.dumps(graph))
-        assert clone.columnar_or_none() is None  # no store smuggled across
-        assert clone.columnar().backend == "pure"
+    graph.columnar()
+    clone = pickle.loads(pickle.dumps(graph))
+    assert clone.columnar_or_none() is None  # no store smuggled across
+    assert clone.columnar().vertex_labels == graph.columnar().vertex_labels
 
 
-@needs_numpy
-def test_columnar_pickle_round_trips_across_backends():
-    """Satellite contract: dump under numpy, load under pure (and back).
-
-    The exported columns are stdlib arrays/tuples, so the receiving
-    process needs no numpy -- and value types survive exactly.
-    """
-    import pickle
-
+def test_columnar_pickle_round_trips_value_types():
+    """A warm graph ships stdlib columns; value types survive exactly."""
     graph = TemporalGraph(
         [
             TemporalEdge("a", "b", 1, 2, 3),          # ints stay ints
@@ -316,17 +212,13 @@ def test_columnar_pickle_round_trips_across_backends():
         ],
         vertices=["lonely"],
     )
-    for dump_backend, load_backend in (("numpy", "pure"), ("pure", "numpy")):
-        fresh = TemporalGraph(graph.edges, vertices=graph.vertices)
-        with force_backend(dump_backend):
-            fresh.columnar()
-            blob = pickle.dumps(fresh)
-        with force_backend(load_backend):
-            clone = pickle.loads(blob)
-            assert [tuple(e) for e in clone.edges] == [
-                tuple(e) for e in graph.edges
-            ]
-            assert clone.vertices == graph.vertices
-            assert type(clone.edges[0].weight) is int
-            assert type(clone.edges[1].weight) is float
-            assert clone.columnar().backend == load_backend
+    graph.columnar()
+    tag, columns = graph.__getstate__()
+    assert tag == _COLUMNAR_STATE_TAG
+    assert type(columns["sources"]) is array
+    assert type(columns["targets"]) is array
+    clone = pickle.loads(pickle.dumps(graph))
+    assert [tuple(e) for e in clone.edges] == [tuple(e) for e in graph.edges]
+    assert clone.vertices == graph.vertices
+    assert type(clone.edges[0].weight) is int
+    assert type(clone.edges[1].weight) is float

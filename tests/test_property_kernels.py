@@ -3,20 +3,19 @@
 The vectorised solver cores in :mod:`repro.steiner.kernels` are only
 admissible if they return *exactly* what the scalar scans returned --
 same trees, same cost floats, same density logs, same budget trips,
-same fallback caveats -- on both backends.  These properties pin that
-against the verbatim pre-kernel solvers frozen in
-:mod:`repro.perf.legacy` (``scalar_charikar_dst`` /
-``scalar_improved_dst`` / ``scalar_pruned_dst``).
+same fallback caveats.  These properties pin that against the verbatim
+pre-kernel solvers frozen in :mod:`repro.perf.legacy`
+(``scalar_charikar_dst`` / ``scalar_improved_dst`` /
+``scalar_pruned_dst``), and the batched candidate scan against the
+per-vertex scalar scan below (:func:`_scalar_best_candidate`).
 
 The kernel dispatch has a size floor (``KERNEL_MIN_CELLS``) below which
 instances stay scalar; every test here pins the floor to 0 so the
 batched paths run on the small generated fixtures (including walks long
 enough to cross the pruned scan's scalar head into its chunked steps).
 
-CI runs this file on both matrix legs (numpy and ``REPRO_FORCE_PURE``)
-next to ``test_property_columnar.py`` and fails the job if any test
-here is skipped -- the module-level skip below can only trigger in a
-genuinely numpy-less environment, which no CI leg is.
+CI re-runs this file next to ``test_property_columnar.py`` and fails
+the job if any test here is skipped.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import random
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.core.errors import BudgetExceededError
@@ -43,16 +41,8 @@ from repro.steiner import kernels
 from repro.steiner.charikar import charikar_dst
 from repro.steiner.improved import improved_dst
 from repro.steiner.pruned import pruned_dst
-from repro.temporal.columnar import force_backend, numpy_available
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(),
-    reason="cross-backend kernel identity needs numpy importable",
-)
-
-BACKENDS = ("numpy", "pure")
 
 SOLVER_PAIRS = [
     (charikar_dst, scalar_charikar_dst),
@@ -120,6 +110,30 @@ def _random_reachable_graph(seed, n):
     return TemporalGraph(edges, vertices=range(n))
 
 
+def _scalar_best_candidate(prepared, k, remaining, source):
+    """The per-vertex scalar scan :func:`kernels.best_prefix_candidate` batches.
+
+    Each vertex's best prefix of its terminal row, then the first
+    vertex strictly below the running best: the row-major first
+    occurrence of the minimum density.
+    """
+    incoming_row = prepared.cost_row(source)
+    best_vertex = 0
+    best_length = 0
+    best_density = math.inf
+    for vertex in range(prepared.num_vertices):
+        _, length, _, density = kernels.best_prefix(
+            prepared, vertex, remaining, k, incoming_row[vertex]
+        )
+        if density < best_density:
+            best_vertex = vertex
+            best_length = length
+            best_density = density
+    if best_length == 0:
+        return 0, 0, math.inf
+    return best_vertex, best_length, best_density
+
+
 def _fingerprint(tree):
     return tree.edges, tree.cost, tuple(sorted(tree.covered))
 
@@ -142,15 +156,13 @@ def _outcome(solver, prepared, level, max_expansions=None, **kwargs):
 class TestSolverIdentity:
     @settings(max_examples=30, deadline=None)
     @given(graph=reachable_graphs(), level=st.sampled_from([1, 2, 3]))
-    def test_trees_match_scalar_on_both_backends(self, graph, level):
+    def test_trees_match_scalar(self, graph, level):
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         with kernel_floor(0):
-            for backend in BACKENDS:
-                with force_backend(backend):
-                    for new, old in SOLVER_PAIRS:
-                        assert _outcome(new, prepared, level) == _outcome(
-                            old, prepared, level
-                        ), (backend, new.__name__)
+            for new, old in SOLVER_PAIRS:
+                assert _outcome(new, prepared, level) == _outcome(
+                    old, prepared, level
+                ), new.__name__
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -161,28 +173,21 @@ class TestSolverIdentity:
     def test_budget_trips_match_scalar(self, graph, level, max_expansions):
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         with kernel_floor(0):
-            for backend in BACKENDS:
-                with force_backend(backend):
-                    for new, old in SOLVER_PAIRS:
-                        assert _outcome(
-                            new, prepared, level, max_expansions
-                        ) == _outcome(old, prepared, level, max_expansions), (
-                            backend,
-                            new.__name__,
-                        )
+            for new, old in SOLVER_PAIRS:
+                assert _outcome(
+                    new, prepared, level, max_expansions
+                ) == _outcome(old, prepared, level, max_expansions), new.__name__
 
     @settings(max_examples=20, deadline=None)
     @given(graph=reachable_graphs(), level=st.sampled_from([2, 3]))
     def test_pruned_density_log_matches_scalar(self, graph, level):
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         with kernel_floor(0):
-            for backend in BACKENDS:
-                with force_backend(backend):
-                    log_new, log_old = [], []
-                    new = pruned_dst(prepared, level, density_log=log_new)
-                    old = scalar_pruned_dst(prepared, level, density_log=log_old)
-                    assert _fingerprint(new) == _fingerprint(old)
-                    assert log_new == log_old
+            log_new, log_old = [], []
+            new = pruned_dst(prepared, level, density_log=log_new)
+            old = scalar_pruned_dst(prepared, level, density_log=log_old)
+            assert _fingerprint(new) == _fingerprint(old)
+            assert log_new == log_old
 
     def test_long_walks_and_warm_bounds_match_scalar(self):
         """Seeded instances past the scalar head and chunk boundaries.
@@ -199,70 +204,62 @@ class TestSolverIdentity:
             graph = _random_reachable_graph(seed, n=70)
             _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
             with kernel_floor(0):
-                for backend in BACKENDS:
-                    with force_backend(backend):
-                        log_new, log_old = [], []
-                        new = pruned_dst(prepared, 2, density_log=log_new)
-                        old = scalar_pruned_dst(prepared, 2, density_log=log_old)
-                        assert _fingerprint(new) == _fingerprint(old)
-                        assert log_new == log_old
-                        finite = [d for d in log_old if math.isfinite(d)]
-                        if not finite:
-                            continue
-                        for scale in (0.5, 1.0, 1.5, 10.0):
-                            bound = max(finite) * scale
-                            warm_new = pruned_dst(prepared, 2, warm_bound=bound)
-                            warm_old = scalar_pruned_dst(
-                                prepared, 2, warm_bound=bound
-                            )
-                            assert _fingerprint(warm_new) == _fingerprint(warm_old)
+                log_new, log_old = [], []
+                new = pruned_dst(prepared, 2, density_log=log_new)
+                old = scalar_pruned_dst(prepared, 2, density_log=log_old)
+                assert _fingerprint(new) == _fingerprint(old)
+                assert log_new == log_old
+                finite = [d for d in log_old if math.isfinite(d)]
+                if not finite:
+                    continue
+                for scale in (0.5, 1.0, 1.5, 10.0):
+                    bound = max(finite) * scale
+                    warm_new = pruned_dst(prepared, 2, warm_bound=bound)
+                    warm_old = scalar_pruned_dst(prepared, 2, warm_bound=bound)
+                    assert _fingerprint(warm_new) == _fingerprint(warm_old)
 
     def test_floor_keeps_small_instances_scalar(self):
         """Below ``KERNEL_MIN_CELLS`` the dispatch declines outright."""
         graph = _random_reachable_graph(0, n=12)
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         assert prepared.num_vertices * prepared.num_terminals < 4096
-        assert kernels.workspace_for(prepared) is None
+        assert not kernels.eligible(prepared)
+        assert kernels.pruned_scan(prepared, 0) is None
         with kernel_floor(0):
-            assert kernels.workspace_for(prepared) is not None
+            assert kernels.eligible(prepared)
+            assert kernels.pruned_scan(prepared, 0) is not None
 
 
 # ----------------------------------------------------------------------
-# Kernel-level identity: numpy vs pure, and the sorted-layout tie-break
+# Kernel-level identity: batched vs scalar scan, and the sorted-layout tie-break
 # ----------------------------------------------------------------------
 class TestKernelTieBreak:
     @settings(max_examples=25, deadline=None)
     @given(graph=reachable_graphs(unit_weights=True))
     def test_sorted_terminals_tie_break_is_index_order(self, graph):
-        """Equal costs order by terminal index, on both backends.
+        """Equal costs order by terminal index.
 
         Unit weights force dense cost ties, so any tie-break drift
         between the instance's terminal rows, a fresh ``(cost, index)``
-        sort of the closure row, and the kernel workspace's layout
+        sort of the closure row, and the sorted block the kernels scan
         would surface immediately.
         """
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
-        with kernel_floor(0):
-            for backend in BACKENDS:
-                with force_backend(backend):
-                    workspace = kernels.workspace_for(prepared)
-                    assert workspace is not None
-                    for source in range(prepared.num_vertices):
-                        row = prepared.closure.costs_from(source).tolist()
-                        order = sorted(prepared.terminals, key=lambda x: (row[x], x))
-                        costs, ids = prepared.terminal_row(source)
-                        assert ids == order
-                        assert costs == [row[x] for x in order]
-                        if workspace.backend == "numpy":
-                            # One block per instance, shared, not copied.
-                            block_costs, block_ids = prepared.terminal_block()
-                            assert workspace.sorted_costs is block_costs
-                            assert workspace.sorted_ids is block_ids
-                            assert workspace.sorted_ids[source].tolist() == order
+        # One block per instance, built once and shared.
+        block_costs, block_ids = prepared.terminal_block()
+        assert prepared.terminal_block()[0] is block_costs
+        for source in range(prepared.num_vertices):
+            row = prepared.closure.costs_from(source).tolist()
+            order = sorted(prepared.terminals, key=lambda x: (row[x], x))
+            costs, ids = prepared.terminal_row(source)
+            assert ids == order
+            assert costs == [row[x] for x in order]
+            assert block_ids[source].tolist() == order
+            assert block_costs[source].tolist() == costs
 
     @settings(max_examples=25, deadline=None)
     @given(graph=reachable_graphs(), data=st.data())
-    def test_best_prefix_candidate_backends_agree(self, graph, data):
+    def test_best_prefix_candidate_matches_scalar_scan(self, graph, data):
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         terminals = sorted(prepared.terminals)
         remaining = frozenset(
@@ -278,15 +275,9 @@ class TestKernelTieBreak:
             st.integers(min_value=0, max_value=prepared.num_vertices - 1),
             label="source",
         )
-        results = {}
-        with kernel_floor(0):
-            for backend in BACKENDS:
-                with force_backend(backend):
-                    workspace = kernels.workspace_for(prepared)
-                    results[backend] = kernels.best_prefix_candidate(
-                        prepared, workspace, k, remaining, source
-                    )
-        assert results["numpy"] == results["pure"]
+        assert kernels.best_prefix_candidate(
+            prepared, k, remaining, source
+        ) == _scalar_best_candidate(prepared, k, remaining, source)
 
 
 # ----------------------------------------------------------------------

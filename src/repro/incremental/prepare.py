@@ -8,6 +8,12 @@ same and no Δ-edge touches it.  This module rebuilds only the closure
 rows that can *reach* a changed part of the graph and copies every
 other row from the previous window's closure.
 
+Both windows' closures are over their *rooted* instances
+(:func:`repro.steiner.instance.rooted_instance`): only the 𝔾 vertices
+the root copy reaches, in their original index order.  The patch diffs
+the previous window's rooted graph (``old_prepared.instance.graph``)
+against the new one.
+
 Exactness argument (each clause is load-bearing):
 
 * a **stable** original vertex has equal arrival-instance lists in both
@@ -21,28 +27,40 @@ Exactness argument (each clause is load-bearing):
   identical to what a rebuild would produce (the shared
   :func:`repro.static.dag.relax_closure_row` kernel performs the same
   float operations in the same order);
+* a rooted graph is closed under successors, so reaching within it is
+  reaching within the whole expansion and the clause above carries
+  over unchanged.  A label the root reaches now but did not reach
+  before (``R_new`` minus ``R_old``) has no old row and is dirty; a row that
+  reaches such a label reaches an unstable one (through stable labels
+  only it would have been reached before), so it is dirty already.
+  Copied columns are the stable labels present in both rooted graphs:
+  a clean row's finite entries all lie there, and every other entry is
+  ``inf`` in both;
 * dirty rows are recomputed with that same kernel in reverse
-  topological order of the *new* expansion, reading already-final
-  (copied or recomputed) successor rows.
+  topological order of the *new* rooted expansion, reading
+  already-final (copied or recomputed) successor rows.
 
 Patching refuses (returns ``None``) whenever the argument breaks: a
-cyclic expansion (zero durations), a previous closure that is not the
-DAG closure, or a dirty fraction so large that the cold build wins.
+cyclic rooted expansion (zero durations), a previous closure that is
+not the DAG closure, or a dirty fraction so large that the cold build
+wins.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.errors import UnreachableRootError
 from repro.core.transformation import TransformedGraph
 from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.static.dag import DagMetricClosure, relax_closure_row, topological_order
 from repro.static.digraph import StaticDigraph
-from repro.steiner.instance import PreparedInstance
+from repro.steiner.instance import (
+    PreparedInstance,
+    prepared_from_closure,
+    rooted_instance,
+)
 from repro.temporal.edge import Vertex
 
 __all__ = ["patch_prepared_instance", "prepared_from_closure"]
@@ -100,8 +118,9 @@ def patch_prepared_instance(
     old_closure = old_prepared.closure
     if not isinstance(old_closure, DagMetricClosure):
         return None
-    new_graph = new_transformed.digraph
-    old_graph = old_transformed.digraph
+    new_instance = rooted_instance(new_transformed.dst_instance(terminals=terminals))
+    new_graph = new_instance.graph
+    old_graph = old_prepared.instance.graph
     order = topological_order(new_graph)
     if order is None:
         return None
@@ -126,6 +145,9 @@ def patch_prepared_instance(
         i for i, label in enumerate(old_labels) if _original_vertex(label) not in stable
     ]
     dirty = _reverse_reachable(new_graph, unstable_new, tick)
+    dirty.update(
+        i for i, label in enumerate(new_labels) if not old_graph.has_vertex(label)
+    )
     if len(dirty) > MAX_DIRTY_ROW_FRACTION * new_graph.num_vertices:
         return None
     dirty_old = _reverse_reachable(old_graph, unstable_old, tick)
@@ -141,13 +163,12 @@ def patch_prepared_instance(
     dist = np.full((n_new, n_new), np.inf, dtype=np.float64)
     next_hop = np.full((n_new, n_new), -1, dtype=np.int32)
 
-    # Stable labels exist in both graphs (equal instance lists imply
-    # equal copy counts); their index pairs drive both the row copy and
-    # the next-hop remap.
+    # Stable labels in both rooted graphs: their index pairs drive both
+    # the row copy and the next-hop remap.
     stable_new: List[int] = []
     stable_old: List[int] = []
     for i, label in enumerate(new_labels):
-        if _original_vertex(label) in stable:
+        if _original_vertex(label) in stable and old_graph.has_vertex(label):
             stable_new.append(i)
             stable_old.append(old_graph.index_of(label))
     clean_new = [i for i in range(n_new) if i not in dirty]
@@ -174,32 +195,4 @@ def patch_prepared_instance(
             relax_closure_row(new_graph, dist, next_hop, u)
 
     closure = DagMetricClosure(new_graph, dist, next_hop)
-    return prepared_from_closure(new_transformed, closure, terminals)
-
-
-def prepared_from_closure(
-    transformed: TransformedGraph,
-    closure: DagMetricClosure,
-    terminals: Sequence[Vertex],
-) -> PreparedInstance:
-    """Assemble a :class:`PreparedInstance` around an existing closure.
-
-    Mirrors :func:`repro.steiner.instance.prepare_instance` exactly --
-    same instance construction, same dense indexing, same reachability
-    guard and error message -- minus the closure build.
-    """
-    instance = transformed.dst_instance(terminals=terminals)
-    graph = instance.graph
-    root = graph.index_of(instance.root)
-    indices = tuple(graph.index_of(t) for t in instance.terminals)
-    unreachable = [
-        instance.terminals[j]
-        for j, t in enumerate(indices)
-        if not math.isfinite(closure.cost(root, t))
-    ]
-    if unreachable:
-        raise UnreachableRootError(
-            f"{len(unreachable)} terminals unreachable from root "
-            f"{instance.root!r}, e.g. {unreachable[0]!r}"
-        )
-    return PreparedInstance(instance, closure, root, indices)
+    return prepared_from_closure(new_instance, closure)

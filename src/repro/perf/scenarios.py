@@ -137,8 +137,9 @@ class _ScaleSpec:
     # silently run the scalar loops and the pair measures nothing; the
     # setup asserts this.  The default mstw_dataset shapes sit *below*
     # the floor by design (quick-mode tables stay scalar), hence the
-    # separate, larger spec here.
-    dst_kernels_dataset: Tuple[str, float, float] = ("slashdot", 0.6, 0.5)
+    # separate, larger spec here.  The cells count the *rooted*
+    # instance (the vertices the root reaches), not the whole 𝔾.
+    dst_kernels_dataset: Tuple[str, float, float] = ("slashdot", 1.0, 0.45)
 
 
 SCALES: Dict[str, _ScaleSpec] = {
@@ -150,7 +151,7 @@ SCALES: Dict[str, _ScaleSpec] = {
         sweep_fractions=(0.6, 0.45, 0.3),
         columnar_dataset=("epinions", 4.0, 0.02),
         columnar_ea_dataset=("phone", 1.0, 0.6),
-        dst_kernels_dataset=("slashdot", 0.6, 0.5),
+        dst_kernels_dataset=("slashdot", 1.0, 0.45),
     ),
     "full": _ScaleSpec(
         mstw_dataset=("epinions", 0.08, 0.3),

@@ -97,23 +97,12 @@ def prepare_instance_lazy(instance, require_reachable: bool = True):
 
     Useful for level-1 solves and few-terminal Steiner queries on large
     transformed graphs; see the module docstring for the trade-off.
+    Like the eager path it closes only the rooted instance
+    (:func:`repro.steiner.instance.rooted_instance`).
     """
-    from repro.core.errors import UnreachableRootError
-    from repro.steiner.instance import PreparedInstance
+    from repro.steiner.instance import prepared_from_closure, rooted_instance
 
-    closure = LazyMetricClosure(instance.graph)
-    root = instance.graph.index_of(instance.root)
-    terminals = tuple(instance.graph.index_of(t) for t in instance.terminals)
-    if require_reachable:
-        row = closure.costs_from(root)
-        unreachable = [
-            instance.terminals[j]
-            for j, t in enumerate(terminals)
-            if not math.isfinite(row[t])
-        ]
-        if unreachable:
-            raise UnreachableRootError(
-                f"{len(unreachable)} terminals unreachable from root "
-                f"{instance.root!r}, e.g. {unreachable[0]!r}"
-            )
-    return PreparedInstance(instance, closure, root, terminals)
+    rooted = rooted_instance(instance)
+    return prepared_from_closure(
+        rooted, LazyMetricClosure(rooted.graph), require_reachable
+    )

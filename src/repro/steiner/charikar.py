@@ -78,39 +78,28 @@ def _a_recursive(
     budget: Budget,
 ) -> ClosureTree:
     """The recursive body of Algorithm 3."""
+    if i == 1:
+        # The shared base: the k cheapest closure edges from r to
+        # terminals (a filtered prefix of r's terminal row).
+        budget.checkpoint()
+        return kernels.materialize_prefix(prepared, r, terminals, k)
+
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
     tree = ClosureTree.EMPTY
-
-    if i == 1:
-        # Pick the k terminals with the cheapest closure edge from r
-        # (a filtered prefix of r's memoised terminal row).
-        budget.checkpoint()
-        costs, ids = prepared.terminal_row(r)
-        taken = 0
-        for position, x in enumerate(ids):
-            if taken >= k:
-                break
-            if x not in remaining:
-                continue
-            leaf = ClosureTree(((r, x),), costs[position], frozenset((x,)))
-            tree = tree.merged(leaf)
-            taken += 1
-        return tree
-
     num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
     batched = i == 2 and kernels.eligible(prepared)
     while k > 0:
         best: Optional[ClosureTree] = None
         best_density = float("inf")
+        frozen_remaining = frozenset(remaining)
         if batched:
             # Batched scan: the scalar double loop posts 1 tick per
             # vertex plus 1 per A^1 call (k of them per vertex), so one
             # batched checkpoint posts the identical n*(1+k) total and
             # the rung trips on the same w-iteration.
             budget.checkpoint(num_vertices * (1 + k))
-            frozen_remaining = frozenset(remaining)
             v, best_len, best_density = kernels.best_prefix_candidate(
                 prepared, k, frozen_remaining, r
             )
@@ -130,8 +119,7 @@ def _a_recursive(
                 edge_cost = root_row[v]
                 for k_prime in range(1, k + 1):
                     subtree = _a_recursive(
-                        prepared, i - 1, k_prime, v, frozenset(remaining),
-                        budget,
+                        prepared, i - 1, k_prime, v, frozen_remaining, budget
                     )
                     candidate = subtree.with_edge(r, v, edge_cost)
                     density = candidate.density

@@ -56,7 +56,9 @@ def exact_dst(
     if math.isfinite(cost):
         _backtrack(prepared, table, prepared.root, full, closure_edges)
     best_in: Dict[int, Tuple[int, float]] = {}
-    for u, v in closure_edges:
+    # Index order, not set order: equal-weight in-edges keep the first
+    # seen, and the choice must not hinge on how indices hash.
+    for u, v in sorted(closure_edges):
         for (a, b, w) in prepared.closure.path_edges(u, v):
             current = best_in.get(b)
             if current is None or w < current[1]:

@@ -4,9 +4,11 @@ A :class:`DSTInstance` is the user-facing problem statement (a digraph,
 a root, and terminals).  The solvers of Sections 4.3-4.5 operate on the
 *transitive closure* of the graph, so :func:`prepare_instance` performs
 that preprocessing once and yields a :class:`PreparedInstance` carrying
-the closure plus dense root/terminal indices.  The preparation time is
-exactly what the paper reports as ``Tprep`` in Table 4 (together with
-the temporal transformation, timed by the benchmark harness).
+the closure plus dense root/terminal indices.  Only the part of the
+graph the root reaches is closed (:func:`rooted_instance`).  The
+preparation time is exactly what the paper reports as ``Tprep`` in
+Table 4 (together with the temporal transformation, timed by the
+benchmark harness).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from repro.core.errors import GraphFormatError, UnreachableRootError
 from repro.static.closure import MetricClosure, build_metric_closure
+from repro.static.dag import build_metric_closure_auto, build_metric_closure_dag
 from repro.static.digraph import StaticDigraph
 from repro.static.lazy import LazyMetricClosure
 
@@ -85,6 +88,10 @@ class PreparedInstance:
 
     Attributes
     ----------
+    instance:
+        The problem the closure was built for; after
+        :func:`prepare_instance` that is the :func:`rooted_instance`,
+        whose graph maps dense indices back to labels.
     closure:
         The metric closure of the instance graph.
     root:
@@ -228,12 +235,73 @@ class PreparedInstance:
         return row
 
 
+def rooted_instance(instance: DSTInstance) -> DSTInstance:
+    """The instance induced on the vertices its root reaches, plus terminals.
+
+    A greedy tree (Algorithms 3-6) and an exact optimum only ever use
+    vertices the root reaches, so the closure, the terminal block and
+    every candidate scan need only those rows.  Kept vertices stay in
+    their original index order and every kept out-/in-adjacency list
+    keeps its original order (edges to dropped vertices are left out),
+    so each kept closure row sees the same floats in the same operation
+    order and every ``(cost, index)`` tie-break is unchanged -- see
+    ``docs/algorithms.md``.  Terminals the root cannot reach are kept
+    so the instance stays well formed; :func:`prepare_instance` rejects
+    them unless asked not to.  Returns ``instance`` itself when the root
+    reaches every vertex.
+    """
+    graph = instance.graph
+    keep = _reached_from(graph, graph.index_of(instance.root))
+    for t in instance.terminals:
+        keep[graph.index_of(t)] = 1
+    kept = [v for v, flag in enumerate(keep) if flag]
+    if len(kept) == graph.num_vertices:
+        return instance
+    renumber = [-1] * graph.num_vertices
+    for new, old in enumerate(kept):
+        renumber[old] = new
+    labels = graph.labels()
+    adjacency = [
+        [(renumber[v], w) for v, w in graph.out_neighbors(u) if keep[v]]
+        for u in kept
+    ]
+    in_adjacency = [
+        [(renumber[u], w) for u, w in graph.in_neighbors(v) if keep[u]]
+        for v in kept
+    ]
+    sub = StaticDigraph.from_parts(
+        [labels[v] for v in kept],
+        adjacency,
+        in_adjacency,
+        sum(len(out) for out in adjacency),
+    )
+    return DSTInstance(sub, instance.root, instance.terminals)
+
+
+def _reached_from(graph: StaticDigraph, source: int) -> bytearray:
+    """Flags of the vertices ``source`` reaches (itself included)."""
+    seen = bytearray(graph.num_vertices)
+    seen[source] = 1
+    stack = [source]
+    while stack:
+        for v, _ in graph.out_neighbors(stack.pop()):
+            if not seen[v]:
+                seen[v] = 1
+                stack.append(v)
+    return seen
+
+
 def prepare_instance(
     instance: DSTInstance,
     require_reachable: bool = True,
     closure_method: str = "auto",
 ) -> PreparedInstance:
-    """Build the transitive closure and index the root/terminals.
+    """Close the rooted instance and index the root/terminals.
+
+    The closure is built over :func:`rooted_instance`, so its size is
+    set by what the root reaches, not by the whole graph; the returned
+    ``prepared.instance`` is that rooted instance, and closure indices
+    refer to its graph.
 
     Parameters
     ----------
@@ -248,33 +316,52 @@ def prepare_instance(
         the graph is acyclic -- which the Section 4.2 transformation
         guarantees for positive-duration temporal graphs -- and falls
         back to one-Dijkstra-per-vertex otherwise; ``"dijkstra"`` and
-        ``"dag"`` force a specific method.
+        ``"dag"`` force a specific method.  Both judge the graph being
+        closed, the rooted one: a cycle the root cannot reach does not
+        count.
 
     Raises
     ------
     UnreachableRootError
         If ``require_reachable`` and some terminal is unreachable.
     ValueError
-        For an unknown ``closure_method``, or ``"dag"`` on a cyclic
-        graph.
+        For an unknown ``closure_method``, or ``"dag"`` when the rooted
+        graph is cyclic.
     """
+    rooted = rooted_instance(instance)
     if closure_method == "auto":
-        from repro.static.dag import build_metric_closure_auto
-
-        closure = build_metric_closure_auto(instance.graph)
+        closure: Any = build_metric_closure_auto(rooted.graph)
     elif closure_method == "dag":
-        from repro.static.dag import build_metric_closure_dag
-
-        closure = build_metric_closure_dag(instance.graph)
+        closure = build_metric_closure_dag(rooted.graph)
     elif closure_method == "dijkstra":
-        closure = build_metric_closure(instance.graph)
+        closure = build_metric_closure(rooted.graph)
     else:
         raise ValueError(
             f"unknown closure_method {closure_method!r}; "
             "expected 'auto', 'dag', or 'dijkstra'"
         )
-    root = instance.graph.index_of(instance.root)
-    terminals = tuple(instance.graph.index_of(t) for t in instance.terminals)
+    return prepared_from_closure(rooted, closure, require_reachable)
+
+
+def prepared_from_closure(
+    instance: DSTInstance,
+    closure: Any,
+    require_reachable: bool = True,
+) -> PreparedInstance:
+    """Wrap ``instance`` and a closure of its graph as a prepared instance.
+
+    Indexes the root and terminals densely and applies the reachability
+    guard; every preparation path (eager, lazy, incremental patch) ends
+    here.
+
+    Raises
+    ------
+    UnreachableRootError
+        If ``require_reachable`` and some terminal is unreachable.
+    """
+    graph = instance.graph
+    root = graph.index_of(instance.root)
+    terminals = tuple(graph.index_of(t) for t in instance.terminals)
     if require_reachable:
         unreachable = [
             instance.terminals[j]
@@ -291,14 +378,10 @@ def prepare_instance(
 
 def restrict_reachable(instance: DSTInstance) -> DSTInstance:
     """Drop terminals unreachable from the root (general-window support)."""
-    closure = build_metric_closure(instance.graph)
-    root = instance.graph.index_of(instance.root)
-    kept = tuple(
-        t
-        for t in instance.terminals
-        if math.isfinite(closure.cost(root, instance.graph.index_of(t)))
-    )
-    return DSTInstance(instance.graph, instance.root, kept)
+    graph = instance.graph
+    reached = _reached_from(graph, graph.index_of(instance.root))
+    kept = tuple(t for t in instance.terminals if reached[graph.index_of(t)])
+    return DSTInstance(graph, instance.root, kept)
 
 
 def approximation_ratio(i: int, k: int) -> float:

@@ -20,6 +20,13 @@ returns the identical winner without re-running ``A^1`` per ``k'``.
 The batched checkpoint posts the same ``n * (1 + k)`` ticks the scalar
 double loop would, preserving budget-trip behaviour; duck-typed
 instances (instrumentation proxies) keep the scalar loops.
+
+Deeper levels stay scalar on purpose, including below the kernel floor
+where Algorithms 4 and 6 run their level-2 children in lockstep
+(:class:`repro.steiner.kernels.SubSolves`).  Running ``A^3``'s
+``(v, k')`` children the same way is bit-identical but makes Charik-3
+as fast as Alg6-3 on Table 7's instances, erasing the gap this
+baseline exists to show.
 """
 
 from __future__ import annotations

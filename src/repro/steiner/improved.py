@@ -10,19 +10,28 @@ Theorem 7 proves ``Ã^i`` returns the same tree as ``A^i``; Theorem 8
 gives the improved ``O(n^i k^i)`` complexity with the unchanged
 ``i^2 (i-1) k^{1/i}`` ratio.
 
-The bottom-level vertex scan (``i == 2``: one ``B^1`` prefix evaluation
-per candidate vertex) dispatches to the batched density kernels of
-:mod:`repro.steiner.kernels` on real :class:`PreparedInstance` inputs
--- one argmin over every ``(vertex, prefix)`` pair instead of ``n``
-Python loops -- with bit-identical winners, trees, and budget-trip
-behaviour (the batched checkpoint posts the same ``2n`` ticks the
-scalar scan would).  Duck-typed instances (the instrumentation
-proxies) and deeper recursion levels keep the scalar loops below.
+Each w-iteration's vertex scan (:func:`_best_branch`) takes one of
+three forms, chosen per call by :func:`_scan_mode`:
+
+* above the kernel floor, the level-2 scan (one ``B^1`` prefix
+  evaluation per candidate vertex) is one batched pass of
+  :mod:`repro.steiner.kernels` -- one argmin over every ``(vertex,
+  prefix)`` pair instead of ``n`` Python loops;
+* below the floor, the level-3 scan solves its ``n`` ``B^2`` children
+  in lockstep (:class:`repro.steiner.kernels.SubSolves`) and then runs
+  the scalar ``v``-ascending winner loop over their densities,
+  rebuilding only the winner's tree;
+* otherwise -- duck-typed instances (the instrumentation proxies),
+  levels 4 and up, and level 2 below the floor -- the scalar loop.
+
+Winners, trees, and budget-trip behaviour are bit-identical across
+the forms: each posts the scalar loop's tick totals (``2n`` per
+batched scan, ``1 + child ticks`` per lockstep vertex).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.steiner import kernels
@@ -62,53 +71,22 @@ def _a_improved(
     budget: Budget,
 ) -> ClosureTree:
     """Algorithm 4: one ``B`` call per candidate vertex per w-iteration."""
-    remaining: Set[int] = set(terminals)
-    k = min(k, len(remaining))
     if i == 1:
         # The shared base: the k cheapest closure edges to terminals.
         budget.checkpoint()
-        return kernels.materialize_prefix(prepared, r, remaining, k)
+        return kernels.materialize_prefix(
+            prepared, r, terminals, min(k, len(terminals))
+        )
+    remaining: Set[int] = set(terminals)
+    k = min(k, len(remaining))
 
     tree = ClosureTree.EMPTY
-    num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
-    batched = i == 2 and kernels.eligible(prepared)
+    mode = _scan_mode(prepared, i)
     while k > 0:
-        best: Optional[ClosureTree] = None
-        best_density = float("inf")
-        frozen_remaining = frozenset(remaining)
-        if batched:
-            # Batched scan: the scalar loop below posts 2 ticks per
-            # vertex (scan + B^1 base), so one batched checkpoint keeps
-            # the per-rung budget totals -- and therefore the trip
-            # w-iteration -- identical.
-            budget.checkpoint(2 * num_vertices)
-            v, best_len, best_density = kernels.best_prefix_candidate(
-                prepared, k, frozen_remaining, r
-            )
-            subtree = (
-                ClosureTree.EMPTY
-                if best_len == 0
-                else kernels.materialize_prefix(
-                    prepared, v, frozen_remaining, best_len
-                )
-            )
-            best = subtree.with_edge(r, v, root_row[v])
-        else:
-            for v in range(num_vertices):
-                budget.checkpoint()
-                edge_cost = root_row[v]
-                subtree = _b_prefix(
-                    prepared, i - 1, k, v, frozen_remaining, edge_cost, budget
-                )
-                # Density of ``subtree ∪ (r, v)`` without materialising
-                # the candidate tree; the tree is only built when it
-                # wins.
-                density = subtree.density_with_edge(edge_cost)
-                if best is None or density < best_density:
-                    best = subtree.with_edge(r, v, edge_cost)
-                    best_density = density
-        assert best is not None
+        best = _best_branch(
+            prepared, i, k, r, frozenset(remaining), root_row, budget, mode
+        )
         newly_covered = best.covered & remaining
         if not newly_covered:  # pragma: no cover - defensive
             break
@@ -134,51 +112,24 @@ def _b_prefix(
     ``den(T_c ∪ e) = (cost(e) + cost(T_c)) / k(T_c)`` over all
     w-iterations, covering *at most* ``k`` terminals.
     """
+    if i == 1:
+        # The best-density prefix of r's cheapest-first terminal row.
+        budget.checkpoint()
+        return kernels.best_prefix_tree(
+            prepared, r, terminals, min(k, len(terminals)), incoming_cost
+        )
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
     best = ClosureTree.EMPTY  # density_with_edge == inf for the empty tree
     best_density = float("inf")
 
-    if i == 1:
-        # The best-density prefix of r's cheapest-first terminal row.
-        budget.checkpoint()
-        return kernels.best_prefix_tree(prepared, r, remaining, k, incoming_cost)
-
     current = ClosureTree.EMPTY
-    num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
-    batched = i == 2 and kernels.eligible(prepared)
+    mode = _scan_mode(prepared, i)
     while k > 0:
-        sub_best: Optional[ClosureTree] = None
-        sub_best_density = float("inf")
-        frozen_remaining = frozenset(remaining)
-        if batched:
-            # Same batched scan as _a_improved's bottom level; 2n ticks
-            # match the scalar loop's per-vertex checkpoints.
-            budget.checkpoint(2 * num_vertices)
-            v, best_len, sub_best_density = kernels.best_prefix_candidate(
-                prepared, k, frozen_remaining, r
-            )
-            subtree = (
-                ClosureTree.EMPTY
-                if best_len == 0
-                else kernels.materialize_prefix(
-                    prepared, v, frozen_remaining, best_len
-                )
-            )
-            sub_best = subtree.with_edge(r, v, root_row[v])
-        else:
-            for v in range(num_vertices):
-                budget.checkpoint()
-                edge_cost = root_row[v]
-                subtree = _b_prefix(
-                    prepared, i - 1, k, v, frozen_remaining, edge_cost, budget
-                )
-                density = subtree.density_with_edge(edge_cost)
-                if sub_best is None or density < sub_best_density:
-                    sub_best = subtree.with_edge(r, v, edge_cost)
-                    sub_best_density = density
-        assert sub_best is not None
+        sub_best = _best_branch(
+            prepared, i, k, r, frozenset(remaining), root_row, budget, mode
+        )
         newly_covered = sub_best.covered & remaining
         if not newly_covered:  # pragma: no cover - defensive
             break
@@ -189,4 +140,80 @@ def _b_prefix(
         if density < best_density:
             best = current
             best_density = density
+    return best
+
+
+def _scan_mode(prepared: PreparedInstance, i: int) -> Optional[str]:
+    """How a level-``i`` call scans its candidate vertices.
+
+    ``"batched"``: a level-2 scan on an instance above the kernel floor,
+    one :func:`kernels.best_prefix_candidate` pass.  ``"lockstep"``: a
+    level-3 scan below the floor, whose ``B^2`` children run together
+    in one :class:`kernels.SubSolves`.  ``None``: the scalar loop.
+    """
+    if i == 2 and kernels.eligible(prepared):
+        return "batched"
+    if i == 3 and kernels.lockstep(prepared):
+        return "lockstep"
+    return None
+
+
+def _best_branch(
+    prepared: PreparedInstance,
+    i: int,
+    k: int,
+    r: int,
+    remaining: FrozenSet[int],
+    root_row: List[float],
+    budget: Budget,
+    mode: Optional[str],
+) -> ClosureTree:
+    """One w-iteration's best branch ``B^{i-1}(k, v, X, (r, v)) ∪ (r, v)``.
+
+    Scans ``v`` ascending and keeps the first strictly smallest density.
+    Every mode posts the scalar loop's tick totals -- one per vertex
+    plus whatever its ``B^{i-1}`` child posts -- so rungs trip on the
+    same w-iteration whichever mode runs.
+    """
+    num_vertices = prepared.num_vertices
+    if mode == "batched":
+        # The scalar loop posts 2 ticks per vertex (scan + B^1 base).
+        budget.checkpoint(2 * num_vertices)
+        v, length, _ = kernels.best_prefix_candidate(
+            prepared, k, remaining, r
+        )
+        subtree = (
+            ClosureTree.EMPTY
+            if length == 0
+            else kernels.materialize_prefix(prepared, v, remaining, length)
+        )
+        return subtree.with_edge(r, v, root_row[v])
+
+    best_density = float("inf")
+    if mode == "lockstep":
+        children = kernels.SubSolves(prepared, k, remaining, root_row, pruned=False)
+        children.solve(range(num_vertices))
+        best_vertex = 0
+        for v in range(num_vertices):
+            # The scalar loop's tick for v plus every tick its B^2 posts.
+            budget.checkpoint(1 + children.ticks[v])
+            density = children.density[v]
+            if v == 0 or density < best_density:
+                best_vertex = v
+                best_density = density
+        branch = children.tree(best_vertex)
+        return branch.with_edge(r, best_vertex, root_row[best_vertex])
+
+    best: Optional[ClosureTree] = None
+    for v in range(num_vertices):
+        budget.checkpoint()
+        edge_cost = root_row[v]
+        subtree = _b_prefix(prepared, i - 1, k, v, remaining, edge_cost, budget)
+        # Density of ``subtree ∪ (r, v)`` without materialising the
+        # candidate tree; the tree is only built when it wins.
+        density = subtree.density_with_edge(edge_cost)
+        if best is None or density < best_density:
+            best = subtree.with_edge(r, v, edge_cost)
+            best_density = density
+    assert best is not None
     return best

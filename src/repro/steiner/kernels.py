@@ -27,33 +27,52 @@ used.  ``(0, 0, inf)`` is the all-infeasible convention; each solver
 maps it back to its own scalar behaviour (Algorithm 4 keeps the empty
 subtree, Algorithm 3 covers one unreachable terminal and continues).
 
+The size floor :data:`KERNEL_MIN_CELLS` selects between two
+vectorised forms of the ``B^{i-1}`` recursion.  Above it
+(:func:`eligible`) every level-2 scan is one batched pass over the
+``(n, T)`` block, wherever in the recursion it runs.  Below it
+(:func:`lockstep`) a single level-2 scan is too small to batch, so a
+level-3 scan instead advances all of its level-2 children ``B^2(k, v,
+X, (r, v))`` together (:class:`SubSolves`): one pass over an ``(m, n,
+T)`` gather of the same block per greedy step, each child with its
+own remaining mask, ``k`` and accumulators.  Levels 4 and up reach
+those level-3 scans through the scalar recursion above them.
+
 Budget policy stays in the solver modules: callers batch the identical
 tick totals (``budget.checkpoint(amount)``) at iteration boundaries, so
 a rung trips on exactly the same w-iteration as the scalar scan did.
 Instrumentation proxies (``CountingInstance``) are not
-``PreparedInstance`` objects, so :func:`eligible` declines them
-and the solvers keep their scalar loops for those runs.
+``PreparedInstance`` objects, so both :func:`eligible` and
+:func:`lockstep` decline them and the solvers keep their scalar loops
+for those runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Any, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.steiner.instance import PreparedInstance
 from repro.steiner.tree import ClosureTree
 
-#: Smallest ``num_vertices * num_terminals`` for which the batched
-#: kernels engage.  Below this floor the per-call numpy dispatch
-#: overhead exceeds the scalar loops' whole runtime -- and, worse,
-#: flattens the *relative* costs the quick-mode experiment tables pin
-#: (a vectorised Charikar scan and a vectorised pruned scan cost the
-#: same handful of array ops on a toy instance, erasing the pruning
-#: gap of Table 5) -- so tiny instances keep the scalar paths, whose
-#: output is bit-identical anyway.  Tests that want the kernel paths on
-#: small fixtures monkeypatch this to 0.
+#: Smallest ``num_vertices * num_terminals`` for which each level-2
+#: scan runs as one batched pass.  Below this floor a single scan's
+#: numpy dispatch overhead exceeds the scalar loop's whole runtime --
+#: and, worse, flattens the *relative* costs the quick-mode experiment
+#: tables pin (a vectorised Charikar scan and a vectorised pruned scan
+#: cost the same handful of array ops on a toy instance, erasing the
+#: pruning gap of Table 5) -- so a lone level-2 solve keeps the scalar
+#: path there.  The floor also selects the form of the level-3
+#: recursion: below it Algorithms 4 and 6 solve a level-3 scan's
+#: children in lockstep (:class:`SubSolves`), which pays the dispatch
+#: once for all ``n`` children; above it each child's own level-2
+#: scan is already batched and the lockstep pass measured slower.
+#: Charikar's ``A^3`` stays scalar below the floor for the reason
+#: above: batched, it would tie Alg6-3.  Every path is bit-identical.
+#: Tests that want the level-2 kernels on small fixtures monkeypatch
+#: this to 0.
 KERNEL_MIN_CELLS = 4096
 
 #: Walk positions the pruned scan evaluates one-by-one in Python before
@@ -72,6 +91,17 @@ PRUNED_CHUNK = 32
 
 #: Growth factor between successive chunks of one pruned scan.
 PRUNED_CHUNK_GROWTH = 4
+
+#: Most ``children * num_vertices * num_terminals`` cells one lockstep
+#: pass of :class:`SubSolves` gathers; larger requests run in groups.
+#: A pass holds a handful of arrays of this many cells (256 KiB each
+#: as float64), so its memory stays around a megabyte; larger groups
+#: measured no faster and raised the experiment tables' peak RSS.
+LOCKSTEP_MAX_CELLS = 1 << 15
+
+#: Children the first prefetch of a pruned level-3 walk solves; later
+#: prefetches grow by :data:`PRUNED_CHUNK_GROWTH`.
+LOCKSTEP_CHUNK = 8
 
 
 def eligible(prepared: object) -> bool:
@@ -107,7 +137,7 @@ def best_prefix_candidate(
     """
     incoming = prepared.closure.costs_from(source)
     rmask = _remaining_mask(prepared.num_vertices, remaining)
-    densities, counts = _density_block(
+    densities, counts, _ = _density_block(
         prepared.terminal_block(), None, incoming, rmask, k
     )
     flat = int(np.argmin(densities))
@@ -130,25 +160,34 @@ def _density_block(
     rows: Any,
     incoming: Any,
     remaining_mask: Any,
-    k: int,
-) -> Tuple[Any, Any]:
-    """Densities and prefix counts for a block of source rows.
+    k: Any,
+) -> Tuple[Any, Any, Any]:
+    """Densities, prefix counts and numerators for a block of source rows.
 
     ``block`` is the instance's sorted terminal block and ``rows``
-    indexes it (None for all rows); returns ``(densities, counts)``
-    with infeasible entries (terminal already covered, or prefix
-    longer than ``k``) set to ``inf``.
+    indexes it (None for all rows).  ``remaining_mask`` is one
+    ``(num_vertices,)`` mask with ``incoming`` shaped ``(rows,)`` and a
+    scalar ``k``, or a stack of ``m`` per-child masks ``(m,
+    num_vertices)`` with ``incoming`` shaped ``(m, rows)`` and ``k`` an
+    ``(m, 1, 1)`` array; the results are ``(rows, T)`` or ``(m, rows,
+    T)``.  Returns ``(densities, counts, sums)`` where ``sums`` is
+    ``prefix_cost + incoming`` and ``densities`` is ``sums / count``
+    with infeasible entries (terminal already covered, or prefix longer
+    than ``k``) set to ``inf``.
     """
     sorted_costs, sorted_ids = block
     if rows is not None:
         sorted_costs = sorted_costs[rows]
         sorted_ids = sorted_ids[rows]
-    mask = remaining_mask[sorted_ids]
-    counts = np.cumsum(mask, axis=1)
-    prefix_costs = np.cumsum(np.where(mask, sorted_costs, 0.0), axis=1)
-    densities = (prefix_costs + incoming[:, None]) / np.maximum(counts, 1)
+    mask = remaining_mask[..., sorted_ids]
+    # int32 counts (a prefix never exceeds T terminals) halve the cost
+    # of the cumsum and of the float division below.
+    counts = np.cumsum(mask, axis=-1, dtype=np.int32)
+    sums = np.cumsum(np.where(mask, sorted_costs, 0.0), axis=-1)
+    sums += incoming[..., None]
+    densities = sums / np.maximum(counts, 1)
     densities[~(mask & (counts <= k))] = np.inf
-    return densities, counts
+    return densities, counts, sums
 
 
 def best_prefix(
@@ -375,7 +414,7 @@ class PrunedScan:
         size = len(chunk)
         positions_range = np.arange(size)
 
-        densities, counts = _density_block(
+        densities, counts, _ = _density_block(
             self._block, chunk, self._incoming[chunk], self._rmask, self._k
         )
         best_positions = np.argmin(densities, axis=1)
@@ -449,3 +488,226 @@ def pruned_scan(prepared: object, source: int) -> Optional[PrunedScan]:
         return None
     assert isinstance(prepared, PreparedInstance)
     return PrunedScan(prepared, source)
+
+
+def lockstep(prepared: object) -> bool:
+    """Whether a level-3 scan should solve its level-2 children in lockstep.
+
+    True exactly for the real :class:`PreparedInstance` inputs with
+    terminals that :func:`eligible` declines for size: above the floor
+    each child's own level-2 scan is already one batched pass, and
+    below it the children's scalar loops are what a level-3 solve
+    spends its time in.
+    """
+    return (
+        isinstance(prepared, PreparedInstance)
+        and bool(prepared.terminals)
+        and not eligible(prepared)
+    )
+
+
+class SubSolves:
+    """Level-2 greedy sub-solves ``B^2(k, v, X, (r, v))`` run in lockstep.
+
+    One instance serves one w-iteration of a level-3 scan: every child
+    shares its ``k`` and remaining terminal set ``X`` and differs only
+    in the candidate vertex ``v`` (and with it the incoming edge cost
+    ``cost(r, v)``, read from ``edge_costs[v]``, and the child's
+    closure row).  :meth:`solve` advances
+    a group of children together over an ``(m, n, T)`` gather of the
+    instance's sorted terminal block; each child carries its own
+    remaining-terminal mask, budget ``k``, cost and cover accumulators,
+    so one lockstep step is one :func:`_density_block` pass plus a
+    per-child winner pick:
+
+    * ``pruned=False`` -- Algorithm 5's ``B^2``: the row-major first
+      ``argmin`` over each child's ``(n, T)`` densities, i.e. the scalar
+      ``u``-ascending, ``j``-ascending strict-``<`` winner, and ``2n``
+      ticks per step (the scan tick plus the ``B^1`` base tick);
+    * ``pruned=True`` -- Algorithm 6's ``FinalB^2``: the stale-tau walk
+      of :class:`PrunedScan` replayed per child (stable argsort by tau,
+      break at the first position whose tau is ``>=`` the exclusive
+      running best, tau updated on evaluated positions only, winner the
+      first in walk order) and 2 ticks per evaluated vertex.
+
+    A child's accumulators follow the scalar code's operation order --
+    the winning branch costs ``prefix + cost(v, u)``, the running tree
+    ``cur + branch``, the child density ``(cur + cost(r, v)) / covered``
+    -- so :attr:`density` is bit-identical to the scalar sub-solve's
+    ``subtree.density_with_edge(cost(r, v))``.  :attr:`ticks` is the
+    tick total the scalar sub-solve would have posted; callers
+    checkpoint it (plus their own per-vertex tick) in their unchanged
+    ``v`` loop.  Each child's per-step ``(u, j)`` choices are kept, so
+    :meth:`tree` rebuilds the winner's :class:`ClosureTree` without a
+    second solve and without posting ticks.
+    """
+
+    __slots__ = (
+        "_prepared",
+        "_block",
+        "_k",
+        "_remaining",
+        "_edge_costs",
+        "_pruned",
+        "density",
+        "ticks",
+        "_choices",
+    )
+
+    def __init__(
+        self,
+        prepared: PreparedInstance,
+        k: int,
+        remaining: FrozenSet[int],
+        edge_costs: List[float],
+        pruned: bool,
+    ) -> None:
+        self._prepared = prepared
+        self._block = prepared.terminal_block()
+        self._k = min(k, len(remaining))
+        self._remaining = remaining
+        self._edge_costs = edge_costs
+        self._pruned = pruned
+        #: Each solved child's best density, keyed by its vertex ``v``.
+        self.density: Dict[int, float] = {}
+        #: Each solved child's scalar tick total, keyed by ``v``.
+        self.ticks: Dict[int, int] = {}
+        self._choices: Dict[int, Tuple[Any, Any, int, int]] = {}
+
+    def solve(self, vertices: Sequence[int]) -> None:
+        """Solve the children rooted at ``vertices``.
+
+        Groups are capped at :data:`LOCKSTEP_MAX_CELLS` gathered cells,
+        so memory stays bounded whatever the instance size.
+        """
+        cells = self._prepared.num_vertices * self._prepared.num_terminals
+        group = max(1, LOCKSTEP_MAX_CELLS // cells)
+        for start in range(0, len(vertices), group):
+            self._solve_group(vertices[start : start + group])
+
+    def _solve_group(self, vertices: Sequence[int]) -> None:
+        prepared = self._prepared
+        closure = prepared.closure
+        sorted_ids = self._block[1]
+        n = prepared.num_vertices
+        m = len(vertices)
+        k0 = self._k
+        positions = np.arange(prepared.num_terminals)
+        # Per-child state, compacted to the live children after each
+        # step; ``idx`` maps live rows back to positions in
+        # ``vertices``.  ``rmask`` carries a spare all-False column
+        # ``n`` that the terminal-drop scatter uses as a sink.
+        idx = np.arange(m)
+        incoming = np.stack([closure.costs_from(v) for v in vertices])
+        edge = np.array([self._edge_costs[v] for v in vertices])
+        rmask = np.zeros((m, n + 1), dtype=bool)
+        rmask[:, list(self._remaining)] = True
+        k = np.full(m, k0, dtype=np.int64)
+        cur = np.zeros(m)
+        covered = np.zeros(m, dtype=np.int64)
+        if self._pruned:
+            tau = np.full((m, n), -np.inf)
+            walk = np.tile(np.arange(n), (m, 1))
+        # Outputs over the whole group.
+        best_density = np.full(m, np.inf)
+        best_step = np.full(m, -1, dtype=np.int64)
+        ticks = np.zeros(m, dtype=np.int64)
+        choice_u = np.zeros((k0 + 1, m), dtype=np.int64)
+        choice_j = np.zeros((k0 + 1, m), dtype=np.int64)
+
+        step = 0
+        while idx.size:
+            live = np.arange(idx.size)
+            densities, counts, sums = _density_block(
+                self._block, None, incoming, rmask, k[:, None, None]
+            )
+            if self._pruned:
+                rows = live[:, None]
+                # Stable argsort by stale tau == the scalar walk order.
+                walk_tau = tau[rows, walk]
+                resort = np.argsort(walk_tau, axis=1, kind="stable")
+                walk = walk[rows, resort]
+                walk_tau = walk_tau[rows, resort]
+                walk_density = densities.min(axis=2)[rows, walk]
+                # Break at the first position p >= 1 whose stale tau is
+                # >= the best density over positions < p (all of them
+                # evaluated: sub-solves take no warm bound).
+                running = np.minimum.accumulate(walk_density, axis=1)
+                breaks = walk_tau[:, 1:] >= running[:, :-1]
+                limit = np.where(breaks.any(axis=1), breaks.argmax(axis=1) + 1, n)
+                evaluated = np.arange(n) < limit[:, None]
+                tau[rows, walk] = np.where(evaluated, walk_density, walk_tau)
+                u = walk[
+                    live,
+                    np.argmin(np.where(evaluated, walk_density, np.inf), axis=1),
+                ]
+                j_pos = np.argmin(densities[live, u], axis=1)
+                ticks[idx] += 2 * limit
+            else:
+                u, j_pos = np.divmod(
+                    np.argmin(densities.reshape(idx.size, -1), axis=1),
+                    densities.shape[2],
+                )
+                ticks[idx] += 2 * n
+            # Rows without a finite candidate cover nothing and stop;
+            # their updates below are discarded with them.
+            feasible = densities[live, u, j_pos] < np.inf
+            j = counts[live, u, j_pos]
+            cur += sums[live, u, j_pos]
+            covered += j
+            k -= j
+            density = (cur + edge) / np.maximum(covered, 1)
+            better = feasible & (density < best_density[idx])
+            best_density[idx[better]] = density[better]
+            best_step[idx[better]] = step
+            choice_u[step, idx] = u
+            choice_j[step, idx] = j
+            # Drop the chosen terminals: every terminal up to the
+            # winning position of ``u``'s sorted row (covered ones are
+            # already False; positions past it go to the sink column).
+            rmask[
+                live[:, None],
+                np.where(positions <= j_pos[:, None], sorted_ids[u], n),
+            ] = False
+
+            step += 1
+            keep = feasible & (k > 0)
+            if not keep.all():
+                idx = idx[keep]
+                incoming = incoming[keep]
+                edge = edge[keep]
+                rmask = rmask[keep]
+                k = k[keep]
+                cur = cur[keep]
+                covered = covered[keep]
+                if self._pruned:
+                    tau = tau[keep]
+                    walk = walk[keep]
+
+        for c, (v, d, t) in enumerate(
+            zip(vertices, best_density.tolist(), ticks.tolist())
+        ):
+            self.density[v] = d
+            self.ticks[v] = t
+            self._choices[v] = (choice_u, choice_j, c, int(best_step[c]))
+
+    def tree(self, v: int) -> ClosureTree:
+        """The solved child ``v``'s best tree, rebuilt from its choices.
+
+        Replays the recorded ``(u, j)`` steps up to the best one with the
+        scalar sub-solve's own tree operations, so edges, cost and cover
+        are the scalar tree's.
+        """
+        choice_u, choice_j, c, best = self._choices[v]
+        prepared = self._prepared
+        row = prepared.cost_row(v)
+        remaining = set(self._remaining)
+        current = ClosureTree.EMPTY
+        for step in range(best + 1):
+            u = int(choice_u[step, c])
+            branch = materialize_prefix(
+                prepared, u, remaining, int(choice_j[step, c])
+            ).with_edge(v, u, row[u])
+            current = current.merged(branch)
+            remaining -= branch.covered
+        return current

@@ -10,23 +10,33 @@ remaining vertex can be skipped.  The paper reports more than an order
 of magnitude speedup from this pruning (our Table 5 bench reproduces
 the gap).
 
-The bottom-level scans (``i == 2``) run through the batched density
-kernels of :mod:`repro.steiner.kernels` on real, large enough
-:class:`PreparedInstance` inputs: a
-:class:`repro.steiner.kernels.PrunedScan` owns the tau array and walk
-order for a whole ``FinalA^2``/``FinalB^2`` call and replays each
-w-iteration's tau-sorted walk -- early break, warm-bound skip, winner
-selection -- as chunked array passes instead of per-vertex Python.
-Each chunk reports its tick total (two per evaluated vertex) and the
-solver checkpoints it, so rungs trip on the same w-iteration.
-Winners, tau values, budget trips, and ``_WarmMiss`` certification are
-bit-identical to the scalar walk, which remains below for small and
-duck-typed instrumentation instances and deeper levels.
+The kernel floor of :mod:`repro.steiner.kernels` selects how the
+recursion is vectorised:
+
+* above it, the level-2 scans run batched: a
+  :class:`repro.steiner.kernels.PrunedScan` owns the tau array and
+  walk order for a whole ``FinalA^2``/``FinalB^2`` call and replays
+  each w-iteration's tau-sorted walk -- early break, warm-bound skip,
+  winner selection -- as chunked array passes instead of per-vertex
+  Python;
+* below it, the level-3 walk stays scalar but its ``FinalB^2``
+  children run in lockstep (:class:`repro.steiner.kernels.SubSolves`),
+  prefetched along the walk in geometrically growing chunks
+  (:func:`_walk_lockstep`).
+
+Either way the solver checkpoints the scalar walk's tick totals (two
+per evaluated level-2 vertex; one plus the child's total per
+evaluated level-3 vertex), so rungs trip on the same w-iteration.
+Winners, tau values, density logs, budget trips, and ``_WarmMiss``
+certification are bit-identical to the scalar walk, which remains
+below for duck-typed instrumentation instances, levels 4 and up, and
+level 2 below the floor.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.resilience.budget import NULL_BUDGET, Budget
@@ -111,7 +121,9 @@ def _scan_vertices(
     before the scan so the early-break prunes all remaining vertices.
     Both are updated in place.  When ``scan`` is given (batched
     bottom level) it owns that state as arrays instead and the walk
-    runs in batched chunks; ``tau``/``order`` are then unused.
+    runs in batched chunks; ``tau``/``order`` are then unused.  Below
+    the kernel floor a level-3 walk takes its ``FinalB^2`` children
+    from :func:`_walk_lockstep` instead of the scalar recursion.
 
     ``bound`` (warm start) skips any candidate ``v`` with
     ``root_row[v] >= bound * k``: a branch covers at most ``k``
@@ -158,23 +170,84 @@ def _scan_vertices(
     order.sort(key=tau.__getitem__)
     best: Optional[ClosureTree] = None
     best_density = math.inf
-    for v in order:
-        if best is not None and tau[v] >= best_density:
-            break
-        if bound_cost is not None and root_row[v] >= bound_cost:
-            continue
-        budget.checkpoint()
-        edge_cost = root_row[v]
-        subtree = _final_b(prepared, i - 1, k, v, remaining, edge_cost, budget)
-        # Candidate density without materialising the candidate tree.
-        density = subtree.density_with_edge(edge_cost)
-        tau[v] = density
-        if best is None or density < best_density:
-            best = subtree.with_edge(r, v, edge_cost)
-            best_density = density
+    if i == 3 and kernels.lockstep(prepared):
+        best, best_density = _walk_lockstep(
+            prepared, k, r, remaining, tau, order, budget, root_row, bound_cost
+        )
+    else:
+        for v in order:
+            if best is not None and tau[v] >= best_density:
+                break
+            if bound_cost is not None and root_row[v] >= bound_cost:
+                continue
+            budget.checkpoint()
+            edge_cost = root_row[v]
+            subtree = _final_b(
+                prepared, i - 1, k, v, remaining, edge_cost, budget
+            )
+            # Candidate density without materialising the candidate tree.
+            density = subtree.density_with_edge(edge_cost)
+            tau[v] = density
+            if best is None or density < best_density:
+                best = subtree.with_edge(r, v, edge_cost)
+                best_density = density
     if bound is not None and (best is None or best_density >= bound):
         raise _WarmMiss
     assert best is not None
+    return best, best_density
+
+
+def _walk_lockstep(
+    prepared: PreparedInstance,
+    k: int,
+    r: int,
+    remaining: FrozenSet[int],
+    tau: List[float],
+    order: List[int],
+    budget: Budget,
+    root_row: List[float],
+    bound_cost: Optional[float],
+) -> "Tuple[Optional[ClosureTree], float]":
+    """The level-3 walk of :func:`_scan_vertices` over lockstep children.
+
+    The walk itself -- stale-tau order, early break, warm-bound skip,
+    winner rule -- is the scalar one; only the ``FinalB^2`` children
+    come from a :class:`kernels.SubSolves`, solved ahead of the walk in
+    chunks of the next unskipped vertices that grow geometrically from
+    :data:`kernels.LOCKSTEP_CHUNK`, so the children solved past the
+    break point are bounded by the last chunk.  Each evaluated vertex
+    posts its own tick plus its child's tick total, as the scalar walk
+    does, and only the winner's tree is rebuilt.  Returns ``(None,
+    inf)`` when every vertex was skipped.
+    """
+    children = kernels.SubSolves(prepared, k, remaining, root_row, pruned=True)
+    chunk = kernels.LOCKSTEP_CHUNK
+    best_vertex: Optional[int] = None
+    best_density = math.inf
+    for position, v in enumerate(order):
+        if best_vertex is not None and tau[v] >= best_density:
+            break
+        if bound_cost is not None and root_row[v] >= bound_cost:
+            continue
+        if v not in children.density:
+            ahead = (
+                u
+                for u in islice(order, position, None)
+                if bound_cost is None or root_row[u] < bound_cost
+            )
+            children.solve(list(islice(ahead, chunk)))
+            chunk *= kernels.PRUNED_CHUNK_GROWTH
+        budget.checkpoint(1 + children.ticks[v])
+        density = children.density[v]
+        tau[v] = density
+        if best_vertex is None or density < best_density:
+            best_vertex = v
+            best_density = density
+    if best_vertex is None:
+        return None, best_density
+    best = children.tree(best_vertex).with_edge(
+        r, best_vertex, root_row[best_vertex]
+    )
     return best, best_density
 
 
@@ -189,11 +262,13 @@ def _final_a(
     density_log: Optional[List[float]] = None,
 ) -> ClosureTree:
     """Algorithm 6's top level (Algorithm 4 with pruned vertex scans)."""
-    remaining: Set[int] = set(terminals)
-    k = min(k, len(remaining))
     if i == 1:
         budget.checkpoint()
-        return kernels.materialize_prefix(prepared, r, remaining, k)
+        return kernels.materialize_prefix(
+            prepared, r, terminals, min(k, len(terminals))
+        )
+    remaining: Set[int] = set(terminals)
+    k = min(k, len(remaining))
 
     tree = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices
@@ -226,15 +301,16 @@ def _final_b(
     budget: Budget,
 ) -> ClosureTree:
     """``FinalB^i``: Algorithm 5 with the same pruned vertex scan."""
+    if i == 1:
+        # Same prefix scan as improved._b_prefix's base case.
+        budget.checkpoint()
+        return kernels.best_prefix_tree(
+            prepared, r, terminals, min(k, len(terminals)), incoming_cost
+        )
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
     best = ClosureTree.EMPTY
     best_density = math.inf
-
-    if i == 1:
-        # Same prefix scan as improved._b_prefix's base case.
-        budget.checkpoint()
-        return kernels.best_prefix_tree(prepared, r, remaining, k, incoming_cost)
 
     current = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices

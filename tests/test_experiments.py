@@ -129,6 +129,31 @@ class TestPaperShapes:
             assert times[-1] > times[0]
             assert not any(math.isnan(t) for t in times)
 
+class TestTable5LevelThreeCounts:
+    """Table 5's level-3 claim, Alg6 below Alg4, pinned by work done.
+
+    Full-mode wall times of Alg4-3 and Alg6-3 are now close enough for
+    host noise to swap them, so the ordering the paper reports is
+    checked on the instrument that cannot drift: the candidate-vertex
+    expansions each solver's budget counts.
+    """
+
+    def test_alg6_expands_fewer_vertices_than_alg4(self):
+        from repro.experiments.workloads import MSTW_WORKLOADS, mstw_workload
+        from repro.resilience.budget import Budget
+        from repro.steiner.improved import improved_dst
+        from repro.steiner.pruned import pruned_dst
+
+        configs = [c for c in MSTW_WORKLOADS if c.improved_max_level >= 3]
+        assert configs
+        for config in configs:
+            prepared = mstw_workload(config).prepared
+            alg4, alg6 = Budget(), Budget()
+            improved_dst(prepared, 3, budget=alg4)
+            pruned_dst(prepared, 3, budget=alg6)
+            assert 0 < alg6.expansions < alg4.expansions, config.name
+
+
 class TestSweep:
     """The Section 2.3 sliding-window forecast table."""
 

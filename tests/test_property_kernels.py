@@ -9,10 +9,15 @@ pre-kernel solvers frozen in :mod:`repro.perf.legacy`
 ``scalar_pruned_dst``), and the batched candidate scan against the
 per-vertex scalar scan below (:func:`_scalar_best_candidate`).
 
-The kernel dispatch has a size floor (``KERNEL_MIN_CELLS``) below which
-instances stay scalar; every test here pins the floor to 0 so the
-batched paths run on the small generated fixtures (including walks long
-enough to cross the pruned scan's scalar head into its chunked steps).
+The kernel dispatch has a size floor (``KERNEL_MIN_CELLS``) that picks
+between the two vectorised forms: above it each level-2 scan is one
+batched pass, below it level-3 scans run their level-2 children in
+lockstep (:class:`repro.steiner.kernels.SubSolves`).  The solver
+properties check every example at floor 0 (the small generated
+fixtures on the level-2 kernels, including walks long enough to cross
+the pruned scan's scalar head into its chunked steps) and at the
+default floor (the same fixtures on the lockstep children, which the
+tests assert actually ran), at levels up to 4.
 
 CI re-runs this file next to ``test_property_columnar.py`` and fails
 the job if any test here is skipped.
@@ -49,6 +54,32 @@ SOLVER_PAIRS = [
     (improved_dst, scalar_improved_dst),
     (pruned_dst, scalar_pruned_dst),
 ]
+
+
+#: The shipped size floor, captured before any test pins it.
+DEFAULT_FLOOR = kernels.KERNEL_MIN_CELLS
+
+#: Floors the solver properties check every example at: 0 puts every
+#: instance on the level-2 kernels, the default keeps the small
+#: fixtures below it.
+FLOORS = [0, DEFAULT_FLOOR]
+
+
+@contextmanager
+def lockstep_calls():
+    """Record how many children each lockstep ``SubSolves.solve`` got."""
+    calls = []
+    original = kernels.SubSolves.solve
+
+    def counting(self, vertices):
+        calls.append(len(vertices))
+        return original(self, vertices)
+
+    kernels.SubSolves.solve = counting
+    try:
+        yield calls
+    finally:
+        kernels.SubSolves.solve = original
 
 
 @contextmanager
@@ -153,41 +184,70 @@ def _outcome(solver, prepared, level, max_expansions=None, **kwargs):
 # ----------------------------------------------------------------------
 # Solver-level identity: kernels vs the frozen scalar ladder
 # ----------------------------------------------------------------------
+def _pairs(level):
+    """The solver pairs compared at ``level``.
+
+    Charikar's ``A^4`` takes seconds per example in both versions and
+    runs no kernel below level 2's scan, so level 4 compares the
+    improved and pruned solvers only.
+    """
+    return SOLVER_PAIRS if level < 4 else SOLVER_PAIRS[1:]
+
+
+def _assert_lockstep_ran(floor, level, calls):
+    """Below the floor a level >= 3 solve must use the lockstep children."""
+    if floor and level >= 3:
+        assert calls, "lockstep sub-solves never ran"
+
+
 class TestSolverIdentity:
+    """Every property checks each example at every floor in
+    :data:`FLOORS`: at 0 the level-2 kernels run on every instance, at
+    the default the small fixtures stay below it and level >= 3 scans
+    run their children in lockstep."""
+
     @settings(max_examples=30, deadline=None)
-    @given(graph=reachable_graphs(), level=st.sampled_from([1, 2, 3]))
+    @given(graph=reachable_graphs(), level=st.sampled_from([1, 2, 3, 4]))
     def test_trees_match_scalar(self, graph, level):
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
-        with kernel_floor(0):
-            for new, old in SOLVER_PAIRS:
-                assert _outcome(new, prepared, level) == _outcome(
-                    old, prepared, level
-                ), new.__name__
+        for floor in FLOORS:
+            with kernel_floor(floor), lockstep_calls() as calls:
+                for new, old in _pairs(level):
+                    assert _outcome(new, prepared, level) == _outcome(
+                        old, prepared, level
+                    ), (floor, new.__name__)
+            _assert_lockstep_ran(floor, level, calls)
 
     @settings(max_examples=20, deadline=None)
     @given(
         graph=reachable_graphs(),
-        level=st.sampled_from([2, 3]),
+        level=st.sampled_from([2, 3, 4]),
         max_expansions=st.integers(min_value=1, max_value=60),
     )
     def test_budget_trips_match_scalar(self, graph, level, max_expansions):
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
-        with kernel_floor(0):
-            for new, old in SOLVER_PAIRS:
-                assert _outcome(
-                    new, prepared, level, max_expansions
-                ) == _outcome(old, prepared, level, max_expansions), new.__name__
+        for floor in FLOORS:
+            with kernel_floor(floor), lockstep_calls() as calls:
+                for new, old in _pairs(level):
+                    assert _outcome(
+                        new, prepared, level, max_expansions
+                    ) == _outcome(
+                        old, prepared, level, max_expansions
+                    ), (floor, new.__name__)
+            _assert_lockstep_ran(floor, level, calls)
 
     @settings(max_examples=20, deadline=None)
-    @given(graph=reachable_graphs(), level=st.sampled_from([2, 3]))
+    @given(graph=reachable_graphs(), level=st.sampled_from([2, 3, 4]))
     def test_pruned_density_log_matches_scalar(self, graph, level):
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
-        with kernel_floor(0):
-            log_new, log_old = [], []
-            new = pruned_dst(prepared, level, density_log=log_new)
-            old = scalar_pruned_dst(prepared, level, density_log=log_old)
-            assert _fingerprint(new) == _fingerprint(old)
-            assert log_new == log_old
+        for floor in FLOORS:
+            with kernel_floor(floor), lockstep_calls() as calls:
+                log_new, log_old = [], []
+                new = pruned_dst(prepared, level, density_log=log_new)
+                old = scalar_pruned_dst(prepared, level, density_log=log_old)
+                assert _fingerprint(new) == _fingerprint(old), floor
+                assert log_new == log_old, floor
+            _assert_lockstep_ran(floor, level, calls)
 
     def test_long_walks_and_warm_bounds_match_scalar(self):
         """Seeded instances past the scalar head and chunk boundaries.
@@ -218,16 +278,77 @@ class TestSolverIdentity:
                     warm_old = scalar_pruned_dst(prepared, 2, warm_bound=bound)
                     assert _fingerprint(warm_new) == _fingerprint(warm_old)
 
+    def test_level3_lockstep_walks_and_warm_bounds_match_scalar(self):
+        """Seeded level-3 instances below the floor, cold and warm.
+
+        The first top-level w-iteration evaluates every unskipped
+        vertex, so with well over ``LOCKSTEP_CHUNK`` of them the walk's
+        prefetch solves at least two chunks of lockstep children; warm
+        bounds at every tightness exercise the skip filter of the
+        prefetch and the ``_WarmMiss`` cold rerun.
+        """
+        for seed in range(2):
+            graph = _random_reachable_graph(seed, n=25)
+            _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+            assert kernels.lockstep(prepared)
+            with lockstep_calls() as calls:
+                log_new, log_old = [], []
+                new = pruned_dst(prepared, 3, density_log=log_new)
+                old = scalar_pruned_dst(prepared, 3, density_log=log_old)
+            assert _fingerprint(new) == _fingerprint(old)
+            assert log_new == log_old
+            assert calls[:2] == [
+                kernels.LOCKSTEP_CHUNK,
+                kernels.LOCKSTEP_CHUNK * kernels.PRUNED_CHUNK_GROWTH,
+            ]
+            finite = [d for d in log_old if math.isfinite(d)]
+            assert finite
+            for scale in (0.5, 1.0, 1.5, 10.0):
+                bound = max(finite) * scale
+                log_new, log_old = [], []
+                with lockstep_calls() as calls:
+                    warm_new = pruned_dst(
+                        prepared, 3, warm_bound=bound, density_log=log_new
+                    )
+                warm_old = scalar_pruned_dst(
+                    prepared, 3, warm_bound=bound, density_log=log_old
+                )
+                assert _fingerprint(warm_new) == _fingerprint(warm_old)
+                assert log_new == log_old
+                assert calls
+
     def test_floor_keeps_small_instances_scalar(self):
-        """Below ``KERNEL_MIN_CELLS`` the dispatch declines outright."""
+        """Below ``KERNEL_MIN_CELLS`` the level-2 dispatch declines
+        outright, and level-3 scans take the lockstep children instead."""
         graph = _random_reachable_graph(0, n=12)
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         assert prepared.num_vertices * prepared.num_terminals < 4096
         assert not kernels.eligible(prepared)
+        assert kernels.lockstep(prepared)
         assert kernels.pruned_scan(prepared, 0) is None
         with kernel_floor(0):
             assert kernels.eligible(prepared)
+            assert not kernels.lockstep(prepared)
             assert kernels.pruned_scan(prepared, 0) is not None
+
+    def test_lockstep_groups_respect_the_cell_cap(self, monkeypatch):
+        """A capped pass splits the children into groups, same answers."""
+        graph = _random_reachable_graph(1, n=15)
+        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        cells = prepared.num_vertices * prepared.num_terminals
+        monkeypatch.setattr(kernels, "LOCKSTEP_MAX_CELLS", 3 * cells)
+        groups = []
+        solve_group = kernels.SubSolves._solve_group
+
+        def counting(self, vertices):
+            groups.append(len(vertices))
+            return solve_group(self, vertices)
+
+        monkeypatch.setattr(kernels.SubSolves, "_solve_group", counting)
+        new = improved_dst(prepared, 3)
+        assert max(groups) == 3
+        assert sum(groups) % prepared.num_vertices == 0
+        assert _fingerprint(new) == _fingerprint(scalar_improved_dst(prepared, 3))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@
 solution:
 
 1. restrict to the window and compute the reachable set ``V_r``;
-2. transform the temporal graph into the static expansion 𝔾 (§4.2);
+2. transform the temporal graph into the static expansion 𝔾 (§4.2),
+   as far as the root reaches (one earliest-arrival sweep serves both
+   stages);
 3. build 𝔾's transitive closure (the ``Tprep``-dominating step);
 4. run a DST approximation -- Algorithm 3 (``charikar``), Algorithm 4
    (``improved``), or Algorithm 6 (``pruned``, the default) -- with the
@@ -21,12 +23,12 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import BudgetExceededError, UnreachableRootError
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.spanning_tree import TemporalSpanningTree
-from repro.core.transformation import transform_temporal_graph
+from repro.core.transformation import TransformedGraph, transform_temporal_graph
 from repro.resilience.budget import Budget
 from repro.resilience.fallback import run_with_fallback
 from repro.steiner.charikar import charikar_dst
@@ -36,7 +38,6 @@ from repro.steiner.pruned import pruned_dst
 from repro.steiner.tree import ClosureTree
 from repro.temporal.edge import Vertex
 from repro.temporal.graph import TemporalGraph
-from repro.temporal.paths import reachable_set
 from repro.temporal.window import TimeWindow
 
 _SOLVERS: Dict[str, Callable[[PreparedInstance, int], ClosureTree]] = {
@@ -89,6 +90,26 @@ class MSTwResult:
     def weight(self) -> float:
         """``ζ(ST(r))``: the spanning tree's total weight."""
         return self.tree.total_weight
+
+
+def _terminals(transformed: TransformedGraph) -> List[Vertex]:
+    """``V_r`` without the root, sorted by ``repr``: the DST terminals.
+
+    Read off the transformation, whose earliest-arrival sweep decides
+    the reach, so a query runs that sweep once.
+
+    Raises
+    ------
+    UnreachableRootError
+        If the root reaches no other vertex within the window.
+    """
+    terminals = sorted(transformed.reached(), key=repr)
+    if not terminals:
+        raise UnreachableRootError(
+            f"root {transformed.root!r} reaches no other vertex "
+            f"within {transformed.window}"
+        )
+    return terminals
 
 
 def minimum_spanning_tree_w(
@@ -156,17 +177,10 @@ def minimum_spanning_tree_w(
     # still answers, just from an already-drained budget.
     check = budget is not None and not fallback
     prep_start = time.perf_counter()
-    reachable = reachable_set(graph, root, window)
-    if check:
-        budget.checkpoint()
-    terminals = sorted((v for v in reachable if v != root), key=repr)
-    if not terminals:
-        raise UnreachableRootError(
-            f"root {root!r} reaches no other vertex within {window}"
-        )
     transformed = transform_temporal_graph(graph, root, window)
     if check:
         budget.checkpoint()
+    terminals = _terminals(transformed)
     instance = transformed.dst_instance(terminals=terminals)
     prepared = prepare_instance(instance)
     if check:
@@ -313,13 +327,8 @@ def prepare_mstw_instance(
                 if memo_root == root and memo_window != window:
                     donor = (memo_window, value)
                     break
-    reachable = reachable_set(graph, root, window)
-    terminals = sorted((v for v in reachable if v != root), key=repr)
-    if not terminals:
-        raise UnreachableRootError(
-            f"root {root!r} reaches no other vertex within {window}"
-        )
     transformed = transform_temporal_graph(graph, root, window)
+    terminals = _terminals(transformed)
     prepared = None
     if donor is not None:
         from repro.incremental.prepare import patch_prepared_instance

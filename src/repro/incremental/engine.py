@@ -159,8 +159,11 @@ class SlidingEngine:
             # Root absent from the window or reaching nothing: the cold
             # sweep's None-measurement outcome.
             return WindowMeasurement(window, None, caveat=_join(caveats))
-        active = self.index.subgraph(window)
-        transformed = transform_temporal_graph(active, self.root, window)
+        # The parent graph's store slices the window in the window
+        # subgraph's (chronological) edge order.
+        transformed = transform_temporal_graph(
+            self.graph, self.root, window, chronological=True
+        )
         try:
             prepared = self._prepare(
                 window, prev_window, transformed, terminals, budget, caveats

@@ -33,10 +33,7 @@ from repro.core.mstw import (
     prepare_mstw_instance,
 )
 from repro.core.sliding import iter_windows, sliding_msta, sliding_mstw
-from repro.core.transformation import (
-    clear_transformation_cache,
-    transform_temporal_graph,
-)
+from repro.core.transformation import transform_temporal_graph
 from repro.datasets.registry import load_dataset
 from repro.experiments.workloads import nested_sweep_windows
 from repro.parallel.batch import SweepCell, run_batch, run_sweep_serial
@@ -315,25 +312,6 @@ def build_scenarios(
         "fraction": msta_fraction,
     }
 
-    def transform_setup():
-        state = _mstw_state(spec)
-        clear_transformation_cache()
-        return state
-
-    def transform_uncached_run(state):
-        transform_temporal_graph(
-            state["graph"], state["root"], state["window"], use_cache=False
-        )
-        return None
-
-    def transform_cached_run(state):
-        # First call in the repeat loop warms the window index; steady
-        # state is the cached path this PR adds.
-        transform_temporal_graph(
-            state["graph"], state["root"], state["window"], use_cache=True
-        )
-        return None
-
     def prepare_setup():
         state = _mstw_state(spec)
         clear_prepare_memo()
@@ -478,29 +456,6 @@ def build_scenarios(
 
     scenarios = [
         Scenario(
-            name="transform_uncached",
-            group="transformation",
-            description=(
-                "Transformed-graph construction with the per-window "
-                "index cache disabled (the pre-PR code path)."
-            ),
-            params=dict(mstw_params),
-            setup=transform_setup,
-            run=transform_uncached_run,
-        ),
-        Scenario(
-            name="transform_cached",
-            group="transformation",
-            description=(
-                "Transformed-graph construction through the shared "
-                "per-(graph, window) index cache."
-            ),
-            params=dict(mstw_params),
-            setup=transform_setup,
-            run=transform_cached_run,
-            baseline="transform_uncached",
-        ),
-        Scenario(
             name="closure_prepare",
             group="transformation",
             description=(
@@ -635,9 +590,7 @@ def build_scenarios(
     }
 
     def columnar_setup():
-        state = _columnar_state(spec)
-        clear_transformation_cache()
-        return state
+        return _columnar_state(spec)
 
     def columnar_extract_legacy_run(state):
         legacy_extract_window(state["graph"], state["window"])
@@ -652,9 +605,7 @@ def build_scenarios(
         return None
 
     def columnar_transform_run(state):
-        transform_temporal_graph(
-            state["graph"], state["root"], state["window"], use_cache=False
-        )
+        transform_temporal_graph(state["graph"], state["root"], state["window"])
         return None
 
     def columnar_ea_legacy_run(state):
@@ -716,11 +667,12 @@ def build_scenarios(
                 name="columnar_transform",
                 group="columnar_core",
                 description=(
-                    "Section 4.2 transformation as batched columnar "
-                    "passes: vectorised window gather, grouped rank "
-                    "computation, lexsort dedup, and bulk digraph "
-                    "assembly via StaticDigraph.from_parts "
-                    "(output byte-identical, property-tested)."
+                    "Reach-only Section 4.2 transformation as batched "
+                    "columnar passes: vectorised window gather, the "
+                    "root's earliest-arrival sweep, grouped rank "
+                    "computation, lexsort dedup, and bulk assembly of "
+                    "the reachable part via StaticDigraph.from_parts "
+                    "(rooted instance byte-identical, property-tested)."
                 ),
                 params=dict(columnar_params),
                 setup=columnar_setup,

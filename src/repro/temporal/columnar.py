@@ -278,6 +278,25 @@ class ColumnarEdgeStore:
         src = self.vertex_ids.get(source)
         if src is None:
             return []
+        lab = self.earliest_arrival_labels(src, t_alpha, t_omega)
+        reached_mask = lab < np.inf
+        reached_mask[src] = True  # degenerate t_alpha = inf still reports source
+        reached = np.flatnonzero(reached_mask)
+        reached = reached[np.lexsort((reached, lab[reached]))]
+        labels = self.vertex_labels
+        return [
+            (labels[i], t)
+            for i, t in zip(reached.tolist(), lab[reached].tolist())
+        ]
+
+    def earliest_arrival_labels(self, src: int, t_alpha: float, t_omega: float):
+        """The sweep behind :meth:`earliest_arrival`, as a label array.
+
+        ``src`` is an intern id.  Returns a fresh float64 array over
+        intern ids: the earliest arrival time from ``src`` inside
+        ``[t_alpha, t_omega]``, ``inf`` where unreachable, and
+        ``t_alpha`` at ``src`` itself.
+        """
         hi = int(np.searchsorted(self._arrivals_sorted, t_omega, side="right"))
         order = self._arrival_order[:hi]
         arr = self._arrivals_sorted[:hi]
@@ -301,15 +320,7 @@ class ColumnarEdgeStore:
                     break
                 np.minimum.at(lab, v[usable], a[usable])
             lo = cut
-        reached_mask = lab < np.inf
-        reached_mask[src] = True  # degenerate t_alpha = inf still reports source
-        reached = np.flatnonzero(reached_mask)
-        reached = reached[np.lexsort((reached, lab[reached]))]
-        labels = self.vertex_labels
-        return [
-            (labels[i], t)
-            for i, t in zip(reached.tolist(), lab[reached].tolist())
-        ]
+        return lab
 
     def edges_at(self, positions) -> List[TemporalEdge]:
         """Materialise ``TemporalEdge`` objects for insertion positions."""

@@ -27,8 +27,10 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.errors import GraphFormatError
-from repro.core.numeric import is_zero
+from repro.core.numeric import EPSILON, is_zero
 from repro.temporal.edge import TemporalEdge, Vertex
 
 #: Tag marking the columnar ``__getstate__`` layout.  The legacy layout
@@ -223,12 +225,35 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     # Input formats
     # ------------------------------------------------------------------
+    def _float_time_store(self) -> Any:
+        """The built columnar store, if its time columns are exact.
+
+        Exact means every start and arrival is a Python float; for other
+        timestamp types (ints, fractions) the float64 columns may round.
+        Callers fall back to the edge objects when this is None, which
+        includes graphs that never built a store (no build is
+        triggered here).
+        """
+        store = self._columnar
+        if store is not None and store.starts_are_float and store.arrivals_are_float:
+            return store
+        return None
+
     def chronological_edges(self) -> Tuple[TemporalEdge, ...]:
-        """Edges sorted by non-decreasing start time (Algorithm 1 input)."""
+        """Edges sorted by non-decreasing start time (Algorithm 1 input).
+
+        Ties are ordered by arrival, then insertion position: the built
+        store's start order for float timestamps, otherwise a stable
+        sort of the edge objects by ``(start, arrival)``.
+        """
         if self._chronological is None:
-            self._chronological = tuple(
-                sorted(self._edges, key=lambda e: (e.start, e.arrival))
-            )
+            store = self._float_time_store()
+            if store is not None:
+                self._chronological = tuple(store.edges_at(store.positions_by_start()))
+            else:
+                self._chronological = tuple(
+                    sorted(self._edges, key=lambda e: (e.start, e.arrival))
+                )
         return self._chronological
 
     def chronological_slice(
@@ -418,9 +443,16 @@ class TemporalGraph:
         """Whether any edge has ``t_s(e) == t_a(e)`` (up to epsilon).
 
         Computed on first call and memoised: the graph is immutable.
+        With float timestamps a built store's time columns answer it in
+        one array pass.
         """
         if self._zero_duration is None:
-            self._zero_duration = any(is_zero(e.duration) for e in self._edges)
+            store = self._float_time_store()
+            if store is not None:
+                durations = store.arrivals - store.starts
+                self._zero_duration = bool((np.abs(durations) <= EPSILON).any())
+            else:
+                self._zero_duration = any(is_zero(e.duration) for e in self._edges)
         return self._zero_duration
 
     def distinct_time_instances(self) -> int:

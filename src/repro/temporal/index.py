@@ -94,8 +94,8 @@ class TemporalEdgeIndex:
         """The window's edges in *graph insertion* order.
 
         Identical to ``tuple(e for e in graph.edges if e.within(...))``
-        -- the full-scan extraction every transformation / reuse path
-        performs -- but in ``O(log M + k log k)`` for ``k`` output edges
+        -- the full-scan extraction the window-reuse path performs --
+        but in ``O(log M + k log k)`` for ``k`` output edges
         instead of ``O(M)``.
         """
         return tuple(

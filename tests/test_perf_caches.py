@@ -4,10 +4,8 @@ Each cache / hoisting change is only admissible if the optimised code
 returns *exactly* what the unoptimised code returned.  These property
 tests pin that down:
 
-* cached vs uncached transformed-graph construction (labels, edges,
-  arrival instances) across random graphs, roots, and windows;
-* cache invalidation: changing the window yields the window's own
-  index, never a stale one;
+* the reach-only transformation against the rooted whole-𝔾 oracle
+  as the window changes on one graph;
 * end-to-end ``MST_w`` weight identity with caches on vs off;
 * the optimised level-``i`` solvers vs the verbatim pre-optimisation
   implementation (:mod:`repro.perf.legacy`);
@@ -23,11 +21,6 @@ from repro.core.mstw import (
     minimum_spanning_tree_w,
     prepare_mstw_instance,
 )
-from repro.core.transformation import (
-    clear_transformation_cache,
-    transform_temporal_graph,
-    transformation_cache_info,
-)
 import repro.steiner.instance as steiner_instance
 from repro.perf.legacy import legacy_improved_dst
 from repro.steiner.improved import improved_dst
@@ -35,6 +28,12 @@ from repro.steiner.pruned import pruned_dst
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.window import TimeWindow
+
+from tests.conftest import (
+    assert_matches_rooted_oracle,
+    rooted_fingerprint,
+    whole_fingerprint,
+)
 
 
 @st.composite
@@ -63,85 +62,13 @@ def reachable_graphs(draw, max_vertices=6, max_extra=8):
     return TemporalGraph(edges, vertices=range(n))
 
 
-windows = st.sampled_from(
-    [
-        None,
-        TimeWindow(0, float("inf")),
-        TimeWindow(0, 8),
-        TimeWindow(2, 10),
-    ]
-)
-
-
-def _transform_fingerprint(transformed):
-    """Everything observable about a transformed graph, as plain data."""
-    return (
-        tuple(transformed.digraph.labels()),
-        sorted(transformed.digraph.iter_labeled_edges()),
-        transformed.root_label,
-        {
-            v: tuple(instants)
-            for v, instants in transformed.arrival_instances.items()
-        },
-        transformed.skipped_edges,
-    )
-
-
 class TestTransformationCache:
-    @settings(max_examples=40, deadline=None)
-    @given(graph=reachable_graphs(), window=windows)
-    def test_cached_equals_uncached(self, graph, window):
-        clear_transformation_cache()
-        uncached = transform_temporal_graph(graph, 0, window, use_cache=False)
-        cold = transform_temporal_graph(graph, 0, window, use_cache=True)
-        warm = transform_temporal_graph(graph, 0, window, use_cache=True)
-        expected = _transform_fingerprint(uncached)
-        assert _transform_fingerprint(cold) == expected
-        assert _transform_fingerprint(warm) == expected
-
     @settings(max_examples=25, deadline=None)
     @given(graph=reachable_graphs())
     def test_window_change_invalidates(self, graph):
-        """A different window must never see the previous window's index."""
-        clear_transformation_cache()
-        narrow = TimeWindow(0, 3)
-        wide = TimeWindow(0, float("inf"))
-        cached_narrow = transform_temporal_graph(graph, 0, narrow)
-        cached_wide = transform_temporal_graph(graph, 0, wide)
-        fresh_narrow = transform_temporal_graph(
-            graph, 0, narrow, use_cache=False
-        )
-        fresh_wide = transform_temporal_graph(graph, 0, wide, use_cache=False)
-        assert _transform_fingerprint(cached_narrow) == _transform_fingerprint(
-            fresh_narrow
-        )
-        assert _transform_fingerprint(cached_wide) == _transform_fingerprint(
-            fresh_wide
-        )
-
-    def test_cache_counters(self):
-        clear_transformation_cache()
-        graph = TemporalGraph(
-            [TemporalEdge(0, 1, 1, 2, 1)], vertices=range(2)
-        )
-        assert transformation_cache_info() == {
-            "hits": 0,
-            "misses": 0,
-            "containment": 0,
-            "delta_derived": 0,
-        }
-        transform_temporal_graph(graph, 0)
-        transform_temporal_graph(graph, 0)
-        info = transformation_cache_info()
-        assert info["misses"] == 1
-        assert info["hits"] == 1
-        # A narrower window nested inside the cached unbounded one is
-        # derived by filtering the container's index (not a full scan,
-        # not a stale hit).
-        transform_temporal_graph(graph, 0, TimeWindow(0, 1.5))
-        info = transformation_cache_info()
-        assert info["misses"] == 1
-        assert info["containment"] == 1
+        """Consecutive windows on one graph each get their own answer."""
+        for window in (TimeWindow(0, 3), TimeWindow(0, float("inf")), TimeWindow(0, 3)):
+            assert_matches_rooted_oracle(graph, 0, window)
 
 
 class TestPipelineCacheIdentity:
@@ -151,10 +78,9 @@ class TestPipelineCacheIdentity:
         level=st.integers(min_value=1, max_value=3),
     )
     def test_mstw_weight_identical_with_caches(self, graph, level):
-        clear_transformation_cache()
         clear_prepare_memo()
         first = minimum_spanning_tree_w(graph, 0, level=level)
-        # Second run hits the window index and the prepare memo.
+        # Second run hits the prepare memo.
         second = minimum_spanning_tree_w(graph, 0, level=level)
         assert first.weight == second.weight
         assert first.tree.parent_edge == second.tree.parent_edge
@@ -169,7 +95,10 @@ class TestPipelineCacheIdentity:
         assert p2 is p1
         t3, p3 = prepare_mstw_instance(graph, 0, use_cache=False)
         assert t3 is not t1
-        assert _transform_fingerprint(t3) == _transform_fingerprint(t1)
+        assert rooted_fingerprint(t3.dst_instance(), t3) == rooted_fingerprint(
+            t1.dst_instance(), t1
+        )
+        assert whole_fingerprint(t3) == whole_fingerprint(t1)
         assert p3.num_terminals == p1.num_terminals
 
 

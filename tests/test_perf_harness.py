@@ -16,7 +16,7 @@ from repro.perf.scenarios import SCALES, build_scenarios, scenario_names
 
 #: A cheap scenario subset exercised by the timing tests (full smoke
 #: runs live in CI's bench-smoke job, not the unit suite).
-FAST = ["transform_uncached", "msta_stack"]
+FAST = ["closure_prepare", "msta_stack"]
 
 
 class TestScenarios:
@@ -79,14 +79,14 @@ class TestHarness:
             assert "n" in row["params"] and "M" in row["params"]
 
     def test_baseline_pulled_in_and_speedup_computed(self):
-        doc = run_benchmarks("smoke", repeats=1, names=["transform_cached"])
+        doc = run_benchmarks("smoke", repeats=1, names=["prepare_memo"])
         names = {r["name"] for r in doc["scenarios"]}
-        # transform_cached's baseline joins the run automatically.
-        assert names == {"transform_cached", "transform_uncached"}
+        # prepare_memo's baseline joins the run automatically.
+        assert names == {"prepare_memo", "closure_prepare"}
         cached = next(
-            r for r in doc["scenarios"] if r["name"] == "transform_cached"
+            r for r in doc["scenarios"] if r["name"] == "prepare_memo"
         )
-        assert cached["baseline"] == "transform_uncached"
+        assert cached["baseline"] == "closure_prepare"
         assert cached["speedup"] is not None and cached["speedup"] > 0
 
     def test_solver_scenario_reports_expansions(self):

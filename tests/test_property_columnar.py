@@ -13,13 +13,17 @@ the job if any test here is skipped.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from repro.core.errors import UnreachableRootError, ZeroDurationError
+from repro.core.numeric import is_zero
+from repro.core.sliding import iter_windows
 from repro.core.msta import msta_chronological, msta_stack
 from repro.core.mstw import minimum_spanning_tree_w
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.transformation import transform_temporal_graph
+from repro.incremental import SlidingEngine
 from repro.perf.legacy import (
     legacy_earliest_arrival,
     legacy_extract_window,
@@ -32,6 +36,13 @@ from repro.temporal.graph import TemporalGraph
 from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.paths import earliest_arrival_times
 from repro.temporal.window import TimeWindow
+
+from tests.conftest import (
+    assert_matches_rooted_oracle,
+    random_temporal,
+    rooted_fingerprint,
+    whole_fingerprint,
+)
 
 
 @st.composite
@@ -84,18 +95,6 @@ def _legacy_positions(graph: TemporalGraph, window: TimeWindow):
     ]
     assert [graph.edges[p] for p in positions] == list(kept)
     return positions
-
-
-def _transform_fingerprint(tg):
-    d = tg.digraph
-    return (
-        tuple(d.labels()),
-        tuple(d.iter_labeled_edges()),
-        tg.root_label,
-        tuple(sorted((repr(v), tuple(i)) for v, i in tg.arrival_instances.items())),
-        tuple(sorted(tg.solid_origin.items(), key=lambda kv: repr(kv[0]))),
-        tg.skipped_edges,
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,9 +155,132 @@ def test_earliest_arrival_identical(graph, window, source):
 @given(graph=graphs(), window=windows(), root=st.integers(min_value=0, max_value=7))
 def test_transformation_identical(graph, window, root):
     root = root % graph.num_vertices
-    got = transform_temporal_graph(_fresh(graph), root, window, use_cache=False)
-    expected = legacy_transform(graph, root, window)
-    assert _transform_fingerprint(got) == _transform_fingerprint(expected)
+    assert_matches_rooted_oracle(_fresh(graph), root, window)
+
+
+@st.composite
+def reach_cases(draw, max_vertices=7, max_edges=22):
+    """Graphs, roots and windows aimed at the reach-only construction.
+
+    Besides :func:`graphs`' cases (zero durations, int timestamps,
+    self-loops), every draw may add edges into the root, equal-weight
+    parallel duplicates that differ only in their start, and fan-in
+    edges into an existing target copy, and may pick an isolated root
+    that reaches nothing.  Windows start
+    anywhere, so a vertex often has in-window instances before the
+    root can reach it.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    root = draw(st.integers(min_value=0, max_value=n))  # n: isolated
+    as_float = draw(st.booleans())
+    num = float if as_float else int
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            v = root % n  # an edge into the root
+        start = draw(st.integers(min_value=0, max_value=20))
+        duration = draw(st.integers(min_value=0, max_value=4))
+        weight = draw(st.integers(min_value=0, max_value=4))
+        rows.append((u, v, start, start + duration, weight))
+        if draw(st.booleans()):
+            # Same target copy and weight, another start: when both
+            # starts see the same source copy, one static edge whose
+            # representative is the earliest-starting duplicate.
+            other = draw(st.integers(min_value=0, max_value=start + duration))
+            rows.append((u, v, other, start + duration, weight))
+        if draw(st.booleans()):
+            # Fan-in: another source into the same target copy, so
+            # in-lists hold several solid edges whose order matters.
+            w = draw(st.integers(min_value=0, max_value=n - 1))
+            other = draw(st.integers(min_value=0, max_value=start + duration))
+            rows.append((w, v, other, start + duration, weight + 1))
+    edges = [
+        TemporalEdge(u, v, num(s), num(a), num(w)) for u, v, s, a, w in rows
+    ]
+    graph = TemporalGraph(edges, vertices=range(n + 1))
+    window = draw(st.one_of(st.none(), windows()))
+    return graph, root, window
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=reach_cases())
+def test_reach_only_transformation_matches_rooted_oracle(case):
+    graph, root, window = case
+    transformed, terminals = assert_matches_rooted_oracle(_fresh(graph), root, window)
+    # Chronological edge order over the parent graph equals the
+    # transformation of the window subgraph in that order.
+    window = window or TimeWindow.unbounded()
+    subgraph = TemporalGraph(
+        TemporalEdgeIndex(graph).edges_in(window), vertices=graph.vertices
+    )
+    assert_matches_rooted_oracle(
+        subgraph, root, window, got=transform_temporal_graph(
+            _fresh(graph), root, window, chronological=True
+        )
+    )
+    # The default terminal set is V_r, in the digraph's order.
+    assert sorted(transformed.dst_instance().terminals) == sorted(
+        ("dummy", v) for v in terminals
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs())
+def test_chronological_order_and_zero_flag_match_object_scans(graph):
+    expected = [
+        tuple(map(repr, e))
+        for e in sorted(graph.edges, key=lambda e: (e.start, e.arrival))
+    ]
+    zero = any(is_zero(e.duration) for e in graph.edges)
+    for warm in (False, True):
+        g = _fresh(graph)
+        if warm:
+            g.columnar()  # float timestamps: answered from the store
+        assert [tuple(map(repr, e)) for e in g.chronological_edges()] == expected
+        assert g.has_zero_duration_edge() is zero
+
+
+def test_engine_over_parent_graph_matches_cold_pipeline():
+    """SlidingEngine transforms the parent graph; a cold pass the subgraph.
+
+    Forward then backward sweeps, so both patched and cold prepares
+    are compared against the per-window pipeline over the window's own
+    subgraph.
+    """
+    patched = 0
+    for seed in range(6):
+        graph = random_temporal(seed, n=14, m=60, zero_duration=seed % 3 == 2)
+        windows = list(iter_windows(graph, 14, 2))
+        index = TemporalEdgeIndex(graph)
+        engine = SlidingEngine(graph, 0, index=index)
+        for window in windows + windows[::-1]:
+            before = engine.stats["patched_prepares"]
+            warm = engine.measure_mstw(window)
+            patched += engine.stats["patched_prepares"] - before
+            active = index.subgraph(window)
+            try:
+                cold = minimum_spanning_tree_w(active, 0, window, level=2)
+            except UnreachableRootError:
+                assert warm.tree is None
+                continue
+            assert warm.tree.parent_edge == cold.tree.parent_edge
+            _, transformed, prepared = engine._prev
+            assert transformed.window == window
+            cold_transformed = transform_temporal_graph(active, 0, window)
+            terminals = sorted(cold_transformed.reached(), key=repr)
+            cold_prepared = prepare_instance(
+                cold_transformed.dst_instance(terminals=terminals)
+            )
+            assert rooted_fingerprint(prepared.instance, transformed) == (
+                rooted_fingerprint(cold_prepared.instance, cold_transformed)
+            )
+            assert np.array_equal(prepared.closure.dist, cold_prepared.closure.dist)
+            assert whole_fingerprint(transformed) == whole_fingerprint(
+                cold_transformed
+            )
+    assert patched > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,9 +10,10 @@ from repro.core.transformation import (
 )
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
+from repro.temporal.paths import earliest_arrival_times
 from repro.temporal.window import TimeWindow
 
-from tests.conftest import random_temporal
+from tests.conftest import assert_matches_rooted_oracle, random_temporal
 
 
 class TestExample5:
@@ -99,11 +100,14 @@ class TestStructuralInvariants:
     def test_every_solid_edge_time_consistent(self, seed, zero):
         g = random_temporal(seed, n=10, m=40, zero_duration=zero)
         t = transform_temporal_graph(g, 0)
+        earliest = earliest_arrival_times(g, 0)
         for (src, dst, w), edge in t.solid_origin.items():
             _, u, i = src
             _, v, j = dst
             # the source copy's instance must not exceed the start time
             assert t.arrival_instances[u][i] <= edge.start
+            # and the root reaches it: EA(u) <= its instance
+            assert earliest[u] <= t.arrival_instances[u][i]
             # the target copy's instance equals the arrival
             assert t.arrival_instances[v][j] == edge.arrival
             assert w == edge.weight
@@ -123,6 +127,63 @@ class TestStructuralInvariants:
     def test_unknown_root(self, figure1):
         with pytest.raises(UnreachableRootError):
             transform_temporal_graph(figure1, 99)
+
+
+class TestReachOnly:
+    """Only the part of 𝔾 the root reaches is built, in 𝔾's order."""
+
+    def test_copies_below_earliest_arrival_are_left_out(self):
+        # 1 is reached at 3 (EA(1) = 3), but 2 -> 1 arrives at 1 first:
+        # copy 0 of vertex 1 exists in 𝔾 but the root cannot reach it.
+        g = TemporalGraph(
+            [
+                TemporalEdge(2, 1, 0, 1, 1),
+                TemporalEdge(0, 1, 2, 3, 1),
+                TemporalEdge(1, 3, 4, 5, 1),
+            ]
+        )
+        t, terminals = assert_matches_rooted_oracle(g, 0)
+        assert terminals == [1, 3]
+        assert t.digraph.labels() == [
+            copy_label(0, 0),
+            copy_label(1, 1),
+            dummy_label(1),
+            copy_label(3, 0),
+            dummy_label(3),
+        ]
+        # The whole 𝔾 still counts copy 0 of vertex 1.
+        assert t.arrival_instances[1] == [1, 3]
+        assert t.num_vertices == 6
+        assert t.digraph.in_neighbors(1) == [(0, 1)]
+
+    def test_in_lists_keep_insertion_order(self):
+        g = TemporalGraph(
+            [
+                TemporalEdge(0, 1, 0, 1, 1),
+                TemporalEdge(0, 2, 0, 1, 1),
+                TemporalEdge(2, 3, 2, 5, 4),
+                TemporalEdge(1, 3, 3, 5, 2),
+            ]
+        )
+        t, _ = assert_matches_rooted_oracle(g, 0)
+        d = t.digraph
+        target = d.index_of(copy_label(3, 0))
+        assert [d.label_of(u) for u, _ in d.in_neighbors(target)] == [
+            copy_label(2, 0),
+            copy_label(1, 0),
+        ]
+
+    def test_root_reaching_nothing(self):
+        g = TemporalGraph(
+            [TemporalEdge(1, 2, 0, 1, 1), TemporalEdge(2, 0, 2, 3, 1)]
+        )
+        t, terminals = assert_matches_rooted_oracle(g, 0)
+        assert terminals == []
+        assert t.digraph.labels() == [copy_label(0, 0)]
+        assert t.dst_instance().terminals == ()
+        assert t.num_vertices == 3  # 2's copy and dummy, and the root copy
+        with pytest.raises(UnreachableRootError):
+            t.dst_instance(terminals=[2])
 
 
 class TestDSTInstanceCreation:

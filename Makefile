@@ -40,8 +40,9 @@ bench-parallel:
 	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
 		--jobs $(BENCH_JOBS) --out $(BENCH_PARALLEL_OUT)
 
-# The sliding_sweep family at full scale: cold vs incremental sweeps
-# for MST_a and MST_w (the committed BENCH_PR5.json evidence).
+# The sliding_sweep family at full scale: cold sweeps vs SlidingEngine
+# sweeps (MST_a by dirty-cone repair, MST_w by the cold pipeline over
+# the parent graph's columns; BENCH_PR5.json holds the older evidence).
 bench-sliding:
 	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
 		--only sliding_msta_incremental --only sliding_mstw_incremental \

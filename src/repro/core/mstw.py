@@ -25,7 +25,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.errors import BudgetExceededError, UnreachableRootError
+from repro.core.errors import UnreachableRootError
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.spanning_tree import TemporalSpanningTree
 from repro.core.transformation import TransformedGraph, transform_temporal_graph
@@ -241,7 +241,7 @@ _MEMO_GRAPHS: "weakref.WeakSet[TemporalGraph]" = weakref.WeakSet()
 
 _PREPARE_LOCK = threading.Lock()
 
-_PREPARE_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "delta_derived": 0}
+_PREPARE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
 
 #: Per-graph LRU bound for :func:`prepare_mstw_instance` results.  The
 #: closure is the dominant preprocessing cost and repeated queries (the
@@ -253,13 +253,10 @@ PREPARE_MEMO_SIZE = 4
 def prepare_cache_info() -> Dict[str, int]:
     """This process's ``prepare_mstw_instance`` memo counters.
 
-    Returns a ``{"hits", "misses", "delta_derived"}`` *copy* (mutating
-    it does not touch the live counters); ``delta_derived`` counts
-    misses answered by patching a memoised neighbouring window's
-    closure (:func:`repro.incremental.patch_prepared_instance`) instead
-    of a cold rebuild.  Counters are per-process, like the memo itself:
-    aggregate across workers at the call site if a batch-wide view is
-    needed.
+    Returns a ``{"hits", "misses"}`` *copy* (mutating it does not
+    touch the live counters).  Counters are per-process, like the memo
+    itself: aggregate across workers at the call site if a batch-wide
+    view is needed.
     """
     with _PREPARE_LOCK:
         return dict(_PREPARE_STATS)
@@ -273,7 +270,6 @@ def clear_prepare_memo() -> None:
         _MEMO_GRAPHS.clear()
         _PREPARE_STATS["hits"] = 0
         _PREPARE_STATS["misses"] = 0
-        _PREPARE_STATS["delta_derived"] = 0
 
 
 def prepare_mstw_instance(
@@ -281,7 +277,6 @@ def prepare_mstw_instance(
     root: Vertex,
     window: Optional[TimeWindow] = None,
     use_cache: bool = True,
-    budget: Optional[Budget] = None,
 ):
     """Stages 1-3 only: ``(transformed, prepared)`` for repeated solving.
 
@@ -299,16 +294,10 @@ def prepare_mstw_instance(
     shared across worker processes (each worker warms its own), and
     introspected via :func:`prepare_cache_info` -- callers must not
     reach into the internals.
-
-    ``budget`` bounds only the delta-derivation shortcut (the closure
-    patch checkpoints it); a drained budget falls back to the cold
-    preparation, which always completes, so this function does not
-    raise for budget reasons.
     """
     if window is None:
         window = TimeWindow.unbounded()
     key = (root, window)
-    donor = None
     if use_cache:
         with _PREPARE_LOCK:
             per_graph = graph.prepare_memo()
@@ -318,46 +307,10 @@ def prepare_mstw_instance(
                 _PREPARE_STATS["hits"] += 1
                 return hit
             _PREPARE_STATS["misses"] += 1
-            # Delta derivation (the windowed sibling of PR 4's
-            # containment derivation): a memoised entry for the *same
-            # root* over a *different window* can donate its closure --
-            # most rows survive a window slide unchanged.  Pick the
-            # most recently used such entry.
-            for (memo_root, memo_window), value in reversed(per_graph.items()):
-                if memo_root == root and memo_window != window:
-                    donor = (memo_window, value)
-                    break
     transformed = transform_temporal_graph(graph, root, window)
-    terminals = _terminals(transformed)
-    prepared = None
-    if donor is not None:
-        from repro.incremental.prepare import patch_prepared_instance
-        from repro.temporal.index import edge_index_for
-
-        donor_window, (donor_transformed, donor_prepared) = donor
-        index = edge_index_for(graph)
-        added, removed = index.delta(donor_window, window)
-        changed = {v for e in added for v in (e.source, e.target)}
-        changed.update(v for e in removed for v in (e.source, e.target))
-        try:
-            prepared = patch_prepared_instance(
-                donor_transformed,
-                donor_prepared,
-                transformed,
-                terminals,
-                changed,
-                budget=budget,
-            )
-        except BudgetExceededError:
-            # Patch over budget: the cold preparation below is
-            # output-identical, so degrade silently (stats-visible only).
-            prepared = None
-        if prepared is not None:
-            with _PREPARE_LOCK:
-                _PREPARE_STATS["delta_derived"] += 1
-    if prepared is None:
-        instance = transformed.dst_instance(terminals=terminals)
-        prepared = prepare_instance(instance)
+    prepared = prepare_instance(
+        transformed.dst_instance(terminals=_terminals(transformed))
+    )
     if use_cache:
         with _PREPARE_LOCK:
             per_graph = graph.prepare_memo()

@@ -146,9 +146,10 @@ def sliding_mstw(
 ) -> List[WindowMeasurement]:
     """Minimum-cost tree per sliding window (the paper's cost forecast).
 
-    ``engine="incremental"`` patches the DST preparation and warm-starts
-    the pruned solve from the previous window; output-identical to the
-    cold sweep (see :mod:`repro.incremental`).
+    ``engine="incremental"`` routes the sweep through
+    :class:`repro.incremental.SlidingEngine`, which runs each window's
+    pipeline over the parent graph's columns instead of a window
+    subgraph; output-identical to the cold sweep.
     """
     if engine == "incremental":
         from repro.incremental import sliding_mstw_incremental

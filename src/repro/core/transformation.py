@@ -517,7 +517,7 @@ def transform_temporal_graph(
 def transformation_cache_info() -> Dict[str, int]:
     """Counters of the former window-index cache, all zero.
 
-    The transformation keeps no per-window state any more; the four
-    counters stay so existing probes of them keep working.
+    The transformation keeps no per-window state any more; the counters
+    stay so existing probes of them keep working.
     """
-    return {"hits": 0, "misses": 0, "containment": 0, "delta_derived": 0}
+    return {"hits": 0, "misses": 0, "containment": 0}

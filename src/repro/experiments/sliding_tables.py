@@ -4,9 +4,10 @@
 for the future": this table slides a fixed-length window across the
 Phone contact network and reports, per window, how far the root
 reaches (``MST_a``) and at what minimum cost (``MST_w``).  Both sweeps
-run through the incremental engine (:mod:`repro.incremental`), so each
-slide repairs the previous window's answer where certifiable; the
-engine's repair/cold split is reported in the notes.
+run through :class:`repro.incremental.SlidingEngine`: each ``MST_a``
+slide repairs the previous window's tree where certifiable (the
+repair/cold split is reported in the notes), and each ``MST_w`` window
+runs the cold pipeline over the root's reach.
 
 Like the table modules, the sweep cells run through the
 :class:`ExperimentContext` cell protocol (budgeted, checkpointed,
@@ -31,11 +32,11 @@ from repro.incremental import SlidingEngine
 from repro.resilience.budget import Budget
 
 #: Call-detail records as the contact network (real durations, so the
-#: slide-repair paths apply; zero-duration datasets force cold solves).
+#: ``MST_a`` repair applies; zero-duration datasets force cold solves).
 DATASET = "phone"
 
 #: Level of the ``MST_w`` approximation (Alg6-2: the paper's sweet spot
-#: between quality and runtime, and deep enough to warm-start).
+#: between quality and runtime).
 MSTW_LEVEL = 2
 
 #: At most this many windows are printed; the sweep itself always
@@ -47,9 +48,9 @@ def sweep_params(quick: bool) -> Tuple[float, float, float]:
     """``(scale, window_fraction, step_fraction)`` of the sweep.
 
     The step is a small fraction of the window so consecutive windows
-    overlap heavily -- the sliding regime the incremental engine is
-    built for (coarse jumps would dirty most of the tree and fall back
-    to cold solves).
+    overlap heavily -- the sliding regime the ``MST_a`` repair is built
+    for (coarse jumps would dirty most of the tree and fall back to
+    cold solves).
     """
     return (0.1, 0.5, 0.0125) if quick else (0.15, 0.5, 0.01)
 
@@ -63,6 +64,9 @@ def sweep_cell_value(
     each row carries the window boundaries and the measurement's
     coverage / cost / makespan / caveat (empty-window contract applied:
     ``makespan`` is ``None``, ``cost`` and ``coverage`` are zero).
+    ``budget`` bounds the ``MST_a`` repair, which degrades to a cold
+    solve when drained, so a sweep never raises for budget reasons;
+    ``MST_w`` windows are unbudgeted.
     """
     scale, window_fraction, step_fraction = sweep_params(quick)
     graph = load_dataset(DATASET, scale=scale)
@@ -77,7 +81,7 @@ def sweep_cell_value(
         if kind == "msta":
             measurement = engine.measure_msta(window, budget=budget)
         else:
-            measurement = engine.measure_mstw(window, budget=budget)
+            measurement = engine.measure_mstw(window)
         rows.append(
             {
                 "t_alpha": window.t_alpha,
@@ -136,7 +140,7 @@ def run_sweep(
             "-" if makespan is None else makespan,
             cost_row["cost"],
         )
-    msta_stats, mstw_stats = msta["stats"], mstw["stats"]
+    msta_stats = msta["stats"]
     result.notes.append(
         f"showing 1 of every {stride} of the {len(msta_rows)} windows; "
         "empty windows "
@@ -146,11 +150,6 @@ def run_sweep(
     result.notes.append(
         f"MST_a sweep: {msta_stats['incremental_slides']} slides answered "
         f"by dirty-cone repair, {msta_stats['cold_solves']} cold"
-    )
-    result.notes.append(
-        f"MST_w sweep: {mstw_stats['patched_prepares']} patched "
-        f"preparations, {mstw_stats['cold_prepares']} cold, "
-        f"{mstw_stats['warm_solves']} warm-started solves"
     )
     if caveats:
         result.notes.append("caveats: " + "; ".join(sorted(caveats)))

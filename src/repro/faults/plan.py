@@ -77,7 +77,6 @@ ALL_KINDS: Tuple[str, ...] = (
 SITES: Dict[str, Tuple[str, ...]] = {
     "parallel.task": (WORKER_CRASH, TASK_ERROR, TASK_STALL),
     "experiments.cell": (WORKER_CRASH, TASK_ERROR, TASK_STALL),
-    "incremental.patch": (TASK_ERROR,),
     "checkpoint.write": (TORN_WRITE,),
     "temporal.io.read": (CORRUPT_READ,),
 }

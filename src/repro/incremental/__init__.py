@@ -1,21 +1,19 @@
-"""Incremental sliding-window engine (delta-driven window advancement).
+"""Sliding-window engine (one window at a time over one graph).
 
-The cold sliding sweep recomputes every window from scratch even though
-consecutive windows share almost all of their edges.  This package
-advances a window by its *delta* instead and updates -- rather than
-rebuilds -- every layer of the pipeline, while certifying at each layer
-that the result is identical to the cold recomputation:
+A sliding sweep asks the same question of many heavily overlapping
+windows.  This package answers them over the parent graph:
 
 * :class:`IncrementalMSTa` -- maintains the earliest-arrival tree by
   deleting the removed edges' dirty cone and re-relaxing only there;
-* :func:`patch_prepared_instance` -- reuses the previous window's
-  closure rows wherever the expansion is provably unchanged;
-* :class:`SlidingEngine` -- composes the layers, warm-starts the pruned
-  DST solve, and degrades to cold (with a recorded caveat) on budget
-  exhaustion.
+* :class:`SlidingEngine` -- ``MST_a`` through that repair (degrading to
+  cold, with a recorded caveat, on budget exhaustion), ``MST_w``
+  through the cold per-window pipeline over the root's reach;
+* :func:`patch_prepared_instance` -- reuses a previous window's closure
+  rows wherever the expansion is provably unchanged.  No engine calls
+  it: on sliding workloads it costs more than a cold rooted closure.
 
-See ``docs/performance.md`` ("Incremental sliding windows") for the
-delta model and the invalidation rules.
+See ``docs/performance.md`` ("Incremental sliding windows") for what
+each reuse layer measured.
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ def sliding_msta_incremental(
 
     Output-identical to the cold sweep (trees and series match
     window-for-window); only the work per slide changes.  Pass a dict
-    as ``stats_out`` to receive the engine's counters (including the
-    fault-recovery ones) after the sweep.
+    as ``stats_out`` to receive the engine's counters after the sweep.
     """
     engine = SlidingEngine(graph, root)
     measurements = [
@@ -71,13 +68,12 @@ def sliding_mstw_incremental(
     step: Optional[float] = None,
     level: int = 2,
     algorithm: str = "pruned",
-    budget: Optional[Budget] = None,
     stats_out: Optional[Dict[str, int]] = None,
 ) -> List[WindowMeasurement]:
-    """Drop-in incremental replacement for ``sliding_mstw``."""
+    """``sliding_mstw`` through :class:`SlidingEngine` (same output)."""
     engine = SlidingEngine(graph, root, level=level, algorithm=algorithm)
     measurements = [
-        engine.measure_mstw(window, budget=budget)
+        engine.measure_mstw(window)
         for window in iter_windows(graph, window_length, step)
     ]
     if stats_out is not None:

@@ -95,10 +95,6 @@ class IncrementalMSTa:
         """The current window's arrival times (a copy; root included)."""
         return dict(self._arrival)
 
-    def covered(self) -> Set[Vertex]:
-        """Vertices reachable from the root in the current window."""
-        return set(self._arrival)
-
     # ------------------------------------------------------------------
     # The slide protocol
     # ------------------------------------------------------------------
@@ -106,7 +102,6 @@ class IncrementalMSTa:
         self,
         window: TimeWindow,
         budget: Optional[Budget] = None,
-        delta: Optional[Tuple[List[TemporalEdge], List[TemporalEdge]]] = None,
     ) -> Optional[TemporalSpanningTree]:
         """Move the maintained window to ``window`` and return its tree.
 
@@ -115,8 +110,6 @@ class IncrementalMSTa:
         tree identical to ``minimum_spanning_tree_a`` on the window's
         extracted subgraph.
 
-        ``delta`` optionally passes a precomputed ``(added, removed)``
-        pair (the engine computes it once and shares it across layers).
         ``budget`` is checkpointed inside the repair loops; a drained
         budget never raises out of this method -- it falls back to the
         unbudgeted cold solve and records the event in :attr:`stats` /
@@ -131,9 +124,7 @@ class IncrementalMSTa:
         )
         if previous is None or self._zero_duration or not forward:
             return self._cold(window)
-        if delta is None:
-            delta = self.index.delta(previous, window)
-        added, removed = delta
+        added, removed = self.index.delta(previous, window)
         tick = budget if budget is not None else NULL_BUDGET
         try:
             repaired = self._repair(window, added, removed, tick)

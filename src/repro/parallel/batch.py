@@ -162,9 +162,7 @@ def _cell_value(
     through the per-process ``prepare_mstw_instance`` memo so cells that
     share a ``(root, window)`` pair share stages 1-3.
     """
-    transformed, prepared = prepare_mstw_instance(
-        sub, cell.root, cell.window, budget=budget
-    )
+    transformed, prepared = prepare_mstw_instance(sub, cell.root, cell.window)
     if cell.fallback:
         outcome = run_with_fallback(
             prepared, budget=budget, level=cell.level, solver=cell.algorithm

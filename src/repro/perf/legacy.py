@@ -535,17 +535,11 @@ def _scalar_b_prefix(
     return best
 
 
-class _ScalarWarmMiss(Exception):
-    """Internal: the warm-start bound failed to certify an iteration."""
-
-
 def scalar_pruned_dst(
     prepared: PreparedInstance,
     level: int,
     k: Optional[int] = None,
     budget: Optional[Budget] = None,
-    warm_bound: Optional[float] = None,
-    density_log: Optional[List[float]] = None,
 ) -> ClosureTree:
     """``FinalA^level(k, root, X)`` exactly as implemented before the kernels."""
     if level < 1:
@@ -557,21 +551,7 @@ def scalar_pruned_dst(
         budget = NULL_BUDGET
     elif budget.is_limited:
         budget.start()
-    if density_log is not None:
-        density_log.clear()
-    if warm_bound is not None:
-        try:
-            return _scalar_final_a(
-                prepared, level, k, prepared.root, terminals, budget,
-                bound=warm_bound, density_log=density_log,
-            )
-        except _ScalarWarmMiss:
-            if density_log is not None:
-                density_log.clear()
-    return _scalar_final_a(
-        prepared, level, k, prepared.root, terminals, budget,
-        density_log=density_log,
-    )
+    return _scalar_final_a(prepared, level, k, prepared.root, terminals, budget)
 
 
 def _scalar_scan_vertices(
@@ -583,18 +563,14 @@ def _scalar_scan_vertices(
     tau: List[float],
     order: List[int],
     budget: Budget,
-    bound: Optional[float] = None,
 ) -> "Tuple[ClosureTree, float]":
     order.sort(key=tau.__getitem__)
     root_row = prepared.cost_row(r)
-    bound_cost = None if bound is None else bound * k
     best: Optional[ClosureTree] = None
     best_density = math.inf
     for v in order:
         if best is not None and tau[v] >= best_density:
             break
-        if bound_cost is not None and root_row[v] >= bound_cost:
-            continue
         budget.checkpoint()
         edge_cost = root_row[v]
         subtree = _scalar_final_b(
@@ -605,8 +581,6 @@ def _scalar_scan_vertices(
         if best is None or density < best_density:
             best = subtree.with_edge(r, v, edge_cost)
             best_density = density
-    if bound is not None and (best is None or best_density >= bound):
-        raise _ScalarWarmMiss
     assert best is not None
     return best, best_density
 
@@ -618,8 +592,6 @@ def _scalar_final_a(
     r: int,
     terminals: FrozenSet[int],
     budget: Budget,
-    bound: Optional[float] = None,
-    density_log: Optional[List[float]] = None,
 ) -> ClosureTree:
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
@@ -632,12 +604,9 @@ def _scalar_final_a(
     tau = [-math.inf] * num_vertices
     order = list(range(num_vertices))
     while k > 0:
-        best, best_density = _scalar_scan_vertices(
-            prepared, i, k, r, frozenset(remaining), tau, order, budget,
-            bound=bound,
+        best, _ = _scalar_scan_vertices(
+            prepared, i, k, r, frozenset(remaining), tau, order, budget
         )
-        if density_log is not None:
-            density_log.append(best_density)
         newly_covered = best.covered & remaining
         if not newly_covered:  # pragma: no cover - defensive
             break

@@ -106,10 +106,9 @@ class _ScaleSpec:
         "epinions", 0.05, 0.3, 0.15,
     )
     # (dataset name, generator scale, window fraction, step fraction)
-    # for the sliding_sweep cold-vs-incremental pairs.  The two kinds
-    # are tuned separately: MST_a repair pays off on long slides with
-    # tiny steps, the MST_w patch on closures big enough that rebuild
-    # dominates the (always-run) warm solve.
+    # for the sliding_sweep cold-vs-engine pairs.  The two kinds are
+    # tuned separately: MST_a repair pays off on long slides with tiny
+    # steps; MST_w windows are solved cold on both sides.
     sliding_msta_dataset: Tuple[str, float, float, float] = (
         "slashdot", 0.5, 0.5, 0.1,
     )
@@ -1001,10 +1000,10 @@ def build_scenarios(
                 name="sliding_mstw_incremental",
                 group="sliding_sweep",
                 description=(
-                    "Same sweep through the incremental engine: closure "
-                    "rows patched from the previous window where provably "
-                    "unchanged, pruned solve warm-started with the previous "
-                    "density bound (output-identical to cold)."
+                    "Same sweep through SlidingEngine: each window's cold "
+                    "pipeline reads the parent graph's columns, with no "
+                    "window subgraph and no state carried between windows "
+                    "(output-identical to cold)."
                 ),
                 params=dict(sliding_params(spec.sliding_mstw_dataset), level=2),
                 setup=sliding_setup(spec.sliding_mstw_dataset),

@@ -302,10 +302,6 @@ class PrunedScan:
       ``tau`` is ``>=`` the running best density over the *evaluated*
       positions before it (an exclusive ``minimum.accumulate`` seeded
       with the carry from earlier steps);
-    * warm-bound skips (``root_row[v] >= bound_cost``) are a mask --
-      skipped positions get no tau update, no ticks, and contribute
-      ``inf`` to the running best, but their stale ``tau`` can still
-      trigger the break, exactly as in the scalar walk;
     * the winner is the first evaluated position achieving the minimum
       density (first occurrence == the scalar strict-``<`` update), or
       the first evaluated position at all when every density is
@@ -326,7 +322,6 @@ class PrunedScan:
         "_k",
         "_remaining",
         "_rmask",
-        "_bound_cost",
         "_cursor",
         "_chunk",
         "_done",
@@ -344,7 +339,6 @@ class PrunedScan:
         self._k = 0
         self._remaining: FrozenSet[int] = frozenset()
         self._rmask: Any = None
-        self._bound_cost: Optional[float] = None
         self._cursor = 0
         self._chunk = PRUNED_CHUNK
         self._done = True
@@ -352,9 +346,7 @@ class PrunedScan:
         self.best_length = 0
         self.best_density = math.inf
 
-    def begin(
-        self, k: int, remaining: FrozenSet[int], bound_cost: Optional[float]
-    ) -> None:
+    def begin(self, k: int, remaining: FrozenSet[int]) -> None:
         """Start one w-iteration's walk over the stale-tau order."""
         # Stable argsort of the previous walk order by stale tau == the
         # scalar ``order.sort(key=tau.__getitem__)`` permutation.
@@ -362,7 +354,6 @@ class PrunedScan:
         self._k = k
         self._remaining = remaining
         self._rmask = None  # built lazily: only the chunked steps need it
-        self._bound_cost = bound_cost
         self._cursor = 0
         self._chunk = PRUNED_CHUNK
         self._done = False
@@ -390,8 +381,6 @@ class PrunedScan:
             return None
         incoming = float(self._incoming[vertex])
         self._cursor += 1
-        if self._bound_cost is not None and incoming >= self._bound_cost:
-            return 0
         _, length, _, density = best_prefix(
             self._prepared, vertex, self._remaining, self._k, incoming
         )
@@ -421,61 +410,46 @@ class PrunedScan:
         row_density = densities[positions_range, best_positions]
         row_length = counts[positions_range, best_positions]
 
-        if self._bound_cost is None:
-            skipped = np.zeros(size, dtype=bool)
-            effective = row_density
-        else:
-            skipped = self._incoming[chunk] >= self._bound_cost
-            effective = np.where(skipped, np.inf, row_density)
-
-        # Exclusive running minimum of the evaluated densities, seeded
-        # with the best carried in from earlier steps: ``prev_best[p]``
-        # is the scalar walk's ``best_density`` when it reaches ``p``.
+        # Exclusive running minimum of the densities, seeded with the
+        # best carried in from earlier steps: ``prev_best[p]`` is the
+        # scalar walk's ``best_density`` when it reaches ``p``.
         carry = self.best_density if self.best_vertex is not None else math.inf
         prev_best = np.empty(size)
         prev_best[0] = carry
         if size > 1:
             prev_best[1:] = np.minimum(
-                carry, np.minimum.accumulate(effective[:-1])
+                carry, np.minimum.accumulate(row_density[:-1])
             )
-        # ``have_prev[p]``: the scalar ``best_vertex is not None`` gate
-        # (some vertex before ``p`` -- possibly in an earlier step --
-        # was evaluated, not skipped).
-        have_prev = np.empty(size, dtype=bool)
-        have_prev[0] = self.best_vertex is not None
-        if size > 1:
-            have_prev[1:] = have_prev[0] | (np.cumsum(~skipped[:-1]) > 0)
-
-        breaks = have_prev & (self._tau[chunk] >= prev_best)
+        # The walk evaluates every position it reaches, so the scalar
+        # ``best_vertex is not None`` gate holds past position 0.
+        breaks = self._tau[chunk] >= prev_best
+        if self.best_vertex is None:
+            breaks[0] = False
         if breaks.any():
             limit = int(np.argmax(breaks))
             self._done = True
         else:
             limit = size
-        evaluated = ~skipped & (positions_range < limit)
+        if limit == 0:
+            return 0
+        evaluated = row_density[:limit]
+        self._tau[chunk[:limit]] = evaluated
 
-        ticks = 2 * int(np.count_nonzero(evaluated))
-        if ticks == 0:
-            return ticks
-        self._tau[chunk[evaluated]] = row_density[evaluated]
-
-        candidates = np.where(evaluated, row_density, np.inf)
-        index = int(np.argmin(candidates))
-        density = float(candidates[index])
+        index = int(np.argmin(evaluated))
+        density = float(evaluated[index])
         if math.isinf(density):
             # Every evaluated density is inf: the scalar walk keeps its
             # *first* evaluated vertex (the ``best_vertex is None``
             # arm), and never replaces a prior best with an inf.
             if self.best_vertex is None:
-                index = int(np.argmax(evaluated))
-                self.best_vertex = int(chunk[index])
+                self.best_vertex = int(chunk[0])
                 self.best_length = 0
                 self.best_density = math.inf
         elif self.best_vertex is None or density < self.best_density:
             self.best_vertex = int(chunk[index])
             self.best_length = int(row_length[index])
             self.best_density = density
-        return ticks
+        return 2 * limit
 
 
 def pruned_scan(prepared: object, source: int) -> Optional[PrunedScan]:
@@ -631,7 +605,7 @@ class SubSolves:
                 walk_density = densities.min(axis=2)[rows, walk]
                 # Break at the first position p >= 1 whose stale tau is
                 # >= the best density over positions < p (all of them
-                # evaluated: sub-solves take no warm bound).
+                # evaluated).
                 running = np.minimum.accumulate(walk_density, axis=1)
                 breaks = walk_tau[:, 1:] >= running[:, :-1]
                 limit = np.where(breaks.any(axis=1), breaks.argmax(axis=1) + 1, n)

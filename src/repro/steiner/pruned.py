@@ -16,8 +16,8 @@ recursion is vectorised:
 * above it, the level-2 scans run batched: a
   :class:`repro.steiner.kernels.PrunedScan` owns the tau array and
   walk order for a whole ``FinalA^2``/``FinalB^2`` call and replays
-  each w-iteration's tau-sorted walk -- early break, warm-bound skip,
-  winner selection -- as chunked array passes instead of per-vertex
+  each w-iteration's tau-sorted walk -- early break and winner
+  selection -- as chunked array passes instead of per-vertex
   Python;
 * below it, the level-3 walk stays scalar but its ``FinalB^2``
   children run in lockstep (:class:`repro.steiner.kernels.SubSolves`),
@@ -27,17 +27,15 @@ recursion is vectorised:
 Either way the solver checkpoints the scalar walk's tick totals (two
 per evaluated level-2 vertex; one plus the child's total per
 evaluated level-3 vertex), so rungs trip on the same w-iteration.
-Winners, tau values, density logs, budget trips, and ``_WarmMiss``
-certification are bit-identical to the scalar walk, which remains
-below for duck-typed instrumentation instances, levels 4 and up, and
-level 2 below the floor.
+Winners, tau values and budget trips are bit-identical to the scalar
+walk, which remains below for duck-typed instrumentation instances,
+levels 4 and up, and level 2 below the floor.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set
 
 from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.steiner import kernels
@@ -45,36 +43,16 @@ from repro.steiner.instance import PreparedInstance
 from repro.steiner.tree import ClosureTree
 
 
-class _WarmMiss(Exception):
-    """Internal: the warm-start bound failed to certify an iteration."""
-
-
 def pruned_dst(
     prepared: PreparedInstance,
     level: int,
     k: Optional[int] = None,
     budget: Optional[Budget] = None,
-    warm_bound: Optional[float] = None,
-    density_log: Optional[List[float]] = None,
 ) -> ClosureTree:
     """Run ``FinalA^level(k, root, X)`` (Algorithm 6) on a prepared instance.
 
     ``budget`` (optional) is checkpointed once per scanned candidate
     vertex; see :class:`repro.resilience.Budget`.
-
-    ``warm_bound`` (optional) is an *a priori* density bound ``B``: in
-    every top-level w-iteration, candidates whose root-row cost alone
-    forces a branch density ``>= B`` are skipped without evaluating
-    their subtree.  The winner's density is certified against ``B``
-    after each scan; if certification ever fails the whole solve is
-    re-run cold, so the returned tree is **always identical** to the
-    unwarmed run -- the bound can only save time, never change the
-    answer.  The sliding engine supplies ``B`` from the previous
-    window's iteration densities (see ``repro.incremental.engine``).
-
-    ``density_log`` (optional) is cleared and filled with the winning
-    density of each top-level w-iteration; the engine feeds it back as
-    the next window's warm bound.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
@@ -85,21 +63,7 @@ def pruned_dst(
         budget = NULL_BUDGET
     elif budget.is_limited:
         budget.start()
-    if density_log is not None:
-        density_log.clear()
-    if warm_bound is not None:
-        try:
-            return _final_a(
-                prepared, level, k, prepared.root, terminals, budget,
-                bound=warm_bound, density_log=density_log,
-            )
-        except _WarmMiss:
-            if density_log is not None:
-                density_log.clear()
-    return _final_a(
-        prepared, level, k, prepared.root, terminals, budget,
-        density_log=density_log,
-    )
+    return _final_a(prepared, level, k, prepared.root, terminals, budget)
 
 
 def _scan_vertices(
@@ -111,9 +75,8 @@ def _scan_vertices(
     tau: List[float],
     order: List[int],
     budget: Budget,
-    bound: Optional[float] = None,
     scan: Optional[kernels.PrunedScan] = None,
-) -> "Tuple[ClosureTree, float]":
+) -> ClosureTree:
     """One pruned w-iteration: the best candidate branch ``T' ∪ (r, v)``.
 
     ``tau`` holds each vertex's branch density from the previous
@@ -124,20 +87,8 @@ def _scan_vertices(
     runs in batched chunks; ``tau``/``order`` are then unused.  Below
     the kernel floor a level-3 walk takes its ``FinalB^2`` children
     from :func:`_walk_lockstep` instead of the scalar recursion.
-
-    ``bound`` (warm start) skips any candidate ``v`` with
-    ``root_row[v] >= bound * k``: a branch covers at most ``k``
-    terminals, so its density is at least ``root_row[v] / k >= bound``
-    and it can neither win nor tie a winner whose density certifies
-    below ``bound``.  A skipped vertex keeps ``tau = -inf`` (it sorts
-    first and is re-skipped in O(1); ``k`` only shrinks across
-    w-iterations, so once skippable always skippable).  If the scan
-    cannot certify ``best_density < bound`` the bound was too tight --
-    a skipped vertex might have won -- and :class:`_WarmMiss` asks the
-    caller to re-run cold.
     """
     root_row = prepared.cost_row(r)
-    bound_cost = None if bound is None else bound * k
     if scan is not None:
         # Batched bottom level: the scan replays the tau-sorted walk in
         # chunked array passes (its own tau/order arrays), reporting
@@ -145,7 +96,7 @@ def _scan_vertices(
         # tick plus the FinalB^1 base tick -- for the solver to
         # checkpoint, so rungs trip on the same w-iteration as the
         # scalar walk below.
-        scan.begin(k, remaining, bound_cost)
+        scan.begin(k, remaining)
         while True:
             ticks = scan.step()
             if ticks is None:
@@ -153,8 +104,6 @@ def _scan_vertices(
             if ticks:
                 budget.checkpoint(ticks)
         best_vertex = scan.best_vertex
-        if bound is not None and (best_vertex is None or scan.best_density >= bound):
-            raise _WarmMiss
         assert best_vertex is not None
         subtree = (
             ClosureTree.EMPTY
@@ -163,38 +112,28 @@ def _scan_vertices(
                 prepared, best_vertex, remaining, scan.best_length
             )
         )
-        return (
-            subtree.with_edge(r, best_vertex, root_row[best_vertex]),
-            scan.best_density,
-        )
+        return subtree.with_edge(r, best_vertex, root_row[best_vertex])
     order.sort(key=tau.__getitem__)
+    if i == 3 and kernels.lockstep(prepared):
+        return _walk_lockstep(prepared, k, r, remaining, tau, order, budget, root_row)
     best: Optional[ClosureTree] = None
     best_density = math.inf
-    if i == 3 and kernels.lockstep(prepared):
-        best, best_density = _walk_lockstep(
-            prepared, k, r, remaining, tau, order, budget, root_row, bound_cost
+    for v in order:
+        if best is not None and tau[v] >= best_density:
+            break
+        budget.checkpoint()
+        edge_cost = root_row[v]
+        subtree = _final_b(
+            prepared, i - 1, k, v, remaining, edge_cost, budget
         )
-    else:
-        for v in order:
-            if best is not None and tau[v] >= best_density:
-                break
-            if bound_cost is not None and root_row[v] >= bound_cost:
-                continue
-            budget.checkpoint()
-            edge_cost = root_row[v]
-            subtree = _final_b(
-                prepared, i - 1, k, v, remaining, edge_cost, budget
-            )
-            # Candidate density without materialising the candidate tree.
-            density = subtree.density_with_edge(edge_cost)
-            tau[v] = density
-            if best is None or density < best_density:
-                best = subtree.with_edge(r, v, edge_cost)
-                best_density = density
-    if bound is not None and (best is None or best_density >= bound):
-        raise _WarmMiss
+        # Candidate density without materialising the candidate tree.
+        density = subtree.density_with_edge(edge_cost)
+        tau[v] = density
+        if best is None or density < best_density:
+            best = subtree.with_edge(r, v, edge_cost)
+            best_density = density
     assert best is not None
-    return best, best_density
+    return best
 
 
 def _walk_lockstep(
@@ -206,19 +145,17 @@ def _walk_lockstep(
     order: List[int],
     budget: Budget,
     root_row: List[float],
-    bound_cost: Optional[float],
-) -> "Tuple[Optional[ClosureTree], float]":
+) -> ClosureTree:
     """The level-3 walk of :func:`_scan_vertices` over lockstep children.
 
-    The walk itself -- stale-tau order, early break, warm-bound skip,
-    winner rule -- is the scalar one; only the ``FinalB^2`` children
-    come from a :class:`kernels.SubSolves`, solved ahead of the walk in
-    chunks of the next unskipped vertices that grow geometrically from
+    The walk itself -- stale-tau order, early break, winner rule -- is
+    the scalar one; only the ``FinalB^2`` children come from a
+    :class:`kernels.SubSolves`, solved ahead of the walk in chunks of
+    the next vertices that grow geometrically from
     :data:`kernels.LOCKSTEP_CHUNK`, so the children solved past the
     break point are bounded by the last chunk.  Each evaluated vertex
     posts its own tick plus its child's tick total, as the scalar walk
-    does, and only the winner's tree is rebuilt.  Returns ``(None,
-    inf)`` when every vertex was skipped.
+    does, and only the winner's tree is rebuilt.
     """
     children = kernels.SubSolves(prepared, k, remaining, root_row, pruned=True)
     chunk = kernels.LOCKSTEP_CHUNK
@@ -227,15 +164,8 @@ def _walk_lockstep(
     for position, v in enumerate(order):
         if best_vertex is not None and tau[v] >= best_density:
             break
-        if bound_cost is not None and root_row[v] >= bound_cost:
-            continue
         if v not in children.density:
-            ahead = (
-                u
-                for u in islice(order, position, None)
-                if bound_cost is None or root_row[u] < bound_cost
-            )
-            children.solve(list(islice(ahead, chunk)))
+            children.solve(order[position : position + chunk])
             chunk *= kernels.PRUNED_CHUNK_GROWTH
         budget.checkpoint(1 + children.ticks[v])
         density = children.density[v]
@@ -243,12 +173,10 @@ def _walk_lockstep(
         if best_vertex is None or density < best_density:
             best_vertex = v
             best_density = density
-    if best_vertex is None:
-        return None, best_density
-    best = children.tree(best_vertex).with_edge(
+    assert best_vertex is not None
+    return children.tree(best_vertex).with_edge(
         r, best_vertex, root_row[best_vertex]
     )
-    return best, best_density
 
 
 def _final_a(
@@ -258,8 +186,6 @@ def _final_a(
     r: int,
     terminals: FrozenSet[int],
     budget: Budget,
-    bound: Optional[float] = None,
-    density_log: Optional[List[float]] = None,
 ) -> ClosureTree:
     """Algorithm 6's top level (Algorithm 4 with pruned vertex scans)."""
     if i == 1:
@@ -276,12 +202,10 @@ def _final_a(
     tau = [-math.inf] * num_vertices if scan is None else []
     order = list(range(num_vertices)) if scan is None else []
     while k > 0:
-        best, best_density = _scan_vertices(
+        best = _scan_vertices(
             prepared, i, k, r, frozenset(remaining), tau, order, budget,
-            bound=bound, scan=scan,
+            scan=scan,
         )
-        if density_log is not None:
-            density_log.append(best_density)
         newly_covered = best.covered & remaining
         if not newly_covered:  # pragma: no cover - defensive
             break
@@ -318,9 +242,7 @@ def _final_b(
     tau = [-math.inf] * num_vertices if scan is None else []
     order = list(range(num_vertices)) if scan is None else []
     while k > 0:
-        # Recursive scans never take the warm bound: it is derived from
-        # the *top-level* iteration densities only.
-        sub_best, _ = _scan_vertices(
+        sub_best = _scan_vertices(
             prepared, i, k, r, frozenset(remaining), tau, order, budget,
             scan=scan,
         )

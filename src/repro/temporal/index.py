@@ -280,9 +280,8 @@ def edge_index_for(
 ) -> Optional[TemporalEdgeIndex]:
     """The process-wide shared :class:`TemporalEdgeIndex` of ``graph``.
 
-    Sliding sweeps, the window-reuse index, and the transformation
-    cache's delta-derivation path all consult the same index so the
-    ``O(M log M)`` build is paid once per graph.  With ``create=False``
+    Sliding sweeps and the window-reuse index consult the same index
+    so the ``O(M log M)`` build is paid once per graph.  With ``create=False``
     the call only reports an existing index (``None`` otherwise) --
     used by paths that should stay ``O(M)`` when nothing sliding-shaped
     has touched the graph yet.  A graph's columnar store is built once

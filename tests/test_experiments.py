@@ -196,11 +196,7 @@ class TestSweep:
             },
             "sweep:mstw": {
                 "rows": [empty, full],
-                "stats": {
-                    "incremental_slides": 1, "cold_solves": 1,
-                    "patched_prepares": 0, "cold_prepares": 1,
-                    "warm_solves": 1,
-                },
+                "stats": {"windows": 2},
             },
         }
         table = run_sweep(quick=True, context=ctx)

@@ -70,7 +70,7 @@ class TestFaultPlan:
 
     def test_of_sorts_entries_canonically(self):
         late = FaultSpec("parallel.task", TASK_ERROR, occurrence=3)
-        early = FaultSpec("incremental.patch", TASK_ERROR, occurrence=1)
+        early = FaultSpec("parallel.task", TASK_ERROR, occurrence=1)
         plan = FaultPlan.of(late, early)
         assert plan.entries == (early, late)
         assert plan
@@ -92,9 +92,9 @@ class TestFaultPlan:
         assert len(plans) > 1
 
     def test_seeded_respects_site_restriction(self):
-        plan = FaultPlan.seeded(7, sites=("incremental.patch",), faults=3)
-        assert all(spec.site == "incremental.patch" for spec in plan.entries)
-        assert all(spec.kind == TASK_ERROR for spec in plan.entries)
+        plan = FaultPlan.seeded(7, sites=("parallel.task",), faults=3)
+        assert all(spec.site == "parallel.task" for spec in plan.entries)
+        assert all(spec.kind in SITES["parallel.task"] for spec in plan.entries)
 
     def test_seeded_is_always_valid(self):
         for seed in range(20):
@@ -166,11 +166,11 @@ class TestRuntime:
             assert faults.fired_log() == (("parallel.task", TASK_ERROR, 2),)
 
     def test_occurrence_counters_are_per_site(self):
-        plan = FaultPlan.of(FaultSpec("incremental.patch", TASK_ERROR, occurrence=1))
+        plan = FaultPlan.of(FaultSpec("parallel.task", TASK_ERROR, occurrence=1))
         with faults.injected(plan):
-            assert faults.fire("parallel.task") is None
+            assert faults.fire("experiments.cell") is None
             with pytest.raises(InjectedFault):
-                faults.fire("incremental.patch")
+                faults.fire("parallel.task")
 
     def test_torn_write_and_corrupt_read_return_kind(self):
         plan = FaultPlan.of(

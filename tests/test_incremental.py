@@ -1,6 +1,6 @@
 """Unit and equivalence tests for the incremental sliding-window stack.
 
-Covers the four layers of :mod:`repro.incremental` -- delta extraction
+Covers :mod:`repro.incremental` -- delta extraction
 (:class:`TemporalEdgeIndex.delta`), ``MST_a`` maintenance
 (:class:`IncrementalMSTa`), closure patching
 (:func:`patch_prepared_instance`), and the composed
@@ -201,26 +201,40 @@ class TestClosurePatch:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_engine_patched_closures_match_cold_bitwise(self, seed):
+        """Patch each window's closure from the previous window's, as a
+        forward sweep over the parent graph would, and compare it with
+        the cold closure bit for bit."""
         graph = random_temporal(seed, n=12, m=70)
-        engine = SlidingEngine(graph, 0)
+        index = edge_index_for(graph)
         patched_windows = 0
+        previous = None
         for window in iter_windows(graph, 16, 2):
-            before = engine.stats["patched_prepares"]
-            engine.measure_mstw(window)
-            if engine._prev is None or engine.stats["patched_prepares"] == before:
-                continue
-            patched_windows += 1
-            _, transformed, prepared = engine._prev
-            terminals = sorted(
-                (v for v in engine.msta.covered() if v != 0), key=repr
+            transformed = transform_temporal_graph(
+                graph, 0, window, chronological=True
             )
+            terminals = sorted(transformed.reached(), key=repr)
+            if not terminals:
+                continue
             cold = prepare_instance(
                 transformed.dst_instance(terminals=terminals)
             )
-            assert np.array_equal(prepared.closure.dist, cold.closure.dist)
-            assert np.array_equal(
-                prepared.closure.next_hop, cold.closure.next_hop
-            )
+            prepared = None
+            if previous is not None:
+                prev_window, prev_transformed, prev_prepared = previous
+                added, removed = index.delta(prev_window, window)
+                changed = {v for e in added + removed for v in (e.source, e.target)}
+                prepared = patch_prepared_instance(
+                    prev_transformed, prev_prepared, transformed, terminals, changed
+                )
+            if prepared is None:
+                prepared = cold
+            else:
+                patched_windows += 1
+                assert np.array_equal(prepared.closure.dist, cold.closure.dist)
+                assert np.array_equal(
+                    prepared.closure.next_hop, cold.closure.next_hop
+                )
+            previous = (window, transformed, prepared)
         if seed == 0:
             # At least the first seed must exercise the patch path, or
             # the bitwise assertion above never ran.
@@ -248,28 +262,27 @@ class TestSlidingEngine:
         windows = list(iter_windows(graph, 14, 4))
         for window in windows:
             engine.measure_mstw(window)
-        stats = engine.stats
-        assert stats["windows"] == len(windows)
-        assert stats["patched_prepares"] + stats["cold_prepares"] <= len(windows)
-        assert stats["cold_prepares"] >= 1
+        assert engine.stats == {"windows": len(windows)}
+        # MST_w windows never touch the MST_a maintainer.
+        assert not any(engine.msta.stats.values())
+        for window in windows:
+            engine.measure_msta(window)
+        assert engine.stats == {"windows": 2 * len(windows)}
+        assert engine.msta.stats["cold_solves"] >= 1
 
     def test_budget_drain_degrades_with_caveat(self):
         graph = random_temporal(6, n=10, m=45)
-        cold = sliding_mstw(graph, 0, 14, 4)
+        cold = sliding_msta(graph, 0, 14, 4)
         engine = SlidingEngine(graph, 0)
         warm = [
-            engine.measure_mstw(w, budget=Budget(max_expansions=0))
+            engine.measure_msta(w, budget=Budget(max_expansions=0))
             for w in iter_windows(graph, 14, 4)
         ]
-        # Output-identical despite every incremental path being cut off.
+        # Output-identical despite every repair being cut off.
         for c, w in zip(cold, warm):
             assert _ser(c.tree) == _ser(w.tree)
         assert any(m.caveat for m in warm)
-        assert (
-            engine.stats["budget_fallbacks"]
-            + engine.msta.stats["budget_fallbacks"]
-            > 0
-        )
+        assert engine.msta.stats["budget_fallbacks"] > 0
 
     def test_unknown_algorithm_rejected(self, figure1):
         engine = SlidingEngine(figure1, 0, algorithm="bogus")

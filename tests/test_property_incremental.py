@@ -1,12 +1,12 @@
-"""Property-based tests: incremental sweeps equal cold recomputation.
+"""Property-based tests: engine sweeps equal cold recomputation.
 
 Strategy: random temporal multigraphs paired with random *slide
 sequences* -- window moves of varying delta including slides larger
 than the window length (disjoint jumps) and backward moves, which the
-engine must answer by falling back to a cold solve.  For every window
-in the sequence the incremental engine's answer must equal the cold
-per-window computation exactly: ``MST_a`` arrival maps, serialized
-trees, and ``MST_w`` cost.
+``MST_a`` repair must answer by falling back to a cold solve.  For
+every window in the sequence the engine's answer must equal the cold
+per-window computation over the window's subgraph exactly: ``MST_a``
+arrival maps, serialized trees, and ``MST_w`` cost.
 """
 
 import hypothesis.strategies as st
@@ -25,9 +25,12 @@ SPAN = 24  # timestamps are drawn from [0, SPAN]
 
 
 @st.composite
-def graphs_and_slides(draw, max_vertices=7, max_edges=20, max_windows=6):
+def graphs_and_slides(
+    draw, max_vertices=7, max_edges=20, max_windows=6, max_durations=st.just(4)
+):
     n = draw(st.integers(min_value=2, max_value=max_vertices))
     num_edges = draw(st.integers(min_value=1, max_value=max_edges))
+    max_duration = draw(max_durations)
     edges = []
     for _ in range(num_edges):
         u = draw(st.integers(min_value=0, max_value=n - 1))
@@ -35,7 +38,7 @@ def graphs_and_slides(draw, max_vertices=7, max_edges=20, max_windows=6):
         if u == v:
             continue
         start = draw(st.integers(min_value=0, max_value=SPAN - 4))
-        duration = draw(st.integers(min_value=0, max_value=4))
+        duration = draw(st.integers(min_value=0, max_value=max_duration))
         weight = draw(st.integers(min_value=1, max_value=9))
         edges.append(TemporalEdge(u, v, start, start + duration, weight))
     graph = TemporalGraph(edges, vertices=range(n))
@@ -92,14 +95,28 @@ def test_incremental_msta_equals_cold_on_any_slide_sequence(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=graphs_and_slides(max_edges=14, max_windows=4))
+@given(
+    data=graphs_and_slides(
+        max_edges=14, max_windows=4, max_durations=st.sampled_from([0, 4])
+    )
+)
 def test_incremental_mstw_equals_cold_on_any_slide_sequence(data):
+    """Every MST_w window equals ``minimum_spanning_tree_w`` on its subgraph.
+
+    Half the graphs have only zero-duration edges; windows the root has
+    no edge in give None on both sides.  The ``MST_w`` sweep never
+    advances the ``MST_a`` maintainer.
+    """
     graph, windows = data
     index = TemporalEdgeIndex(graph)
     engine = SlidingEngine(graph, 0, index=index)
     for window in windows:
-        warm = engine.measure_mstw(window).tree
+        measurement = engine.measure_mstw(window)
+        warm = measurement.tree
         cold = _cold_mstw(index, 0, window)
         assert _ser(warm) == _ser(cold), window
+        assert measurement.caveat is None
         if cold is not None:
             assert warm.total_weight == cold.total_weight
+    assert engine.stats == {"windows": len(windows)}
+    assert not any(engine.msta.stats.values())

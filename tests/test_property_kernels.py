@@ -2,8 +2,8 @@
 
 The vectorised solver cores in :mod:`repro.steiner.kernels` are only
 admissible if they return *exactly* what the scalar scans returned --
-same trees, same cost floats, same density logs, same budget trips,
-same fallback caveats.  These properties pin that against the verbatim
+same trees, same cost floats, same budget trips, same fallback
+caveats.  These properties pin that against the verbatim
 pre-kernel solvers frozen in :mod:`repro.perf.legacy`
 (``scalar_charikar_dst`` / ``scalar_improved_dst`` /
 ``scalar_pruned_dst``), and the batched candidate scan against the
@@ -80,6 +80,24 @@ def lockstep_calls():
         yield calls
     finally:
         kernels.SubSolves.solve = original
+
+
+@contextmanager
+def chunk_steps():
+    """Record the ticks of every batched ``PrunedScan`` step."""
+    steps = []
+    original = kernels.PrunedScan._step_chunk
+
+    def counting(self):
+        ticks = original(self)
+        steps.append(ticks)
+        return ticks
+
+    kernels.PrunedScan._step_chunk = counting
+    try:
+        yield steps
+    finally:
+        kernels.PrunedScan._step_chunk = original
 
 
 @contextmanager
@@ -236,86 +254,44 @@ class TestSolverIdentity:
                     ), (floor, new.__name__)
             _assert_lockstep_ran(floor, level, calls)
 
-    @settings(max_examples=20, deadline=None)
-    @given(graph=reachable_graphs(), level=st.sampled_from([2, 3, 4]))
-    def test_pruned_density_log_matches_scalar(self, graph, level):
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
-        for floor in FLOORS:
-            with kernel_floor(floor), lockstep_calls() as calls:
-                log_new, log_old = [], []
-                new = pruned_dst(prepared, level, density_log=log_new)
-                old = scalar_pruned_dst(prepared, level, density_log=log_old)
-                assert _fingerprint(new) == _fingerprint(old), floor
-                assert log_new == log_old, floor
-            _assert_lockstep_ran(floor, level, calls)
-
-    def test_long_walks_and_warm_bounds_match_scalar(self):
+    def test_long_walks_match_scalar(self):
         """Seeded instances past the scalar head and chunk boundaries.
 
         ``n`` well above ``PRUNED_SCALAR_HEAD + PRUNED_CHUNK`` drives
         the pruned scan through its scalar head *and* several batched
-        chunks; warm bounds at every tightness exercise the skip mask
-        and the ``_WarmMiss`` cold-rerun path.  Level 2 only: the
-        frozen scalar oracle is quadratic in Python at level 3, and the
-        level-3 inner scans reuse the same level-2 walk anyway (the
-        hypothesis properties above cover level 3 on small graphs).
+        chunks.  Level 2 only: the frozen scalar oracle is quadratic in
+        Python at level 3, and the level-3 inner scans reuse the same
+        level-2 walk anyway (the hypothesis properties above cover
+        level 3 on small graphs).
         """
         for seed in range(3):
             graph = _random_reachable_graph(seed, n=70)
             _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
-            with kernel_floor(0):
-                log_new, log_old = [], []
-                new = pruned_dst(prepared, 2, density_log=log_new)
-                old = scalar_pruned_dst(prepared, 2, density_log=log_old)
-                assert _fingerprint(new) == _fingerprint(old)
-                assert log_new == log_old
-                finite = [d for d in log_old if math.isfinite(d)]
-                if not finite:
-                    continue
-                for scale in (0.5, 1.0, 1.5, 10.0):
-                    bound = max(finite) * scale
-                    warm_new = pruned_dst(prepared, 2, warm_bound=bound)
-                    warm_old = scalar_pruned_dst(prepared, 2, warm_bound=bound)
-                    assert _fingerprint(warm_new) == _fingerprint(warm_old)
+            with kernel_floor(0), chunk_steps() as steps:
+                new = pruned_dst(prepared, 2)
+            assert steps, "the walk never left the scalar head"
+            old = scalar_pruned_dst(prepared, 2)
+            assert _fingerprint(new) == _fingerprint(old)
 
-    def test_level3_lockstep_walks_and_warm_bounds_match_scalar(self):
-        """Seeded level-3 instances below the floor, cold and warm.
+    def test_level3_lockstep_walks_match_scalar(self):
+        """Seeded level-3 instances below the floor.
 
-        The first top-level w-iteration evaluates every unskipped
-        vertex, so with well over ``LOCKSTEP_CHUNK`` of them the walk's
-        prefetch solves at least two chunks of lockstep children; warm
-        bounds at every tightness exercise the skip filter of the
-        prefetch and the ``_WarmMiss`` cold rerun.
+        The first top-level w-iteration evaluates every vertex, so with
+        well over ``LOCKSTEP_CHUNK`` of them the walk's prefetch solves
+        at least two chunks of lockstep children.
         """
         for seed in range(2):
             graph = _random_reachable_graph(seed, n=25)
             _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
             assert kernels.lockstep(prepared)
             with lockstep_calls() as calls:
-                log_new, log_old = [], []
-                new = pruned_dst(prepared, 3, density_log=log_new)
-                old = scalar_pruned_dst(prepared, 3, density_log=log_old)
+                new = pruned_dst(prepared, 3)
+            old = scalar_pruned_dst(prepared, 3)
             assert _fingerprint(new) == _fingerprint(old)
-            assert log_new == log_old
             assert calls[:2] == [
                 kernels.LOCKSTEP_CHUNK,
                 kernels.LOCKSTEP_CHUNK * kernels.PRUNED_CHUNK_GROWTH,
             ]
-            finite = [d for d in log_old if math.isfinite(d)]
-            assert finite
-            for scale in (0.5, 1.0, 1.5, 10.0):
-                bound = max(finite) * scale
-                log_new, log_old = [], []
-                with lockstep_calls() as calls:
-                    warm_new = pruned_dst(
-                        prepared, 3, warm_bound=bound, density_log=log_new
-                    )
-                warm_old = scalar_pruned_dst(
-                    prepared, 3, warm_bound=bound, density_log=log_old
-                )
-                assert _fingerprint(warm_new) == _fingerprint(warm_old)
-                assert log_new == log_old
-                assert calls
 
     def test_floor_keeps_small_instances_scalar(self):
         """Below ``KERNEL_MIN_CELLS`` the level-2 dispatch declines

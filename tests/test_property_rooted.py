@@ -40,7 +40,7 @@ from hypothesis import given, settings
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.sliding import iter_windows
 from repro.core.transformation import transform_temporal_graph
-from repro.incremental import SlidingEngine
+from repro.incremental import patch_prepared_instance
 from repro.resilience.budget import Budget
 from repro.static.closure import MetricClosure, build_metric_closure
 from repro.static.dag import (
@@ -62,6 +62,7 @@ from repro.steiner.instance import (
     rooted_instance,
 )
 from repro.steiner.pruned import pruned_dst
+from repro.temporal.index import edge_index_for
 from repro.temporal.paths import reachable_set
 from repro.temporal.window import TimeWindow
 
@@ -408,27 +409,40 @@ class TestPatcher:
         for seed in range(8):
             graph = random_temporal(seed, n=14, m=60)
             windows = list(iter_windows(graph, 14, 2))
+            index = edge_index_for(graph)
             # Backward slides bring edges in at the left end, so labels
             # that were already in both windows can join the root's reach.
-            engine = SlidingEngine(graph, 0)
+            previous = None
             for window in windows + windows[::-1]:
-                previous = engine._prev
-                before = engine.stats["patched_prepares"]
-                engine.measure_mstw(window)
-                if engine.stats["patched_prepares"] == before:
-                    continue
-                _, transformed, prepared = engine._prev
-                terminals = sorted(
-                    (v for v in engine.msta.covered() if v != 0), key=repr
+                transformed = transform_temporal_graph(
+                    graph, 0, window, chronological=True
                 )
+                terminals = sorted(transformed.reached(), key=repr)
+                if not terminals:
+                    continue
                 cold = prepare_instance(transformed.dst_instance(terminals=terminals))
+                prepared = None
+                if previous is not None:
+                    prev_window, prev_transformed, prev_prepared = previous
+                    added, removed = index.delta(prev_window, window)
+                    changed = {
+                        v for e in added + removed for v in (e.source, e.target)
+                    }
+                    prepared = patch_prepared_instance(
+                        prev_transformed, prev_prepared, transformed, terminals,
+                        changed,
+                    )
+                if prepared is None:
+                    previous = (window, transformed, cold)
+                    continue
                 assert prepared.instance.graph.labels() == cold.instance.graph.labels()
                 assert np.array_equal(prepared.closure.dist, cold.closure.dist)
                 assert np.array_equal(
                     prepared.closure.next_hop, cold.closure.next_hop
                 )
-                old_reach = set(previous[2].instance.graph.labels())
+                old_reach = set(prev_prepared.instance.graph.labels())
                 new_reach = set(prepared.instance.graph.labels())
                 grew += bool(new_reach - old_reach)
                 shrank += bool(old_reach - new_reach)
+                previous = (window, transformed, prepared)
         assert grew > 0 and shrank > 0, (grew, shrank)

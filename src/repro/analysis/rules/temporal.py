@@ -9,12 +9,17 @@ edges through :func:`repro.temporal.edge.make_edge`, which enforces
 Only the owning modules (the edge module itself, the graph container
 that re-validates every edge, and the IO parsers with their own
 field-level validation) may construct ``TemporalEdge`` directly.
+
+Handing the class itself to another callable -- ``map(TemporalEdge,
+...)``, ``starmap(TemporalEdge, ...)``, ``map(TemporalEdge._make,
+...)`` -- builds edges just the same and is flagged too; only the
+type checks ``isinstance``/``issubclass`` may take it as an argument.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, List
 
 from repro.analysis.core import Finding, ParsedModule, Rule
 
@@ -26,6 +31,37 @@ ALLOWED_MODULES = frozenset(
         "repro.temporal.io",
     }
 )
+
+
+#: Calls that take the class as a type to test against, not to build with.
+TYPE_CHECKS = frozenset({"isinstance", "issubclass"})
+
+
+def _is_temporal_edge(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "TemporalEdge"
+    return isinstance(node, ast.Attribute) and node.attr == "TemporalEdge"
+
+
+def _edge_builder_reference(node: ast.AST) -> bool:
+    """``TemporalEdge`` or its ``_make``/``_replace``, used as a value."""
+    if isinstance(node, ast.Starred):
+        node = node.value
+    if _is_temporal_edge(node):
+        return True
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in {"_make", "_replace"}
+        and _is_temporal_edge(node.value)
+    )
+
+
+def _passes_temporal_edge(node: ast.Call) -> List[ast.expr]:
+    """The arguments of ``node`` that hand over an edge builder."""
+    if isinstance(node.func, ast.Name) and node.func.id in TYPE_CHECKS:
+        return []
+    values = list(node.args) + [keyword.value for keyword in node.keywords]
+    return [value for value in values if _edge_builder_reference(value)]
 
 
 def _constructs_temporal_edge(node: ast.Call) -> bool:
@@ -58,10 +94,19 @@ class TemporalInvariantRule(Rule):
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and _constructs_temporal_edge(node):
+            if not isinstance(node, ast.Call):
+                continue
+            if _constructs_temporal_edge(node):
                 yield self.finding(
                     module,
                     node,
                     "direct TemporalEdge construction bypasses validation; "
+                    "use repro.temporal.edge.make_edge(...)",
+                )
+            for argument in _passes_temporal_edge(node):
+                yield self.finding(
+                    module,
+                    argument,
+                    "TemporalEdge passed as a callable bypasses validation; "
                     "use repro.temporal.edge.make_edge(...)",
                 )

@@ -23,14 +23,13 @@ Phone       tiny vertex set, enormous ``M/n``, weighted by duration
 from __future__ import annotations
 
 import random
-from typing import List
 
-from repro.temporal.edge import TemporalEdge, make_edge
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.generators import (
+    _columns,
     _rng,
+    _uniform_columns,
     preferential_temporal_graph,
-    uniform_temporal_graph,
 )
 
 
@@ -48,8 +47,8 @@ def epinions_like(scale: float = 1.0, seed: int = 2) -> TemporalGraph:
     target_edges = int(6 * n)
     rng = _rng(seed)
     seen = set()
-    edges: List[TemporalEdge] = []
-    while len(edges) < target_edges:
+    sources, targets, starts, arrivals, weights = columns = _columns()
+    while len(starts) < target_edges:
         u = rng.randrange(n)
         v = rng.randrange(n - 1)
         if v >= u:
@@ -60,8 +59,12 @@ def epinions_like(scale: float = 1.0, seed: int = 2) -> TemporalGraph:
             continue
         seen.add((u, v))
         start = float(rng.randint(0, 10_000))
-        edges.append(make_edge(u, v, start, start + 1.0, 1.0))
-    return TemporalGraph(edges, vertices=range(n))
+        sources.append(u)
+        targets.append(v)
+        starts.append(start)
+        arrivals.append(start + 1.0)
+        weights.append(1.0)
+    return TemporalGraph.from_columns(*columns, vertices=range(n))
 
 
 def facebook_like(scale: float = 1.0, seed: int = 3) -> TemporalGraph:
@@ -115,18 +118,14 @@ def dblp_like(scale: float = 1.0, seed: int = 6) -> TemporalGraph:
     are zero.
     """
     n = max(20, int(1200 * scale))
-    rng = _rng(seed)
-    base = uniform_temporal_graph(
-        n, int(10 * n), time_range=40, max_duration=1, zero_duration=True, seed=rng
+    sources, targets, draws, _, _ = _uniform_columns(
+        n, int(10 * n), 40, 1, True, 10.0, _rng(seed)
     )
     years = [float(1990 + y) for y in range(25)]
-    edges = [
-        make_edge(
-            e.source, e.target, years[int(e.start) % 25], years[int(e.start) % 25], 1.0
-        )
-        for e in base.edges
-    ]
-    return TemporalGraph(edges, vertices=range(n))
+    times = [years[int(t) % 25] for t in draws]
+    return TemporalGraph.from_columns(
+        sources, targets, times, times, [1.0] * len(times), vertices=range(n)
+    )
 
 
 def phone_like(scale: float = 1.0, seed: int = 7) -> TemporalGraph:
@@ -139,7 +138,7 @@ def phone_like(scale: float = 1.0, seed: int = 7) -> TemporalGraph:
     n = max(8, int(60 * scale))
     m = int(220 * n)
     rng = random.Random(seed)
-    edges: List[TemporalEdge] = []
+    sources, targets, starts, arrivals, weights = columns = _columns()
     for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n - 1)
@@ -147,5 +146,9 @@ def phone_like(scale: float = 1.0, seed: int = 7) -> TemporalGraph:
             v += 1
         start = float(rng.randint(0, 400_000))
         duration = float(rng.randint(10, 600))
-        edges.append(make_edge(u, v, start, start + duration, duration))
-    return TemporalGraph(edges, vertices=range(n))
+        sources.append(u)
+        targets.append(v)
+        starts.append(start)
+        arrivals.append(start + duration)
+        weights.append(duration)
+    return TemporalGraph.from_columns(*columns, vertices=range(n))

@@ -11,11 +11,47 @@ maximum-influence structures.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Dict, Tuple
+from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 from repro.temporal.edge import Vertex
 from repro.temporal.graph import TemporalGraph
+
+#: Degree-1 endpoints would weigh ``-log 1 = 0``; see
+#: :func:`weight_cascade_weights`.
+WEIGHT_FLOOR = math.log(2.0) / 64.0
+
+
+def _static_pairs(graph: TemporalGraph, use_out_degree: bool) -> Tuple[Any, Any, Any]:
+    """``(store, pairs, degree)`` over the store's id columns.
+
+    ``pairs`` are the distinct static pairs encoded as ``u * n + v``
+    and ``degree`` the static out-degree (in-degree) per vertex id.
+    """
+    from repro.temporal.columnar import sorted_distinct
+
+    store = graph.columnar()
+    n = store.num_vertices
+    pairs = sorted_distinct(store.sources * n + store.targets)
+    ends = pairs // n if use_out_degree else pairs % n
+    return store, pairs, np.bincount(ends, minlength=n)
+
+
+def _cascade(degrees: Any) -> List[float]:
+    """``max(log d, floor)`` per entry of an int array.
+
+    ``math.log`` runs once per distinct degree and the float objects are
+    gathered (edges of equal degree share one): numpy's ``log`` need not
+    match libm to the last bit.
+    """
+    distinct, inverse = np.unique(degrees, return_inverse=True)
+    table = np.fromiter(
+        (max(math.log(d), WEIGHT_FLOOR) for d in distinct.tolist()),
+        dtype=object,
+        count=len(distinct),
+    )
+    return table[inverse.reshape(-1)].tolist()
 
 
 def weight_cascade_weights(
@@ -38,23 +74,24 @@ def weight_cascade_weights(
     and strictly positive, matching the strictly positive costs of the
     paper's real datasets.
     """
-    static_pairs = set()
-    for edge in graph.edges:
-        static_pairs.add(edge.static_key())
-    out_degree: Counter = Counter()
-    in_degree: Counter = Counter()
-    for (u, v) in static_pairs:
-        out_degree[u] += 1
-        in_degree[v] += 1
-
-    floor = math.log(2.0) / 64.0
-    weights: Dict[Tuple[Vertex, Vertex], float] = {}
-    for (u, v) in static_pairs:
-        degree = out_degree[u] if use_out_degree else in_degree[v]
-        weights[(u, v)] = max(math.log(degree), floor)
-    return weights
+    store, pairs, degree = _static_pairs(graph, use_out_degree)
+    n = store.num_vertices
+    u, v = pairs // n, pairs % n
+    weights = _cascade(degree[u] if use_out_degree else degree[v])
+    labels = store.vertex_labels
+    return {
+        (labels[a], labels[b]): w
+        for a, b, w in zip(u.tolist(), v.tolist(), weights)
+    }
 
 
 def apply_weight_cascade(graph: TemporalGraph, use_out_degree: bool = True) -> TemporalGraph:
-    """``graph`` with weight-cascade weights applied to every edge."""
-    return graph.with_weights(weight_cascade_weights(graph, use_out_degree))
+    """``graph`` with weight-cascade weights applied to every edge.
+
+    The same weights as ``graph.with_weights(weight_cascade_weights(
+    graph))``, computed per edge from the store's id columns without the
+    pair map.
+    """
+    store, _, degree = _static_pairs(graph, use_out_degree)
+    ends = store.sources if use_out_degree else store.targets
+    return graph.with_weight_column(_cascade(degree[ends]))

@@ -66,7 +66,6 @@ from repro.parallel.batch import (
 from repro.parallel.engine import ParallelExecutor
 from repro.parallel.reuse import WindowReuseIndex
 from repro.resilience.budget import Budget
-from repro.temporal.columnar import edges_from_columns
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.window import TimeWindow
 
@@ -144,8 +143,10 @@ class ShardPayload:
     ``columns`` is the stdlib export of
     :meth:`~repro.temporal.columnar.ColumnarEdgeStore.time_slice_columns`:
     locally re-interned vertex labels plus five stdlib
-    ``array``/tuple columns.  Pickles small, and :meth:`to_graph` rebuilds the slice subgraph through the
-    validated :func:`~repro.temporal.edge.make_edge` factory.
+    ``array``/tuple columns.  Pickles small, and :meth:`to_graph` decodes
+    it through the validated column constructor
+    :meth:`~repro.temporal.graph.TemporalGraph.from_columns`, which also
+    builds the slice graph's columnar store from the same columns.
     """
 
     columns: Dict[str, Any]
@@ -161,9 +162,15 @@ class ShardPayload:
 
     def to_graph(self) -> TemporalGraph:
         """Materialise the slice as a :class:`TemporalGraph`."""
-        return TemporalGraph(
-            edges_from_columns(self.columns),
-            vertices=self.columns["labels"],
+        columns = self.columns
+        return TemporalGraph.from_columns(
+            columns["sources"],
+            columns["targets"],
+            columns["starts"],
+            columns["arrivals"],
+            columns["weights"],
+            vertices=columns["labels"],
+            labels=columns["labels"],
         )
 
 

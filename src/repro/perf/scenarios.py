@@ -618,8 +618,9 @@ def build_scenarios(
     def store_build_run(state):
         # Constructed directly (not via graph.columnar()) so every
         # repeat pays the full build instead of hitting the per-graph
-        # cached store.
-        ColumnarEdgeStore(state["graph"].edges, state["graph"].vertices)
+        # cached store; reading one order builds the lazy sort views.
+        store = ColumnarEdgeStore.from_edges(state["graph"].edges, state["graph"].vertices)
+        store.positions_by_start()
         return None
 
     scenarios.extend(

@@ -15,9 +15,10 @@ The columns are numpy ``float64``/``int64`` arrays and queries use
 ``searchsorted``/boolean masks.  Outputs are property-tested against
 the scalar object-level code frozen in :mod:`repro.perf.legacy`.
 
-Stores are derived, immutable state: a :class:`TemporalGraph` builds
-one lazily (``graph.columnar()``) and keeps it for its lifetime, so
-structures derived from a store
+Stores are derived, immutable state.  A graph built from columns
+(:meth:`TemporalGraph.from_columns`) gets its store with it; one built
+from edge objects builds it lazily (``graph.columnar()``).  Either way
+the graph keeps it for its lifetime, so structures derived from a store
 (:func:`repro.temporal.index.edge_index_for`) can be cached per graph.
 
 The sorted views handed out by the accessor methods
@@ -34,12 +35,130 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.temporal.edge import TemporalEdge, Vertex, make_edge
+from repro.temporal.edge import TemporalEdge, Vertex
+
+#: The store's slots built on first read (see ``ColumnarEdgeStore._sort``).
+_SORTED_VIEWS = frozenset(
+    {
+        "_start_order",
+        "_arrival_order",
+        "_starts_sorted",
+        "_arrivals_sorted",
+        "_arrival_by_start",
+        "_start_by_arrival",
+        "_start_rank",
+    }
+)
 
 #: Arrival-chunk size of the vectorised earliest-arrival sweep: large
 #: enough to amortise per-chunk numpy overhead, small enough that the
 #: within-chunk fixpoint re-scan stays cheap.
 EA_CHUNK = 4096
+
+
+def _int_column(values: Sequence[Any]):
+    """``values`` as a 1-D int64 array, or None if they are not all ints."""
+    try:
+        column = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if column.ndim != 1 or column.dtype.kind not in "iu":
+        return None
+    return column.astype(np.int64, copy=False)
+
+
+def _first_occurrence_ids(sources, targets) -> Tuple[Any, Any, Any]:
+    """Dense ids for two int64 columns, in first-occurrence order.
+
+    Endpoints are read interleaved (``sources[0], targets[0],
+    sources[1], ...``), the order the edge-by-edge interning loop meets
+    them.  Returns ``(source_ids, target_ids, first)`` where
+    ``first`` lists, per id, the endpoint that id was first met at
+    (:func:`_endpoint_at` reads it back).  Read-only columns that
+    already are such ids (another store's) are returned as they are.
+
+    Values in ``[0, 4 * endpoints + 4096)`` -- vertex numbers and intern
+    ids -- get each value's first position from one scatter-min over a
+    table indexed by value; other values are sorted (``np.unique``),
+    about 15x slower at 240k endpoints.
+    """
+    both = np.empty(2 * len(sources), dtype=np.int64)
+    both[0::2] = sources
+    both[1::2] = targets
+    if len(both) and both.min() >= 0 and both.max() < 4 * len(both) + 4096:
+        first_at = np.full(int(both.max()) + 1, len(both), dtype=np.int64)
+        np.minimum.at(first_at, both, np.arange(len(both), dtype=np.int64))
+        values = np.flatnonzero(first_at < len(both))
+        first = first_at[values]
+        order = np.argsort(first)
+        id_of = np.empty(len(first_at), dtype=np.int64)
+        id_of[values[order]] = np.arange(len(values), dtype=np.int64)
+        ids = id_of[both]
+    else:
+        _, first, inverse = np.unique(both, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[order] = np.arange(len(first), dtype=np.int64)
+        ids = rank[inverse.reshape(-1)]
+    shared = not (sources.flags.writeable or targets.flags.writeable)
+    if shared and np.array_equal(ids, both):
+        return sources, targets, first[order]
+    return ids[0::2].copy(), ids[1::2].copy(), first[order]
+
+
+def sorted_distinct(values: Any) -> Any:
+    """The distinct values of a 1-D array, ascending: one sort.
+
+    Same result as ``np.unique(values)``, whose plain form imports
+    ``numpy.ma`` on first use (a one-off ~10 ms and ~1.2 MB of RSS)
+    for a masked-array check these columns never need.
+    """
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
+def _endpoint_at(sources, targets, first) -> List[Any]:
+    """The endpoint values at interleaved positions ``first``."""
+    return [targets[p >> 1] if p & 1 else sources[p >> 1] for p in first.tolist()]
+
+
+def _intern_labels(
+    sources: Sequence[Vertex], targets: Sequence[Vertex]
+) -> Tuple[List[Vertex], Any, Any]:
+    """Intern endpoint label columns: ``(labels, source_ids, target_ids)``.
+
+    Int labels are interned with array passes
+    (:func:`_first_occurrence_ids`); any other label type falls back to a
+    dict walk.  Both give the first-occurrence order, and ``labels``
+    holds the first label object met for each id.
+    """
+    src = _int_column(sources)
+    dst = _int_column(targets) if src is not None else None
+    if dst is not None:
+        src_ids, dst_ids, first = _first_occurrence_ids(src, dst)
+        return _endpoint_at(sources, targets, first), src_ids, dst_ids
+    ids: Dict[Vertex, int] = {}
+    src_list: List[int] = []
+    dst_list: List[int] = []
+    for u, v in zip(sources, targets):
+        src_list.append(ids.setdefault(u, len(ids)))
+        dst_list.append(ids.setdefault(v, len(ids)))
+    return (
+        list(ids),
+        np.asarray(src_list, dtype=np.int64),
+        np.asarray(dst_list, dtype=np.int64),
+    )
+
+
+def _float_column(values: Sequence[Any]) -> Tuple[Any, bool]:
+    """``(float64 array, exact)``: exact when every value is a Python float."""
+    if isinstance(values, array) and values.typecode == "d":
+        exact = True
+    else:
+        exact = set(map(type, values)) <= {float}
+    return np.array(values, dtype=np.float64), exact
 
 
 class ColumnarEdgeStore:
@@ -51,9 +170,21 @@ class ColumnarEdgeStore:
         The graph's edge tuple in insertion order.  The store keeps a
         reference (for materialising ``TemporalEdge`` objects back out)
         but never copies or mutates it.
+    sources, targets:
+        The edges' endpoints, one entry per edge: vertex labels, or --
+        when ``labels`` is given -- integer indices into ``labels``.
+    starts, arrivals, weights:
+        The edges' Python values, one entry per edge.
     vertices:
         Optional extra vertices (isolated ones) interned after the edge
-        endpoints.
+        endpoints, in the order given.
+    labels:
+        The label table ``sources``/``targets`` index into.  Only the
+        labels an edge uses are interned (plus ``vertices``).
+
+    The columns must describe ``edges`` exactly; the store does not
+    validate them (:meth:`TemporalGraph.from_columns` does).  Use
+    :meth:`from_edges` to build a store from edge objects alone.
 
     Vertex labels are interned to dense ids in first-occurrence order
     (edge sources/targets in insertion order, then the extras), so two
@@ -85,63 +216,85 @@ class ColumnarEdgeStore:
     def __init__(
         self,
         edges: Sequence[TemporalEdge],
+        sources: Sequence[Any],
+        targets: Sequence[Any],
+        starts: Sequence[Any],
+        arrivals: Sequence[Any],
+        weights: Sequence[Any],
         vertices: Optional[Iterable[Vertex]] = None,
+        labels: Optional[Sequence[Vertex]] = None,
     ) -> None:
         self.edges: Tuple[TemporalEdge, ...] = tuple(edges)
 
-        ids: Dict[Vertex, int] = {}
-        src_ids: List[int] = []
-        dst_ids: List[int] = []
-        starts: List[float] = []
-        arrivals: List[float] = []
-        weights: List[float] = []
-        for e in self.edges:
-            u = ids.get(e.source)
-            if u is None:
-                u = len(ids)
-                ids[e.source] = u
-            v = ids.get(e.target)
-            if v is None:
-                v = len(ids)
-                ids[e.target] = v
-            src_ids.append(u)
-            dst_ids.append(v)
-            starts.append(e.start)
-            arrivals.append(e.arrival)
-            weights.append(e.weight)
+        if labels is None:
+            vertex_labels, src_ids, dst_ids = _intern_labels(sources, targets)
+        else:
+            src = np.asarray(sources, dtype=np.int64)
+            dst = np.asarray(targets, dtype=np.int64)
+            src_ids, dst_ids, first = _first_occurrence_ids(src, dst)
+            vertex_labels = [labels[i] for i in _endpoint_at(src, dst, first)]
+        ids: Dict[Vertex, int] = dict(zip(vertex_labels, range(len(vertex_labels))))
         if vertices is not None:
             for label in vertices:
                 if label not in ids:
-                    ids[label] = len(ids)
+                    ids[label] = len(vertex_labels)
+                    vertex_labels.append(label)
         self.vertex_ids: Dict[Vertex, int] = ids
-        self.vertex_labels: List[Vertex] = list(ids)
+        self.vertex_labels: List[Vertex] = vertex_labels
+        # Read-only, so a store built from these id columns may share them.
+        src_ids.flags.writeable = False
+        dst_ids.flags.writeable = False
+        self.sources = src_ids
+        self.targets = dst_ids
         # Whether the float64 columns are *exact* stand-ins for the edge
         # objects' Python values (same value, same type).  Consumers
         # that must reproduce object-identical outputs (the Section 4.2
         # transformation) may read values straight off the columns when
         # the flag is set, and fall back to the edge objects when a
         # graph carries int (or other numeric) timestamps or weights.
-        self.starts_are_float = all(type(s) is float for s in starts)
-        self.arrivals_are_float = all(type(a) is float for a in arrivals)
-        self.weights_are_float = all(type(w) is float for w in weights)
+        self.starts, self.starts_are_float = _float_column(starts)
+        self.arrivals, self.arrivals_are_float = _float_column(arrivals)
+        self.weights, self.weights_are_float = _float_column(weights)
 
-        self.sources = np.asarray(src_ids, dtype=np.int64)
-        self.targets = np.asarray(dst_ids, dtype=np.int64)
-        self.starts = np.asarray(starts, dtype=np.float64)
-        self.arrivals = np.asarray(arrivals, dtype=np.float64)
-        self.weights = np.asarray(weights, dtype=np.float64)
+    def __getattr__(self, name: str) -> Any:
+        # The sort orders and the views derived from them (the
+        # ``_SORTED_VIEWS`` slots) are left unset until first read: a
+        # graph used only for its id columns -- a dataset's unweighted
+        # stand-in, which the weight cascade reads and drops -- never
+        # pays for them, in time or in peak memory.  Python calls this
+        # only for unset attributes.  Two threads racing here compute
+        # equal arrays, so either's may win.
+        if name not in _SORTED_VIEWS:
+            raise AttributeError(name)
+        self._sort()
+        return object.__getattribute__(self, name)
+
+    def _sort(self) -> None:
         # lexsort is stable, so full (start, arrival) ties keep the
         # insertion position as the final key -- the exact order the
         # object core's stable sorts produce.
-        self._start_order = np.lexsort((self.arrivals, self.starts))
-        self._arrival_order = np.lexsort((self.starts, self.arrivals))
-        self._starts_sorted = self.starts[self._start_order]
-        self._arrivals_sorted = self.arrivals[self._arrival_order]
-        self._arrival_by_start = self.arrivals[self._start_order]
-        self._start_by_arrival = self.starts[self._arrival_order]
+        start_order = np.lexsort((self.arrivals, self.starts))
+        arrival_order = np.lexsort((self.starts, self.arrivals))
         rank = np.empty(len(self.edges), dtype=np.int64)
-        rank[self._start_order] = np.arange(len(self.edges), dtype=np.int64)
+        rank[start_order] = np.arange(len(self.edges), dtype=np.int64)
+        self._starts_sorted = self.starts[start_order]
+        self._arrivals_sorted = self.arrivals[arrival_order]
+        self._arrival_by_start = self.arrivals[start_order]
+        self._start_by_arrival = self.starts[arrival_order]
         self._start_rank = rank
+        self._arrival_order = arrival_order
+        self._start_order = start_order
+
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Sequence[TemporalEdge],
+        vertices: Optional[Iterable[Vertex]] = None,
+    ) -> "ColumnarEdgeStore":
+        """The store of an edge tuple: its columns read off the objects."""
+        edges = tuple(edges)
+        columns = tuple(zip(*edges)) if edges else ((),) * 5
+        return cls(edges, *columns, vertices=vertices)
 
     # ------------------------------------------------------------------
     # Shared-view accessors (REP102-protected: never mutate the result)
@@ -359,7 +512,7 @@ class ColumnarEdgeStore:
         tuples of the original Python values when the matching
         ``*_are_float`` flag is unset.  Only stdlib containers, so the
         payload format does not depend on the numpy version and rebuilds
-        the identical edge tuple (:func:`edges_from_columns`).
+        the identical graph (:meth:`TemporalGraph.from_columns`).
         """
         edges = self.edges
         return {
@@ -429,24 +582,3 @@ class ColumnarEdgeStore:
             f"ColumnarEdgeStore(M={self.num_edges}, n={self.num_vertices})"
         )
 
-
-def edges_from_columns(columns: Dict[str, Any]) -> List[TemporalEdge]:
-    """Rebuild the edge list a column export describes, in order.
-
-    Inverse of :meth:`ColumnarEdgeStore.export_columns` /
-    :meth:`ColumnarEdgeStore.time_slice_columns`: intern ids are mapped
-    back through ``labels`` and every edge goes through
-    :func:`make_edge`, so a corrupted payload fails validation instead
-    of entering a graph.
-    """
-    labels = columns["labels"]
-    return [
-        make_edge(labels[u], labels[v], start, arrival, weight)
-        for u, v, start, arrival, weight in zip(
-            columns["sources"],
-            columns["targets"],
-            columns["starts"],
-            columns["arrivals"],
-            columns["weights"],
-        )
-    ]

@@ -5,24 +5,59 @@ testing, and the synthetic stand-ins for the paper's datasets (see
 :mod:`repro.datasets.synthetic` for the named dataset shapes).
 
 All generators take an explicit ``seed`` (or a ``random.Random``) so
-every experiment in the benchmark harness is reproducible.
+every experiment in the benchmark harness is reproducible.  They append
+plain edge columns and build the graph once, through the validated
+:meth:`TemporalGraph.from_columns`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
-from repro.temporal.edge import TemporalEdge, make_edge
 from repro.temporal.graph import TemporalGraph
 
 RandomLike = Union[int, random.Random, None]
+
+
+#: ``(sources, targets, starts, arrivals, weights)`` edge columns.
+Columns = Tuple[List[int], List[int], List[float], List[float], List[float]]
 
 
 def _rng(seed: RandomLike) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
+
+
+def _columns() -> Columns:
+    return [], [], [], [], []
+
+
+def _uniform_columns(
+    num_vertices: int,
+    num_edges: int,
+    time_range: float,
+    max_duration: float,
+    zero_duration: bool,
+    max_weight: float,
+    rng: random.Random,
+) -> Columns:
+    """The edge columns :func:`uniform_temporal_graph` draws from ``rng``."""
+    sources, targets, starts, arrivals, weights = columns = _columns()
+    for _ in range(num_edges):
+        u = rng.randrange(num_vertices)
+        v = rng.randrange(num_vertices - 1)
+        if v >= u:
+            v += 1
+        start = float(rng.randint(0, int(time_range)))
+        duration = 0.0 if zero_duration else float(rng.randint(1, int(max_duration)))
+        sources.append(u)
+        targets.append(v)
+        starts.append(start)
+        arrivals.append(start + duration)
+        weights.append(float(rng.randint(1, int(max_weight))))
+    return columns
 
 
 def uniform_temporal_graph(
@@ -43,18 +78,16 @@ def uniform_temporal_graph(
     """
     if num_vertices < 2:
         raise ValueError("need at least two vertices")
-    rng = _rng(seed)
-    edges: List[TemporalEdge] = []
-    for _ in range(num_edges):
-        u = rng.randrange(num_vertices)
-        v = rng.randrange(num_vertices - 1)
-        if v >= u:
-            v += 1
-        start = float(rng.randint(0, int(time_range)))
-        duration = 0.0 if zero_duration else float(rng.randint(1, int(max_duration)))
-        weight = float(rng.randint(1, int(max_weight)))
-        edges.append(make_edge(u, v, start, start + duration, weight))
-    return TemporalGraph(edges, vertices=range(num_vertices))
+    columns = _uniform_columns(
+        num_vertices,
+        num_edges,
+        time_range,
+        max_duration,
+        zero_duration,
+        max_weight,
+        _rng(seed),
+    )
+    return TemporalGraph.from_columns(*columns, vertices=range(num_vertices))
 
 
 def preferential_temporal_graph(
@@ -86,8 +119,8 @@ def preferential_temporal_graph(
         return rng.randrange(num_vertices)
 
     used = set()
-    edges: List[TemporalEdge] = []
-    while len(edges) < num_edges:
+    sources, targets, starts, arrivals, weights = columns = _columns()
+    while len(starts) < num_edges:
         pair = None
         for attempt in range(20):
             # Fall back to unbiased picks once the hub pairs are used up.
@@ -108,13 +141,17 @@ def preferential_temporal_graph(
             pair = (u, v)
         used.add(pair)
         u, v = pair
-        copies = min(rng.randint(1, multiplicity), num_edges - len(edges))
+        copies = min(rng.randint(1, multiplicity), num_edges - len(starts))
         base = rng.randint(0, max(1, int(time_range) - copies - 2))
+        duration = 0.0 if zero_duration else 1.0
         for j in range(copies):
             start = float(base + j)
-            duration = 0.0 if zero_duration else 1.0
-            edges.append(make_edge(u, v, start, start + duration, 1.0))
-    return TemporalGraph(edges, vertices=range(num_vertices))
+            sources.append(u)
+            targets.append(v)
+            starts.append(start)
+            arrivals.append(start + duration)
+            weights.append(1.0)
+    return TemporalGraph.from_columns(*columns, vertices=range(num_vertices))
 
 
 def reachable_temporal_graph(
@@ -137,7 +174,7 @@ def reachable_temporal_graph(
     if num_vertices < 2:
         raise ValueError("need at least two vertices")
     rng = _rng(seed)
-    edges: List[TemporalEdge] = []
+    sources, targets, starts, arrivals, weights = columns = _columns()
     order = [v for v in range(num_vertices) if v != root]
     rng.shuffle(order)
     arrival = {root: 0.0}
@@ -147,8 +184,11 @@ def reachable_temporal_graph(
         parent = rng.choice(reached)
         start = arrival[parent] + rng.random() * slack
         duration = 0.0 if zero_duration else rng.random() * slack + 0.01
-        weight = float(rng.randint(1, int(max_weight)))
-        edges.append(make_edge(parent, v, start, start + duration, weight))
+        sources.append(parent)
+        targets.append(v)
+        starts.append(start)
+        arrivals.append(start + duration)
+        weights.append(float(rng.randint(1, int(max_weight))))
         arrival[v] = start + duration
         reached.append(v)
     for _ in range(extra_edges):
@@ -158,9 +198,12 @@ def reachable_temporal_graph(
             v += 1
         start = rng.random() * time_range
         duration = 0.0 if zero_duration else rng.random() * slack + 0.01
-        weight = float(rng.randint(1, int(max_weight)))
-        edges.append(make_edge(u, v, start, start + duration, weight))
-    return TemporalGraph(edges, vertices=range(num_vertices))
+        sources.append(u)
+        targets.append(v)
+        starts.append(start)
+        arrivals.append(start + duration)
+        weights.append(float(rng.randint(1, int(max_weight))))
+    return TemporalGraph.from_columns(*columns, vertices=range(num_vertices))
 
 
 def layered_temporal_graph(
@@ -184,13 +227,14 @@ def layered_temporal_graph(
     for size in layers:
         offsets.append(total)
         total += size
-    edges: List[TemporalEdge] = []
+    sources, targets, starts, arrivals, weights = columns = _columns()
     for i in range(len(layers) - 1):
         for _ in range(edges_per_layer):
-            u = offsets[i] + rng.randrange(layers[i])
-            v = offsets[i + 1] + rng.randrange(layers[i + 1])
+            sources.append(offsets[i] + rng.randrange(layers[i]))
+            targets.append(offsets[i + 1] + rng.randrange(layers[i + 1]))
             start = i * layer_gap + rng.random() * (layer_gap * 0.5)
             duration = 0.0 if zero_duration else rng.random() * (layer_gap * 0.4)
-            weight = float(rng.randint(1, int(max_weight)))
-            edges.append(make_edge(u, v, start, start + duration, weight))
-    return TemporalGraph(edges, vertices=range(total))
+            starts.append(start)
+            arrivals.append(start + duration)
+            weights.append(float(rng.randint(1, int(max_weight))))
+    return TemporalGraph.from_columns(*columns, vertices=range(total))

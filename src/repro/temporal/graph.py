@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from itertools import repeat
+from operator import itemgetter
 from typing import (
     Any,
     Dict,
@@ -25,13 +27,14 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    cast,
 )
 
 import numpy as np
 
 from repro.core.errors import GraphFormatError
 from repro.core.numeric import EPSILON, is_zero
-from repro.temporal.edge import TemporalEdge, Vertex
+from repro.temporal.edge import TemporalEdge, Vertex, make_edge
 
 #: Tag marking the columnar ``__getstate__`` layout.  The legacy layout
 #: is a 2-tuple whose first element is the edge *tuple*, so a string
@@ -95,6 +98,92 @@ class TemporalGraph:
             vertex_set.add(edge.target)
         self._edges: Tuple[TemporalEdge, ...] = tuple(edge_list)
         self._vertices: FrozenSet[Vertex] = frozenset(vertex_set)
+        self._reset_derived()
+
+    @classmethod
+    def from_columns(
+        cls,
+        sources: Sequence[Any],
+        targets: Sequence[Any],
+        starts: Sequence[Any],
+        arrivals: Sequence[Any],
+        weights: Sequence[Any],
+        vertices: Optional[Iterable[Vertex]] = None,
+        labels: Optional[Sequence[Vertex]] = None,
+    ) -> "TemporalGraph":
+        """The graph whose ``i``-th edge is row ``i`` of five columns.
+
+        ``sources``/``targets`` hold vertex labels, or -- when
+        ``labels`` is given -- integer indices into ``labels``.  The
+        value columns hold the edges' Python values (numpy arrays are
+        read back as Python floats/ints).  ``vertices`` adds isolated
+        vertices, as in the constructor.
+
+        Whole columns are validated at once (no NaN, ``arrival >=
+        start``, ``weight >= 0``); the first bad row raises the
+        :class:`GraphFormatError` :func:`make_edge` raises for it.  The
+        edge tuple is then built in one pass, and the graph's
+        :class:`~repro.temporal.columnar.ColumnarEdgeStore` from the same
+        columns, so ``columnar()`` never walks the edge objects.
+        """
+        graph = cls.__new__(cls)
+        graph._assign_columns(
+            sources, targets, starts, arrivals, weights, vertices, labels
+        )
+        return graph
+
+    def _assign_columns(
+        self,
+        sources: Sequence[Any],
+        targets: Sequence[Any],
+        starts: Sequence[Any],
+        arrivals: Sequence[Any],
+        weights: Sequence[Any],
+        vertices: Optional[Iterable[Vertex]],
+        labels: Optional[Sequence[Vertex]],
+    ) -> None:
+        from repro.temporal.columnar import ColumnarEdgeStore
+
+        starts, arrivals, weights = (
+            _python_values(column) for column in (starts, arrivals, weights)
+        )
+        lengths = {len(c) for c in (sources, targets, starts, arrivals, weights)}
+        if len(lengths) > 1:
+            raise GraphFormatError(
+                f"edge columns differ in length: {sorted(lengths)}"
+            )
+        extras = None if vertices is None else list(vertices)
+        if labels is None:
+            source_labels, target_labels = sources, targets
+        else:
+            source_labels = _labels_at(labels, sources)
+            target_labels = _labels_at(labels, targets)
+        _check_values(source_labels, target_labels, starts, arrivals, weights)
+        # ``tuple.__new__`` skips the NamedTuple's Python-level
+        # ``__new__`` frame per edge; the rows were validated above.
+        edges = cast(
+            Tuple[TemporalEdge, ...],
+            tuple(
+                map(
+                    tuple.__new__,
+                    repeat(TemporalEdge),
+                    zip(source_labels, target_labels, starts, arrivals, weights),
+                )
+            ),
+        )
+        store = ColumnarEdgeStore(
+            edges, sources, targets, starts, arrivals, weights, extras, labels
+        )
+        # The constructor's vertex set, built in its insertion order:
+        # the extras, then the endpoints as the edges first meet them.
+        vertex_set: Set[Vertex] = set(extras) if extras is not None else set()
+        vertex_set.update(store.vertex_labels)
+        self._edges = edges
+        self._vertices = frozenset(vertex_set)
+        self._reset_derived()
+        self._columnar = store
+
+    def _reset_derived(self) -> None:
         self._chronological: Optional[Tuple[TemporalEdge, ...]] = None
         self._chronological_starts: Optional[List[float]] = None
         self._zero_duration: Optional[bool] = None
@@ -113,7 +202,8 @@ class TemporalGraph:
     def columnar(self) -> Any:
         """The graph's :class:`repro.temporal.columnar.ColumnarEdgeStore`.
 
-        Built lazily on first use, then kept for the graph's lifetime:
+        Built with the graph by :meth:`from_columns`, else lazily from the
+        edge objects on first use; then kept for the graph's lifetime:
         every later call returns the same object, so state derived from
         the store may be cached per graph.
         """
@@ -121,7 +211,7 @@ class TemporalGraph:
 
         store = self._columnar
         if store is None:
-            store = ColumnarEdgeStore(self._edges, self._vertices)
+            store = ColumnarEdgeStore.from_edges(self._edges, self._vertices)
             self._columnar = store
         return store
 
@@ -163,27 +253,22 @@ class TemporalGraph:
 
     def __setstate__(self, state: Tuple[Any, Any]) -> None:
         if state[0] == _COLUMNAR_STATE_TAG:
-            from repro.temporal.columnar import edges_from_columns
-
             columns = state[1]
             # ``labels`` includes isolated vertices (the store interns
             # ``graph.vertices`` after the edge endpoints), so the
-            # vertex set round-trips exactly.
-            self._edges = tuple(edges_from_columns(columns))
-            self._vertices = frozenset(columns["labels"])
+            # vertex set and the store's intern ids round-trip exactly.
+            self._assign_columns(
+                columns["sources"],
+                columns["targets"],
+                columns["starts"],
+                columns["arrivals"],
+                columns["weights"],
+                vertices=columns["labels"],
+                labels=columns["labels"],
+            )
         else:
             self._edges, self._vertices = state
-        self._chronological = None
-        self._chronological_starts = None
-        self._zero_duration = None
-        self._arrival_sorted = None
-        self._adjacency_desc = None
-        self._adjacency_asc = None
-        self._starts_asc = None
-        self._in_edges = None
-        self._out_edges = None
-        self._prepare_memo = None
-        self._columnar = None
+            self._reset_derived()
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -395,31 +480,66 @@ class TemporalGraph:
         The paper's Table 2 experiment sets all durations to 1 (as in
         Wu et al. [27]); Table 3 sets them to 0.  Arrival times become
         ``start + duration``.
+
+        The copy keeps only the vertices some edge touches: isolated
+        vertices are dropped, as they always have been.  Keeping them
+        would change dataset sizes, so it is left for its own change.
         """
         if duration < 0:
             raise GraphFormatError("duration must be non-negative")
-        return TemporalGraph(
-            TemporalEdge(e.source, e.target, e.start, e.start + duration, e.weight)
-            for e in self._edges
+        sources, targets, starts, _, weights = (
+            tuple(zip(*self._edges)) if self._edges else ((),) * 5
+        )
+        return TemporalGraph.from_columns(
+            sources, targets, starts, [s + duration for s in starts], weights
         )
 
     def with_weights(self, weights: Dict[Tuple[Vertex, Vertex], float]) -> "TemporalGraph":
         """A copy whose edge weights come from a static ``(u, v) -> w`` map.
 
         Used by the weight-cascade assignment of Section 5.1, where the
-        weight depends only on the static endpoints.
+        weight depends only on the static endpoints.  The map is read
+        once per distinct ``(u, v)`` pair of the store's id columns.
+
+        The copy keeps only the vertices some edge touches: isolated
+        vertices are dropped (weighted epinions at scale 25 has 19,999
+        of its generator's 20,000), as they always have been.  Keeping
+        them would change dataset sizes, so it is left for its own
+        change.
         """
-        missing = {
-            e.static_key() for e in self._edges if e.static_key() not in weights
-        }
+        store = self.columnar()
+        n = store.num_vertices
+        pairs, inverse = np.unique(
+            store.sources * n + store.targets, return_inverse=True
+        )
+        labels = store.vertex_labels
+        keys = [(labels[k // n], labels[k % n]) for k in pairs.tolist()]
+        missing = [key for key in keys if key not in weights]
         if missing:
             raise GraphFormatError(
                 f"weight map missing {len(missing)} static edges, e.g. "
-                f"{next(iter(missing))!r}"
+                f"{missing[0]!r}"
             )
-        return TemporalGraph(
-            TemporalEdge(e.source, e.target, e.start, e.arrival, weights[e.static_key()])
-            for e in self._edges
+        per_pair = np.fromiter(
+            (weights[key] for key in keys), dtype=object, count=len(keys)
+        )
+        return self.with_weight_column(per_pair[inverse.reshape(-1)].tolist())
+
+    def with_weight_column(self, weights: Sequence[float]) -> "TemporalGraph":
+        """A copy whose ``i``-th edge weighs ``weights[i]``.
+
+        Built from the store's columns with only the weight column
+        replaced.  Isolated vertices are dropped, as in
+        :meth:`with_weights`.
+        """
+        store = self.columnar()
+        return TemporalGraph.from_columns(
+            store.sources,
+            store.targets,
+            list(map(itemgetter(2), self._edges)),
+            list(map(itemgetter(3), self._edges)),
+            weights,
+            labels=store.vertex_labels,
         )
 
     # ------------------------------------------------------------------
@@ -435,6 +555,11 @@ class TemporalGraph:
         """
         if not self._edges:
             raise GraphFormatError("time_span of an empty temporal graph")
+        store = self._float_time_store()
+        if store is not None:
+            # The first start of the start order, the last arrival of
+            # the arrival order.
+            return float(store.sorted_starts()[0]), float(store.sorted_arrivals()[-1])
         t_a = min(e.start for e in self._edges)
         t_omega = max(e.arrival for e in self._edges)
         return t_a, t_omega
@@ -457,6 +582,11 @@ class TemporalGraph:
 
     def distinct_time_instances(self) -> int:
         """``|Gamma_G|``: the number of distinct timestamps in the graph."""
+        store = self._float_time_store()
+        if store is not None:
+            from repro.temporal.columnar import sorted_distinct
+
+            return len(sorted_distinct(np.concatenate((store.starts, store.arrivals))))
         instants: Set[float] = set()
         for edge in self._edges:
             instants.add(edge.start)
@@ -480,3 +610,57 @@ def from_quintuples(
                 f"expected 4- or 5-tuples, got row of length {len(row)}: {row!r}"
             )
     return TemporalGraph(edges, vertices=vertices)
+
+
+def _python_values(column: Sequence[Any]) -> List[Any]:
+    """A value column as a list of Python values.
+
+    numpy arrays and stdlib ``array`` columns read back through
+    ``tolist()``, so the edges hold Python floats/ints, never numpy
+    scalars.
+    """
+    if isinstance(column, list):
+        return column
+    tolist = getattr(column, "tolist", None)
+    if tolist is None:
+        return list(column)
+    values: List[Any] = tolist()
+    return values
+
+
+def _labels_at(labels: Sequence[Vertex], ids: Sequence[Any]) -> List[Vertex]:
+    """The labels an id column indexes, range-checked."""
+    column = np.asarray(ids, dtype=np.int64)
+    if len(column) and (int(column.min()) < 0 or int(column.max()) >= len(labels)):
+        raise GraphFormatError(
+            f"vertex index out of range for {len(labels)} labels: "
+            f"[{int(column.min())}, {int(column.max())}]"
+        )
+    table = np.fromiter(labels, dtype=object, count=len(labels))
+    values: List[Vertex] = table[column].tolist()
+    return values
+
+
+def _check_values(
+    sources: Sequence[Vertex],
+    targets: Sequence[Vertex],
+    starts: List[Any],
+    arrivals: List[Any],
+    weights: List[Any],
+) -> None:
+    """Validate whole value columns; raise for the first bad row.
+
+    All-float columns are checked in one vectorised pass.  Other value
+    types (ints, fractions) are compared as Python values, row by row,
+    since float64 may round them.  Either way the first bad row goes
+    through :func:`make_edge`, which raises its exact message.
+    """
+    columns = (starts, arrivals, weights)
+    if all(set(map(type, column)) <= {float} for column in columns):
+        s, a, w = (np.asarray(column, dtype=np.float64) for column in columns)
+        bad = np.isnan(s) | np.isnan(a) | np.isnan(w) | (a < s) | (w < 0)
+        rows: Iterable[int] = np.flatnonzero(bad)[:1].tolist()
+    else:
+        rows = range(len(starts))
+    for i in rows:
+        make_edge(sources[i], targets[i], starts[i], arrivals[i], weights[i])

@@ -102,6 +102,15 @@ CASES = [
 
 IDS = [case[0] for case in CASES]
 
+#: Violation fixtures checked by a test of their own, kept out of CASES
+#: so the parametrised ids above stay stable.
+MAPPER_CASE = (
+    "temporal-invariant",
+    "REP105",
+    os.path.join("repro", "datasets", "mapper.py"),
+    "map(TemporalEdge,",
+)
+
 
 def _line_of(path, needle):
     with open(path, "r", encoding="utf-8") as handle:
@@ -143,6 +152,62 @@ def test_suppression_comment_silences_a_rule():
     line = _line_of(path, "while queue:")
     assert module.is_suppressed(line, "budget-tick")
     assert not module.is_suppressed(line, "float-equality")
+
+
+def test_temporal_invariant_flags_edge_class_passed_as_callable():
+    rule, code, rel_path, needle = MAPPER_CASE
+    path = os.path.join(VIOLATIONS, rel_path)
+    findings, errors = analyze_paths([path], default_rules(), excludes=())
+    assert errors == []
+    assert [(f.rule, f.code, f.line) for f in findings] == [
+        (rule, code, _line_of(path, needle))
+    ]
+    assert "passed as a callable" in findings[0].message
+    clean, errors = analyze_paths(
+        [os.path.join(CLEAN, rel_path)], default_rules(), excludes=()
+    )
+    assert errors == []
+    assert clean == []
+
+
+def test_temporal_invariant_flags_every_builder_reference(tmp_path):
+    findings, errors = _analyze_snippet(
+        tmp_path,
+        ("repro", "core", "builders.py"),
+        "from itertools import repeat, starmap\n"
+        "from repro.temporal import edge\n"
+        "from repro.temporal.edge import TemporalEdge\n"
+        "\n"
+        "\n"
+        "def build(rows, columns):\n"
+        "    a = list(starmap(TemporalEdge, rows))\n"
+        "    b = list(map(TemporalEdge._make, rows))\n"
+        "    c = list(map(tuple.__new__, repeat(edge.TemporalEdge), rows))\n"
+        "    d = sorted(rows, key=TemporalEdge)\n"
+        "    ok = [isinstance(r, TemporalEdge) for r in a + b + c + d]\n"
+        "    return ok, issubclass(type(rows), TemporalEdge)\n",
+    )
+    assert errors == []
+    assert [(f.code, f.line) for f in findings] == [
+        ("REP105", 7),
+        ("REP105", 8),
+        ("REP105", 9),
+        ("REP105", 10),
+    ]
+
+
+def test_temporal_invariant_still_allows_owning_modules(tmp_path):
+    findings, errors = _analyze_snippet(
+        tmp_path,
+        ("repro", "temporal", "graph.py"),
+        "from repro.temporal.edge import TemporalEdge\n"
+        "\n"
+        "\n"
+        "def build(columns):\n"
+        "    return tuple(map(TemporalEdge, *columns))\n",
+    )
+    assert errors == []
+    assert findings == []
 
 
 def test_fixture_paths_resolve_to_repro_module_names():
@@ -337,7 +402,9 @@ def test_rule_selection_limits_findings():
 def test_violations_tree_triggers_every_rule_once():
     findings, errors = analyze_paths([VIOLATIONS], default_rules(), excludes=())
     assert errors == []
-    assert sorted(f.rule for f in findings) == sorted(case[0] for case in CASES)
+    assert sorted(f.rule for f in findings) == sorted(
+        case[0] for case in CASES + [MAPPER_CASE]
+    )
 
 
 def test_clean_tree_is_quiet():

@@ -74,7 +74,7 @@ def test_value_type_flags():
 
 
 def test_empty_store():
-    store = ColumnarEdgeStore(())
+    store = ColumnarEdgeStore.from_edges(())
     assert store.num_edges == 0
     assert store.start_bounds(0.0, 10.0) == (0, 0)
     assert list(store.window_positions(0.0, 10.0)) == []
@@ -198,9 +198,16 @@ def test_legacy_state_still_loads():
 def test_columnar_pickle_rebuilds_caches_lazily():
     graph = small_graph()
     graph.columnar()
+    graph.chronological_edges()
     clone = pickle.loads(pickle.dumps(graph))
-    assert clone.columnar_or_none() is None  # no store smuggled across
-    assert clone.columnar().vertex_labels == graph.columnar().vertex_labels
+    # The store is rebuilt from the shipped columns, not smuggled
+    # across; the object layouts stay lazy.
+    store = clone.columnar_or_none()
+    assert store is not None and store is not graph.columnar()
+    assert clone._chronological is None
+    assert store.vertex_labels == graph.columnar().vertex_labels
+    assert list(store.sources) == list(graph.columnar().sources)
+    assert list(store.positions_by_start()) == list(graph.columnar().positions_by_start())
 
 
 def test_columnar_pickle_round_trips_value_types():

@@ -12,18 +12,24 @@ the job if any test here is skipped.
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from repro.core.errors import UnreachableRootError, ZeroDurationError
+from repro.core.errors import GraphFormatError, UnreachableRootError, ZeroDurationError
 from repro.core.numeric import is_zero
 from repro.core.sliding import iter_windows
 from repro.core.msta import msta_chronological, msta_stack
 from repro.core.mstw import minimum_spanning_tree_w
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.transformation import transform_temporal_graph
+from repro.datasets.registry import DATASETS, load_dataset
 from repro.incremental import SlidingEngine
+from repro.parallel.shard import ShardPayload
 from repro.perf.legacy import (
     legacy_earliest_arrival,
     legacy_extract_window,
@@ -31,7 +37,7 @@ from repro.perf.legacy import (
     scalar_pruned_dst,
 )
 from repro.steiner.instance import prepare_instance
-from repro.temporal.edge import TemporalEdge
+from repro.temporal.edge import TemporalEdge, make_edge
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.paths import earliest_arrival_times
@@ -39,8 +45,12 @@ from repro.temporal.window import TimeWindow
 
 from tests.conftest import (
     assert_matches_rooted_oracle,
+    exact_edges,
+    legacy_load_dataset,
+    legacy_store_columns,
     random_temporal,
     rooted_fingerprint,
+    store_columns,
     whole_fingerprint,
 )
 
@@ -359,3 +369,203 @@ def test_mstw_solver_identical(graph, root):
             result.closure_tree_cost,
         )
     assert got == _scalar_mstw(graph, root, window)
+
+
+# ----------------------------------------------------------------------
+# Column-first construction (TemporalGraph.from_columns)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scale", [0.05, 0.3])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_load_dataset_matches_object_path(name, weighted, seed, scale):
+    got = load_dataset(name, scale=scale, seed=seed, weighted=weighted)
+    expected = legacy_load_dataset(name, scale, seed, weighted)
+    assert exact_edges(got) == exact_edges(expected)
+    assert got.vertices == expected.vertices
+    assert store_columns(got.columnar()) == legacy_store_columns(expected)
+
+
+def test_weighting_drops_isolated_vertices():
+    """``with_weights``/``with_durations`` keep only edge endpoints.
+
+    Pinned on purpose: keeping isolated vertices would change dataset
+    sizes (and every digest built on them).
+    """
+    plain = load_dataset("enron", scale=0.05, seed=0)
+    weighted = load_dataset("enron", scale=0.05, seed=0, weighted=True)
+    endpoints = {v for e in plain.edges for v in (e.source, e.target)}
+    assert (plain.num_vertices, weighted.num_vertices) == (22, 21)
+    assert weighted.vertices == endpoints
+    assert plain.with_durations(1.0).vertices == endpoints
+    graph = TemporalGraph([TemporalEdge(0, 1, 1.0, 2.0, 1.0)], vertices=[0, 1, 2])
+    assert graph.with_weights({(0, 1): 3.0}).vertices == {0, 1}
+    assert graph.with_durations(0.0).vertices == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (0, 1, math.nan, 2.0, 1.0),
+        (0, 1, 1.0, math.nan, 1.0),
+        (0, 1, 1.0, 2.0, math.nan),
+        (0, 1, 3.0, 2.0, 1.0),
+        (0, 1, 1.0, 2.0, -1.0),
+        (0, 1, 3, 2, 1),
+        (0, 1, 1, 2, -1),
+    ],
+)
+def test_from_columns_rejects_what_make_edge_rejects(row):
+    good = (1, 2, 0.5, 1.5, 1.0)
+    columns = list(zip(good, row, good))
+    with pytest.raises(GraphFormatError) as expected:
+        make_edge(*row)
+    with pytest.raises(GraphFormatError) as got:
+        TemporalGraph.from_columns(*columns)
+    assert str(got.value) == str(expected.value)
+
+
+def test_from_columns_rejects_bad_shapes():
+    with pytest.raises(GraphFormatError):
+        TemporalGraph.from_columns([0, 1], [1], [1.0], [2.0], [1.0])
+    with pytest.raises(GraphFormatError):
+        TemporalGraph.from_columns([0], [2], [1.0], [2.0], [1.0], labels=["a", "b"])
+
+
+def test_int_columns_keep_python_ints():
+    graph = TemporalGraph.from_columns(
+        [0, 1], [1, 2], [1, 3], np.array([2, 4]), [5, 7], vertices=[9]
+    )
+    assert [tuple(e) for e in graph.edges] == [(0, 1, 1, 2, 5), (1, 2, 3, 4, 7)]
+    assert all(type(value) is int for e in graph.edges for value in e)
+    store = graph.columnar()
+    assert not (store.starts_are_float or store.arrivals_are_float)
+    assert not store.weights_are_float
+    assert store.vertex_labels == [0, 1, 2, 9]
+
+
+def test_store_id_columns_are_read_only_and_never_alias_caller_arrays():
+    sources, targets = np.array([0, 1]), np.array([1, 2])
+    graph = TemporalGraph.from_columns(sources, targets, [1.0, 2.0], [2.0, 3.0], [1.0, 1.0])
+    sources[0] = 5
+    store = graph.columnar()
+    assert store.sources.tolist() == [0, 1]
+    assert not (store.sources.flags.writeable or store.targets.flags.writeable)
+    # A copy with one column replaced shares the read-only id columns.
+    copy = graph.with_weight_column([2.0, 3.0]).columnar()
+    assert copy.sources is store.sources and copy.targets is store.targets
+
+
+#: Vertex relabellings reaching every interning path: dict walk (text),
+#: sorted ids (negative or far-apart ints) and the scatter-min table.
+RELABELLINGS = {
+    "text": lambda v: f"v{v}",
+    "shifted": lambda v: 7 * v - 3,
+    "sparse": lambda v: 10**12 + 10**6 * v,
+    "plain": lambda v: v,
+}
+
+
+@st.composite
+def column_graphs(draw):
+    """Random edge columns over int or string labels, int or float values."""
+    base = draw(graphs())
+    relabel = RELABELLINGS[draw(st.sampled_from(sorted(RELABELLINGS)))]
+    edges = [
+        TemporalEdge(relabel(e.source), relabel(e.target), *e[2:]) for e in base.edges
+    ]
+    extras = [relabel(v) for v in range(draw(st.integers(0, 3)) + 8)]
+    return edges, extras
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=column_graphs())
+def test_from_columns_equals_object_constructor(case):
+    edges, extras = case
+    columns = tuple(zip(*edges)) if edges else ((),) * 5
+    got = TemporalGraph.from_columns(*columns, vertices=extras)
+    expected = TemporalGraph(edges, vertices=extras)
+    assert exact_edges(got) == exact_edges(expected)
+    assert got.vertices == expected.vertices
+    assert list(got.vertices) == list(expected.vertices)
+    # Isolated vertices are interned in the order given.
+    assert store_columns(got.columnar()) == legacy_store_columns(expected, extras)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=column_graphs())
+def test_pickle_round_trip_from_both_constructors(case):
+    """Graphs with a store ship their columns; the clone's store equals it.
+
+    (An object-built graph without a store ships its edge tuple and
+    vertex set instead, and its clone interns isolated vertices in the
+    clone's own set order.)
+    """
+    edges, extras = case
+    columns = tuple(zip(*edges)) if edges else ((),) * 5
+    warm = TemporalGraph(edges, vertices=extras)
+    warm.columnar()
+    for graph in (warm, TemporalGraph.from_columns(*columns, vertices=extras)):
+        clone = pickle.loads(pickle.dumps(graph))
+        assert exact_edges(clone) == exact_edges(graph)
+        assert clone.vertices == graph.vertices
+        assert store_columns(clone.columnar()) == store_columns(graph.columnar())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=column_graphs(), window=windows())
+def test_decoded_shard_columns_match_edge_decode(case, window):
+    edges, extras = case
+    payload = ShardPayload.slice_of(
+        TemporalGraph(edges, vertices=extras).columnar(), window.t_alpha, window.t_omega
+    )
+    columns = payload.columns
+    labels = columns["labels"]
+    # Oracle: one make_edge per row, then the object constructor.
+    expected = TemporalGraph(
+        [
+            make_edge(labels[u], labels[v], s, a, w)
+            for u, v, s, a, w in zip(
+                columns["sources"],
+                columns["targets"],
+                columns["starts"],
+                columns["arrivals"],
+                columns["weights"],
+            )
+        ],
+        vertices=labels,
+    )
+    got = payload.to_graph()
+    assert exact_edges(got) == exact_edges(expected)
+    assert got.vertices == expected.vertices
+    assert store_columns(got.columnar_or_none()) == legacy_store_columns(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs(), offset=st.sampled_from([0.0, 0.25, 1e9]))
+def test_time_helpers_match_object_scans(graph, offset):
+    if offset:
+        graph = TemporalGraph(
+            [
+                TemporalEdge(e.source, e.target, e.start + offset, e.arrival + offset, e.weight)
+                for e in graph.edges
+            ]
+        )
+    expected_instants = len({t for e in graph.edges for t in (e.start, e.arrival)})
+    expected_span = (
+        (min(e.start for e in graph.edges), max(e.arrival for e in graph.edges))
+        if graph.edges
+        else None
+    )
+    warm = _fresh(graph)
+    warm.columnar()
+    for candidate in (_fresh(graph), warm):
+        assert candidate.distinct_time_instances() == expected_instants
+        if expected_span is None:
+            with pytest.raises(GraphFormatError):
+                candidate.time_span()
+        else:
+            span = candidate.time_span()
+            assert span == expected_span
+            assert [type(t) for t in span] == [type(t) for t in expected_span]
+

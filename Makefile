@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos bench bench-full bench-parallel bench-sliding bench-shard bench-dst bench-check bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
+.PHONY: install test identity chaos bench bench-full bench-parallel bench-sliding bench-shard bench-dst bench-check bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
 
 # Bench defaults (override: make bench BENCH_SCALE=full BENCH_REPEATS=9).
 BENCH_SCALE ?= smoke
@@ -20,6 +20,24 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# CI's "Identity suites must not skip" step: the byte-identity suites
+# (columnar store, DST kernels, rooted instances) against the frozen
+# scalar oracles, failing on any test failure or skip.
+IDENTITY_REPORT ?= build/identity-report.txt
+
+identity:
+	@mkdir -p $(dir $(IDENTITY_REPORT))
+	@status=0; \
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_property_columnar.py \
+		tests/test_property_kernels.py tests/test_property_rooted.py -q -rs \
+		> $(IDENTITY_REPORT) 2>&1 || status=$$?; \
+	cat $(IDENTITY_REPORT); \
+	if grep -Eq "[0-9]+ skipped" $(IDENTITY_REPORT); then \
+		echo "error: identity suite skipped -- the byte-identity contract is unchecked"; \
+		exit 1; \
+	fi; \
+	exit $$status
 
 # The fault-injection suite alone: seeded chaos schedules asserting
 # byte-identical output and populated recovery counters.

@@ -27,16 +27,17 @@ used.  ``(0, 0, inf)`` is the all-infeasible convention; each solver
 maps it back to its own scalar behaviour (Algorithm 4 keeps the empty
 subtree, Algorithm 3 covers one unreachable terminal and continues).
 
-The size floor :data:`KERNEL_MIN_CELLS` selects between two
-vectorised forms of the ``B^{i-1}`` recursion.  Above it
-(:func:`eligible`) every level-2 scan is one batched pass over the
-``(n, T)`` block, wherever in the recursion it runs.  Below it
-(:func:`lockstep`) a single level-2 scan is too small to batch, so a
+Two vectorised forms serve the ``B^{i-1}`` recursion.  A level-2
+scan above the size floor :data:`KERNEL_MIN_CELLS` (:func:`eligible`)
+is one batched pass over the ``(n, T)`` block: Algorithms 3 and 4 at
+any level, and Algorithm 6's ``FinalA^2`` (:class:`PrunedScan`).  A
 level-3 scan instead advances all of its level-2 children ``B^2(k, v,
-X, (r, v))`` together (:class:`SubSolves`): one pass over an ``(m, n,
-T)`` gather of the same block per greedy step, each child with its
-own remaining mask, ``k`` and accumulators.  Levels 4 and up reach
-those level-3 scans through the scalar recursion above them.
+X, (r, v))`` together (:class:`SubSolves`), each child with its own
+remaining mask, ``k`` and accumulators: Algorithm 4 below the floor
+(:func:`lockstep`), where a single level-2 scan is too small to batch,
+and Algorithm 6 at every size, where each child's stale-tau walk is
+evaluated only along its prefix.  Levels 4 and up reach those level-3
+scans through the scalar recursion above them.
 
 Budget policy stays in the solver modules: callers batch the identical
 tick totals (``budget.checkpoint(amount)``) at iteration boundaries, so
@@ -64,13 +65,16 @@ from repro.steiner.tree import ClosureTree
 #: tables pin (a vectorised Charikar scan and a vectorised pruned scan
 #: cost the same handful of array ops on a toy instance, erasing the
 #: pruning gap of Table 5) -- so a lone level-2 solve keeps the scalar
-#: path there.  The floor also selects the form of the level-3
-#: recursion: below it Algorithms 4 and 6 solve a level-3 scan's
-#: children in lockstep (:class:`SubSolves`), which pays the dispatch
-#: once for all ``n`` children; above it each child's own level-2
-#: scan is already batched and the lockstep pass measured slower.
-#: Charikar's ``A^3`` stays scalar below the floor for the reason
-#: above: batched, it would tie Alg6-3.  Every path is bit-identical.
+#: path there.  The floor also selects the form of Algorithm 4's
+#: level-3 recursion: below it a level-3 scan solves its children in
+#: lockstep (:class:`SubSolves`), which pays the dispatch once for all
+#: ``n`` children; above it each child's own level-2 scan is already
+#: batched and the lockstep pass measured slower.  Algorithm 6's
+#: level-3 walks take lockstep children on both sides of the floor:
+#: its children evaluate only their walk prefixes, which beat the
+#: per-child batched scans above the floor too.  Charikar's ``A^3``
+#: stays scalar below the floor for the reason above: batched, it
+#: would tie Alg6-3.  Every path is bit-identical.
 #: Tests that want the level-2 kernels on small fixtures monkeypatch
 #: this to 0.
 KERNEL_MIN_CELLS = 4096
@@ -170,16 +174,21 @@ def _density_block(
     scalar ``k``, or a stack of ``m`` per-child masks ``(m,
     num_vertices)`` with ``incoming`` shaped ``(m, rows)`` and ``k`` an
     ``(m, 1, 1)`` array; the results are ``(rows, T)`` or ``(m, rows,
-    T)``.  Returns ``(densities, counts, sums)`` where ``sums`` is
-    ``prefix_cost + incoming`` and ``densities`` is ``sums / count``
-    with infeasible entries (terminal already covered, or prefix longer
-    than ``k``) set to ``inf``.
+    T)``.  With per-child masks ``rows`` may also be ``(m, c)``: child
+    ``i`` then reads its own ``c`` rows ``rows[i]``.  Returns
+    ``(densities, counts, sums)`` where ``sums`` is ``prefix_cost +
+    incoming`` and ``densities`` is ``sums / count`` with infeasible
+    entries (terminal already covered, or prefix longer than ``k``) set
+    to ``inf``.
     """
     sorted_costs, sorted_ids = block
     if rows is not None:
         sorted_costs = sorted_costs[rows]
         sorted_ids = sorted_ids[rows]
-    mask = remaining_mask[..., sorted_ids]
+    if sorted_ids.ndim == 3:
+        mask = remaining_mask[np.arange(len(sorted_ids))[:, None, None], sorted_ids]
+    else:
+        mask = remaining_mask[..., sorted_ids]
     # int32 counts (a prefix never exceeds T terminals) halve the cost
     # of the cumsum and of the float division below.
     counts = np.cumsum(mask, axis=-1, dtype=np.int32)
@@ -188,6 +197,15 @@ def _density_block(
     densities = sums / np.maximum(counts, 1)
     densities[~(mask & (counts <= k))] = np.inf
     return densities, counts, sums
+
+
+def _row_minima(densities: Any) -> Tuple[Any, Any]:
+    """Each row's minimum density over its last axis and its position."""
+    positions = np.argmin(densities, axis=-1)
+    return (
+        np.take_along_axis(densities, positions[..., None], axis=-1)[..., 0],
+        positions,
+    )
 
 
 def best_prefix(
@@ -280,14 +298,15 @@ def _star_tree(source: int, terminals: List[int], cost: float) -> ClosureTree:
 
 
 class PrunedScan:
-    """Vectorised tau-ordered vertex walk for Algorithm 6.
+    """Vectorised tau-ordered vertex walk for Algorithm 6's ``FinalA^2``.
 
     One ``PrunedScan`` lives for the whole w-iteration loop of a
-    ``FinalA^2``/``FinalB^2`` call and owns the scalar walk's evolving
-    state as arrays: ``tau`` (stale branch densities, ``-inf``
-    initially) and the walk order (re-sorted by stale ``tau`` at
-    :meth:`begin`, via a stable argsort -- the same permutation as the
-    scalar ``order.sort(key=tau.__getitem__)``).
+    level-2 ``FinalA^2`` call above the kernel floor (the ``FinalB^2``
+    children of level-3 walks run in :class:`SubSolves`) and owns the
+    scalar walk's evolving state as arrays: ``tau`` (stale branch
+    densities, ``-inf`` initially) and the walk order (re-sorted by
+    stale ``tau`` at :meth:`begin`, via a stable argsort -- the same
+    permutation as the scalar ``order.sort(key=tau.__getitem__)``).
 
     :meth:`step` then replays the scalar walk hybrid-style.  The first
     :data:`PRUNED_SCALAR_HEAD` walk positions are evaluated one vertex
@@ -453,7 +472,7 @@ class PrunedScan:
 
 
 def pruned_scan(prepared: object, source: int) -> Optional[PrunedScan]:
-    """A vectorised walk for one ``FinalA^2``/``FinalB^2`` call, or None.
+    """A vectorised walk for one ``FinalA^2`` call, or None.
 
     Returns None whenever :func:`eligible` declines ``prepared``;
     the solver then runs the scalar walk.
@@ -465,13 +484,15 @@ def pruned_scan(prepared: object, source: int) -> Optional[PrunedScan]:
 
 
 def lockstep(prepared: object) -> bool:
-    """Whether a level-3 scan should solve its level-2 children in lockstep.
+    """Whether an Algorithm 4 level-3 scan should run its children in lockstep.
 
     True exactly for the real :class:`PreparedInstance` inputs with
     terminals that :func:`eligible` declines for size: above the floor
-    each child's own level-2 scan is already one batched pass, and
-    below it the children's scalar loops are what a level-3 solve
-    spends its time in.
+    each ``B^2`` child's own level-2 scan is already one batched pass
+    (and a lockstep pass there measured slower), and below it the
+    children's scalar loops are what a level-3 solve spends its time
+    in.  Algorithm 6 does not ask: its level-3 walk takes lockstep
+    children on every real instance.
     """
     return (
         isinstance(prepared, PreparedInstance)
@@ -487,22 +508,29 @@ class SubSolves:
     shares its ``k`` and remaining terminal set ``X`` and differs only
     in the candidate vertex ``v`` (and with it the incoming edge cost
     ``cost(r, v)``, read from ``edge_costs[v]``, and the child's
-    closure row).  :meth:`solve` advances
-    a group of children together over an ``(m, n, T)`` gather of the
-    instance's sorted terminal block; each child carries its own
-    remaining-terminal mask, budget ``k``, cost and cover accumulators,
-    so one lockstep step is one :func:`_density_block` pass plus a
-    per-child winner pick:
+    closure row).  :meth:`solve` advances a group of children together;
+    each child carries its own remaining-terminal mask, budget ``k``,
+    cost and cover accumulators, and one lockstep step picks every live
+    child's winning ``(u, j)``:
 
-    * ``pruned=False`` -- Algorithm 5's ``B^2``: the row-major first
-      ``argmin`` over each child's ``(n, T)`` densities, i.e. the scalar
-      ``u``-ascending, ``j``-ascending strict-``<`` winner, and ``2n``
-      ticks per step (the scan tick plus the ``B^1`` base tick);
+    * ``pruned=False`` -- Algorithm 5's ``B^2``: one
+      :func:`_density_block` pass over an ``(m, n, T)`` gather of the
+      instance's sorted terminal block, then the row-major first
+      ``argmin`` over each child's ``(n, T)`` densities, i.e. the
+      scalar ``u``-ascending, ``j``-ascending strict-``<`` winner, and
+      ``2n`` ticks per step (the scan tick plus the ``B^1`` base tick);
     * ``pruned=True`` -- Algorithm 6's ``FinalB^2``: the stale-tau walk
       of :class:`PrunedScan` replayed per child (stable argsort by tau,
       break at the first position whose tau is ``>=`` the exclusive
       running best, tau updated on evaluated positions only, winner the
-      first in walk order) and 2 ticks per evaluated vertex.
+      first in walk order) and 2 ticks per evaluated vertex.  Step 0
+      has no stale tau, so every child reads every row under the shared
+      ``X`` and ``k``: its masked prefix sums and counts are one ``(n,
+      T)`` block per instance, and each child only adds its incoming
+      row (:meth:`_first_walk`).  Later steps evaluate each child only
+      along its walk prefix, in chunks of :data:`LOCKSTEP_CHUNK`
+      positions growing by :data:`PRUNED_CHUNK_GROWTH`; a child leaves
+      the chunk loop at its first break (:meth:`_walk`).
 
     A child's accumulators follow the scalar code's operation order --
     the winning branch costs ``prefix + cost(v, u)``, the running tree
@@ -523,6 +551,7 @@ class SubSolves:
         "_remaining",
         "_edge_costs",
         "_pruned",
+        "_first",
         "density",
         "ticks",
         "_choices",
@@ -542,6 +571,9 @@ class SubSolves:
         self._remaining = remaining
         self._edge_costs = edge_costs
         self._pruned = pruned
+        # The pruned children's shared step-0 block, built on first
+        # use: prefix sums, divisors and the infeasible mask, each (n, T).
+        self._first: Optional[Tuple[Any, Any, Any]] = None
         #: Each solved child's best density, keyed by its vertex ``v``.
         self.density: Dict[int, float] = {}
         #: Each solved child's scalar tick total, keyed by ``v``.
@@ -551,10 +583,15 @@ class SubSolves:
     def solve(self, vertices: Sequence[int]) -> None:
         """Solve the children rooted at ``vertices``.
 
-        Groups are capped at :data:`LOCKSTEP_MAX_CELLS` gathered cells,
-        so memory stays bounded whatever the instance size.
+        Memory stays bounded whatever the instance size: Algorithm 5's
+        groups are capped at :data:`LOCKSTEP_MAX_CELLS` gathered cells,
+        and Algorithm 6's at that many cells of per-child ``(m, n)``
+        state, since its passes slice themselves to the cap
+        (:meth:`_first_walk`, :meth:`_evaluate`).
         """
-        cells = self._prepared.num_vertices * self._prepared.num_terminals
+        cells = self._prepared.num_vertices
+        if not self._pruned:
+            cells *= self._prepared.num_terminals
         group = max(1, LOCKSTEP_MAX_CELLS // cells)
         for start in range(0, len(vertices), group):
             self._solve_group(vertices[start : start + group])
@@ -562,7 +599,7 @@ class SubSolves:
     def _solve_group(self, vertices: Sequence[int]) -> None:
         prepared = self._prepared
         closure = prepared.closure
-        sorted_ids = self._block[1]
+        sorted_costs, sorted_ids = self._block
         n = prepared.num_vertices
         m = len(vertices)
         k0 = self._k
@@ -579,9 +616,8 @@ class SubSolves:
         k = np.full(m, k0, dtype=np.int64)
         cur = np.zeros(m)
         covered = np.zeros(m, dtype=np.int64)
-        if self._pruned:
-            tau = np.full((m, n), -np.inf)
-            walk = np.tile(np.arange(n), (m, 1))
+        tau: Any = None
+        walk: Any = None
         # Outputs over the whole group.
         best_density = np.full(m, np.inf)
         best_step = np.full(m, -1, dtype=np.int64)
@@ -592,42 +628,38 @@ class SubSolves:
         step = 0
         while idx.size:
             live = np.arange(idx.size)
-            densities, counts, sums = _density_block(
-                self._block, None, incoming, rmask, k[:, None, None]
-            )
-            if self._pruned:
-                rows = live[:, None]
-                # Stable argsort by stale tau == the scalar walk order.
-                walk_tau = tau[rows, walk]
-                resort = np.argsort(walk_tau, axis=1, kind="stable")
-                walk = walk[rows, resort]
-                walk_tau = walk_tau[rows, resort]
-                walk_density = densities.min(axis=2)[rows, walk]
-                # Break at the first position p >= 1 whose stale tau is
-                # >= the best density over positions < p (all of them
-                # evaluated).
-                running = np.minimum.accumulate(walk_density, axis=1)
-                breaks = walk_tau[:, 1:] >= running[:, :-1]
-                limit = np.where(breaks.any(axis=1), breaks.argmax(axis=1) + 1, n)
-                evaluated = np.arange(n) < limit[:, None]
-                tau[rows, walk] = np.where(evaluated, walk_density, walk_tau)
-                u = walk[
-                    live,
-                    np.argmin(np.where(evaluated, walk_density, np.inf), axis=1),
-                ]
-                j_pos = np.argmin(densities[live, u], axis=1)
-                ticks[idx] += 2 * limit
-            else:
+            if not self._pruned:
+                densities, counts, sums = _density_block(
+                    self._block, None, incoming, rmask, k[:, None, None]
+                )
                 u, j_pos = np.divmod(
                     np.argmin(densities.reshape(idx.size, -1), axis=1),
                     densities.shape[2],
                 )
+                found = densities[live, u, j_pos]
+                j = counts[live, u, j_pos]
+                gain = sums[live, u, j_pos]
                 ticks[idx] += 2 * n
+            else:
+                if step == 0:
+                    tau, u, j_pos, found = self._first_walk(incoming)
+                    walk = np.tile(np.arange(n), (m, 1))
+                    ticks[idx] += 2 * n
+                else:
+                    walk, u, j_pos, found, evaluated = self._walk(
+                        incoming, rmask, k, tau, walk
+                    )
+                    ticks[idx] += 2 * evaluated
+                # The winners' prefix length and branch cost: one row
+                # per child, the same cumsums as its density pass.
+                mask = rmask[live[:, None], sorted_ids[u]]
+                j = np.cumsum(mask, axis=-1)[live, j_pos]
+                sums = np.cumsum(np.where(mask, sorted_costs[u], 0.0), axis=-1)
+                gain = sums[live, j_pos] + incoming[live, u]
             # Rows without a finite candidate cover nothing and stop;
             # their updates below are discarded with them.
-            feasible = densities[live, u, j_pos] < np.inf
-            j = counts[live, u, j_pos]
-            cur += sums[live, u, j_pos]
+            feasible = found < np.inf
+            cur += gain
             covered += j
             k -= j
             density = (cur + edge) / np.maximum(covered, 1)
@@ -664,6 +696,144 @@ class SubSolves:
             self.density[v] = d
             self.ticks[v] = t
             self._choices[v] = (choice_u, choice_j, c, int(best_step[c]))
+
+    def _first_walk(self, incoming: Any) -> Tuple[Any, Any, Any, Any]:
+        """Step 0 of the pruned children: every row, shared prefixes.
+
+        Every child starts with the same ``X`` and ``k`` and an all
+        ``-inf`` tau, so its walk is ``0..n-1`` and never breaks.  The
+        masked prefix sums and counts are therefore the same ``(n, T)``
+        block for all of them, built once per ``SubSolves``; a child only
+        adds its incoming row, divides and masks, exactly the
+        :func:`_density_block` operations (in slices of at most
+        :data:`LOCKSTEP_MAX_CELLS` cells).  Returns ``(tau, u, j_pos,
+        density)``: each child's per-row best densities (its new tau),
+        its winner, the winner's prefix position and its density.
+        """
+        if self._first is None:
+            sorted_costs, sorted_ids = self._block
+            rmask = _remaining_mask(self._prepared.num_vertices, self._remaining)
+            mask = rmask[sorted_ids]
+            counts = np.cumsum(mask, axis=-1, dtype=np.int32)
+            sums = np.cumsum(np.where(mask, sorted_costs, 0.0), axis=-1)
+            feasible = mask & (counts <= self._k)
+            self._first = (sums, np.maximum(counts, 1), ~feasible)
+        sums, divisor, infeasible = self._first
+        m = len(incoming)
+        tau = np.empty((m, sums.shape[0]))
+        row_j = np.empty(tau.shape, dtype=np.int64)
+        per = max(1, LOCKSTEP_MAX_CELLS // sums.size)
+        for start in range(0, m, per):
+            densities = sums + incoming[start : start + per, :, None]
+            densities /= divisor
+            densities[:, infeasible] = np.inf
+            tau[start : start + per], row_j[start : start + per] = _row_minima(
+                densities
+            )
+        # First minimum in walk (== index) order; an all-inf row keeps
+        # position 0, as the scalar walk keeps its first vertex.
+        live = np.arange(m)
+        u = np.argmin(tau, axis=1)
+        return tau, u, row_j[live, u], tau[live, u]
+
+    def _walk(
+        self, incoming: Any, rmask: Any, k: Any, tau: Any, walk: Any
+    ) -> Tuple[Any, Any, Any, Any, Any]:
+        """A later step of the pruned children: each walk's prefix only.
+
+        Re-sorts every child's walk by its stale ``tau`` (stable
+        argsort), then evaluates the walks chunk by chunk: positions
+        ``[start, stop)`` of every child still walking, from
+        :data:`LOCKSTEP_CHUNK` positions growing by
+        :data:`PRUNED_CHUNK_GROWTH`.  A position breaks the walk when
+        its stale tau is ``>=`` the best density before it (position 0
+        never does), and a child leaves the loop at its first break.
+        ``tau`` is updated in place on the evaluated positions.  Returns
+        ``(walk, u, j_pos, density, evaluated)`` with ``evaluated`` each
+        child's count of evaluated positions.
+        """
+        n = self._prepared.num_vertices
+        p = len(walk)
+        rows = np.arange(p)[:, None]
+        walk_tau = tau[rows, walk]
+        resort = np.argsort(walk_tau, axis=1, kind="stable")
+        walk = walk[rows, resort]
+        walk_tau = walk_tau[rows, resort]
+
+        best = np.full(p, np.inf)
+        best_pos = np.zeros(p, dtype=np.int64)
+        best_j = np.zeros(p, dtype=np.int64)
+        evaluated = np.zeros(p, dtype=np.int64)
+        active = np.arange(p)
+        start = 0
+        size = LOCKSTEP_CHUNK
+        while active.size and start < n:
+            stop = min(start + size, n)
+            size *= PRUNED_CHUNK_GROWTH
+            cols = walk[active, start:stop]
+            stale = walk_tau[active, start:stop]
+            row_density, row_j = self._evaluate(active, cols, incoming, rmask, k)
+
+            # Exclusive running minimum seeded with each child's best
+            # so far: the scalar walk's ``best_density`` at each position.
+            carry = best[active]
+            prev_best = np.empty_like(row_density)
+            prev_best[:, 0] = carry
+            prev_best[:, 1:] = np.minimum(
+                carry[:, None], np.minimum.accumulate(row_density[:, :-1], axis=1)
+            )
+            breaks = stale >= prev_best
+            if start == 0:
+                breaks[:, 0] = False
+            broke = breaks.any(axis=1)
+            limit = np.where(broke, np.argmax(breaks, axis=1), stop - start)
+            inside = np.arange(stop - start) < limit[:, None]
+            tau[active[:, None], cols] = np.where(inside, row_density, stale)
+            evaluated[active] += limit
+
+            # The first evaluated minimum replaces the best only when
+            # strictly lower; an all-inf walk keeps position 0.
+            lowest, q = _row_minima(np.where(inside, row_density, np.inf))
+            lower = lowest < carry
+            q = q[lower]
+            winners = active[lower]
+            best[winners] = lowest[lower]
+            best_pos[winners] = start + q
+            best_j[winners] = row_j[lower, q]
+            active = active[~broke]
+            start = stop
+
+        u = walk[np.arange(p), best_pos]
+        return walk, u, best_j, best, evaluated
+
+    def _evaluate(
+        self, lanes: Any, cols: Any, incoming: Any, rmask: Any, k: Any
+    ) -> Tuple[Any, Any]:
+        """Row minima of the children ``lanes`` at the vertices ``cols``.
+
+        ``cols`` is ``(a, c)``: ``c`` walk positions per child.  Runs
+        :func:`_density_block` with each child's own mask and ``k`` in
+        slices of at most :data:`LOCKSTEP_MAX_CELLS` gathered cells and
+        returns :func:`_row_minima` of the ``(a, c, T)`` densities.
+        """
+        a, c = cols.shape
+        row_density = np.empty((a, c))
+        row_j = np.empty((a, c), dtype=np.int64)
+        per = max(1, LOCKSTEP_MAX_CELLS // (c * self._prepared.num_terminals))
+        for start in range(0, a, per):
+            rows = lanes[start : start + per]
+            block = cols[start : start + per]
+            densities, _, _ = _density_block(
+                self._block,
+                block,
+                incoming[rows[:, None], block],
+                rmask[rows],
+                k[rows, None, None],
+            )
+            row_density[start : start + per], row_j[start : start + per] = (
+                _row_minima(densities)
+            )
+        return row_density, row_j
 
     def tree(self, v: int) -> ClosureTree:
         """The solved child ``v``'s best tree, rebuilt from its choices.

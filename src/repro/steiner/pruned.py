@@ -10,26 +10,25 @@ remaining vertex can be skipped.  The paper reports more than an order
 of magnitude speedup from this pruning (our Table 5 bench reproduces
 the gap).
 
-The kernel floor of :mod:`repro.steiner.kernels` selects how the
-recursion is vectorised:
+The recursion is vectorised in two places:
 
-* above it, the level-2 scans run batched: a
-  :class:`repro.steiner.kernels.PrunedScan` owns the tau array and
-  walk order for a whole ``FinalA^2``/``FinalB^2`` call and replays
-  each w-iteration's tau-sorted walk -- early break and winner
-  selection -- as chunked array passes instead of per-vertex
-  Python;
-* below it, the level-3 walk stays scalar but its ``FinalB^2``
+* a level-3 walk keeps its scalar top level, but its ``FinalB^2``
   children run in lockstep (:class:`repro.steiner.kernels.SubSolves`),
   prefetched along the walk in geometrically growing chunks
-  (:func:`_walk_lockstep`).
+  (:func:`_walk_lockstep`), on every real instance whatever its size;
+  each child is evaluated only along its own walk prefix;
+* a level-2 solve (``FinalA^2``) above the kernel floor runs batched:
+  a :class:`repro.steiner.kernels.PrunedScan` owns the tau array and
+  walk order for the whole call and replays each w-iteration's
+  tau-sorted walk -- early break and winner selection -- as chunked
+  array passes instead of per-vertex Python.
 
 Either way the solver checkpoints the scalar walk's tick totals (two
 per evaluated level-2 vertex; one plus the child's total per
 evaluated level-3 vertex), so rungs trip on the same w-iteration.
 Winners, tau values and budget trips are bit-identical to the scalar
 walk, which remains below for duck-typed instrumentation instances,
-levels 4 and up, and level 2 below the floor.
+the top levels of level 4 and up, and level 2 below the floor.
 """
 
 from __future__ import annotations
@@ -82,15 +81,16 @@ def _scan_vertices(
     ``tau`` holds each vertex's branch density from the previous
     w-iteration (``-inf`` initially); ``order`` is re-sorted by ``tau``
     before the scan so the early-break prunes all remaining vertices.
-    Both are updated in place.  When ``scan`` is given (batched
-    bottom level) it owns that state as arrays instead and the walk
-    runs in batched chunks; ``tau``/``order`` are then unused.  Below
-    the kernel floor a level-3 walk takes its ``FinalB^2`` children
-    from :func:`_walk_lockstep` instead of the scalar recursion.
+    Both are updated in place.  When ``scan`` is given (a batched
+    ``FinalA^2``) it owns that state as arrays instead and the walk
+    runs in batched chunks; ``tau``/``order`` are then unused.  A
+    level-3 walk on a real :class:`PreparedInstance` takes its
+    ``FinalB^2`` children from :func:`_walk_lockstep` instead of the
+    scalar recursion.
     """
     root_row = prepared.cost_row(r)
     if scan is not None:
-        # Batched bottom level: the scan replays the tau-sorted walk in
+        # Batched FinalA^2: the scan replays the tau-sorted walk in
         # chunked array passes (its own tau/order arrays), reporting
         # each chunk's tick total -- two per evaluated vertex, the scan
         # tick plus the FinalB^1 base tick -- for the solver to
@@ -114,7 +114,7 @@ def _scan_vertices(
         )
         return subtree.with_edge(r, best_vertex, root_row[best_vertex])
     order.sort(key=tau.__getitem__)
-    if i == 3 and kernels.lockstep(prepared):
+    if i == 3 and isinstance(prepared, PreparedInstance):
         return _walk_lockstep(prepared, k, r, remaining, tau, order, budget, root_row)
     best: Optional[ClosureTree] = None
     best_density = math.inf
@@ -237,14 +237,11 @@ def _final_b(
     best_density = math.inf
 
     current = ClosureTree.EMPTY
-    num_vertices = prepared.num_vertices
-    scan = kernels.pruned_scan(prepared, r) if i == 2 else None
-    tau = [-math.inf] * num_vertices if scan is None else []
-    order = list(range(num_vertices)) if scan is None else []
+    tau = [-math.inf] * prepared.num_vertices
+    order = list(range(prepared.num_vertices))
     while k > 0:
         sub_best = _scan_vertices(
-            prepared, i, k, r, frozenset(remaining), tau, order, budget,
-            scan=scan,
+            prepared, i, k, r, frozenset(remaining), tau, order, budget
         )
         newly_covered = sub_best.covered & remaining
         if not newly_covered:  # pragma: no cover - defensive

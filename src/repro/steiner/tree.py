@@ -8,15 +8,17 @@ and which terminals are covered; ``density`` is the paper's
 
 :func:`expand_closure_tree` is postprocessing Step 1: closure edges are
 replaced by their shortest paths in the base graph and every vertex
-keeps a single (cheapest) incoming edge, producing a genuine tree whose
-cost never exceeds the closure tree's cost.
+keeps a single incoming edge, producing a genuine tree whose cost never
+exceeds the closure tree's cost.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
+from repro.static.digraph import StaticDigraph
+from repro.static.shortest_paths import dijkstra
 from repro.steiner.instance import PreparedInstance
 
 
@@ -105,19 +107,70 @@ def expand_closure_tree(
     graph; (b) every vertex keeps only its cheapest incoming edge.  The
     result is ``(cost, edges)`` with ``edges`` as ``(u, v, w)`` triples
     over base-graph indices; the cost never exceeds ``tree.cost``.
+
+    On a DAG (such as the transformed graph of Section 4.2) step (b)
+    always leaves a tree hanging from the root.  On a cyclic base graph
+    it can keep an edge from inside a cycle over the edge that enters
+    the cycle, cutting the cycle off from the root.  Then every vertex
+    takes its parent in a shortest-path arborescence from the root over
+    the union of the expanded paths instead: it keeps one incoming
+    union edge per vertex, so its cost is still at most ``tree.cost``.
     """
-    closure = prepared.closure
     best_in: Dict[int, Tuple[int, float]] = {}
-    for u, v in tree.edges:
-        if u == v:
-            continue
-        for (a, b, w) in closure.path_edges(u, v):
-            current = best_in.get(b)
-            if current is None or w < current[1]:
-                best_in[b] = (a, w)
+    for a, b, w in _path_edges(prepared, tree):
+        current = best_in.get(b)
+        if current is None or w < current[1]:
+            best_in[b] = (a, w)
+    if not _hangs_from(prepared.root, best_in):
+        best_in = _shortest_path_parents(prepared, _path_edges(prepared, tree))
     edges = [(a, b, w) for b, (a, w) in best_in.items()]
     total = sum(w for _, _, w in edges)
     return total, edges
+
+
+def _path_edges(
+    prepared: PreparedInstance, tree: ClosureTree
+) -> Iterator[Tuple[int, int, float]]:
+    """The base-graph edges of every closure edge's shortest path."""
+    for u, v in tree.edges:
+        if u != v:
+            yield from prepared.closure.path_edges(u, v)
+
+
+def _hangs_from(root: int, parents: Dict[int, Tuple[int, float]]) -> bool:
+    """Whether the ``parents`` edges form one tree rooted at ``root``."""
+    if root in parents:
+        return False
+    children: Dict[int, List[int]] = {}
+    for child, (parent, _) in parents.items():
+        children.setdefault(parent, []).append(child)
+    reached = 0
+    stack = [root]
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            reached += 1
+            stack.append(child)
+    return reached == len(parents)
+
+
+def _shortest_path_parents(
+    prepared: PreparedInstance, path_edges: Iterable[Tuple[int, int, float]]
+) -> Dict[int, Tuple[int, float]]:
+    """Each vertex's ``(parent, weight)`` in a shortest-path arborescence.
+
+    :func:`dijkstra` from the root over the graph of ``path_edges``
+    (the cheapest of any parallel edges); vertices it does not reach
+    get no parent.
+    """
+    weights: Dict[Tuple[int, int], float] = {}
+    for a, b, w in path_edges:
+        if w < weights.get((a, b), math.inf):
+            weights[a, b] = w
+    union = StaticDigraph(range(prepared.num_vertices))
+    for (a, b), w in weights.items():
+        union.add_edge(a, b, w)
+    _, pred = dijkstra(union, prepared.root)
+    return {b: (a, weights[a, b]) for b, a in enumerate(pred) if a != -1}
 
 
 def validate_covering_tree(

@@ -69,21 +69,36 @@ def test_approximation_guarantee(prepared, level):
     assert approx <= approximation_ratio(level, k) * opt + 1e-6
 
 
+def _instance(n, edges, terminals):
+    graph = StaticDigraph(range(n))
+    for u, v, w in edges:
+        graph.add_edge(u, v, w)
+    return prepare_instance(DSTInstance(graph, 0, terminals))
+
+
+#: Every solver's level-2 tree is 2->3, 2->1 and 0->2 at cost 5.5; the
+#: closure edge 0->2 expands to 0->1->2, and keeping only the cheapest
+#: edge into 1 (2->1 over 0->1) would cut the cycle 1->2->1 off from
+#: the root.
+CYCLIC_EXPANSION = _instance(
+    5,
+    [
+        (0, 1, 2.0), (0, 2, 5.0), (0, 3, 2.0), (0, 4, 1.0),
+        (1, 2, 2.0), (2, 3, 0.5), (2, 1, 1.0),
+    ],
+    (1, 2, 3),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(prepared=dst_instances(), level=st.integers(min_value=1, max_value=3))
+@example(prepared=CYCLIC_EXPANSION, level=2)
 def test_cover_complete_and_expandable(prepared, level):
     tree = improved_dst(prepared, level)
     assert tree.covered == frozenset(prepared.terminals)
     cost, edges = expand_closure_tree(prepared, tree)
     assert validate_covering_tree(prepared, edges)
     assert cost <= tree.cost + 1e-9
-
-
-def _instance(n, edges, terminals):
-    graph = StaticDigraph(range(n))
-    for u, v, w in edges:
-        graph.add_edge(u, v, w)
-    return prepare_instance(DSTInstance(graph, 0, terminals))
 
 
 def _partial_optimum(prepared, j):

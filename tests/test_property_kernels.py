@@ -9,18 +9,20 @@ pre-kernel solvers frozen in :mod:`repro.perf.legacy`
 ``scalar_pruned_dst``), and the batched candidate scan against the
 per-vertex scalar scan below (:func:`_scalar_best_candidate`).
 
-The kernel dispatch has a size floor (``KERNEL_MIN_CELLS``) that picks
-between the two vectorised forms: above it each level-2 scan is one
-batched pass, below it level-3 scans run their level-2 children in
-lockstep (:class:`repro.steiner.kernels.SubSolves`).  The solver
-properties check every example at floor 0 (the small generated
-fixtures on the level-2 kernels, including walks long enough to cross
-the pruned scan's scalar head into its chunked steps) and at the
-default floor (the same fixtures on the lockstep children, which the
-tests assert actually ran), at levels up to 4.
+The kernel dispatch has a size floor (``KERNEL_MIN_CELLS``): above it
+each level-2 scan is one batched pass, below it Algorithm 4's level-3
+scans run their level-2 children in lockstep
+(:class:`repro.steiner.kernels.SubSolves`).  Algorithm 6's level-3
+walks take lockstep children at every floor.  The solver properties
+check every example at floor 0 (the small generated fixtures on the
+level-2 kernels, including walks long enough to cross the pruned
+scan's scalar head into its chunked steps) and at the default floor,
+at levels up to 4, and assert that the lockstep children ran where the
+dispatch says they must.  Seeded level-3 instances above the default
+floor pin Algorithm 6's lockstep walks there, budgets included.
 
 CI re-runs this file next to ``test_property_columnar.py`` and fails
-the job if any test here is skipped.
+the job if any test here is skipped; ``make identity`` runs that step.
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ FLOORS = [0, DEFAULT_FLOOR]
 
 @contextmanager
 def lockstep_calls():
-    """Record how many children each lockstep ``SubSolves.solve`` got."""
+    """Record ``(pruned, children)`` for each lockstep ``SubSolves.solve``."""
     calls = []
     original = kernels.SubSolves.solve
 
     def counting(self, vertices):
-        calls.append(len(vertices))
+        calls.append((self._pruned, len(vertices)))
         return original(self, vertices)
 
     kernels.SubSolves.solve = counting
@@ -98,6 +100,24 @@ def chunk_steps():
         yield steps
     finally:
         kernels.PrunedScan._step_chunk = original
+
+
+@contextmanager
+def walk_lengths():
+    """Record the longest walk prefix of each later lockstep Alg6 step."""
+    lengths = []
+    original = kernels.SubSolves._walk
+
+    def counting(self, *args):
+        result = original(self, *args)
+        lengths.append(int(result[-1].max()))
+        return result
+
+    kernels.SubSolves._walk = counting
+    try:
+        yield lengths
+    finally:
+        kernels.SubSolves._walk = original
 
 
 @contextmanager
@@ -213,16 +233,24 @@ def _pairs(level):
 
 
 def _assert_lockstep_ran(floor, level, calls):
-    """Below the floor a level >= 3 solve must use the lockstep children."""
-    if floor and level >= 3:
-        assert calls, "lockstep sub-solves never ran"
+    """Which level >= 3 solves must have used the lockstep children.
+
+    Algorithm 6 (``pruned``) at every floor; Algorithm 4 only below it
+    (the small fixtures are below the default floor, and floor 0 puts
+    them above it).
+    """
+    if level >= 3:
+        assert any(pruned for pruned, _ in calls), "Alg6 lockstep never ran"
+        alg4 = any(not pruned for pruned, _ in calls)
+        assert alg4 == bool(floor), "Alg4 lockstep dispatch is off"
 
 
 class TestSolverIdentity:
     """Every property checks each example at every floor in
     :data:`FLOORS`: at 0 the level-2 kernels run on every instance, at
-    the default the small fixtures stay below it and level >= 3 scans
-    run their children in lockstep."""
+    the default the small fixtures stay below it and Algorithm 4's
+    level >= 3 scans run their children in lockstep.  Algorithm 6's
+    level-3 walks run them in lockstep at both."""
 
     @settings(max_examples=30, deadline=None)
     @given(graph=reachable_graphs(), level=st.sampled_from([1, 2, 3, 4]))
@@ -289,13 +317,52 @@ class TestSolverIdentity:
             old = scalar_pruned_dst(prepared, 3)
             assert _fingerprint(new) == _fingerprint(old)
             assert calls[:2] == [
-                kernels.LOCKSTEP_CHUNK,
-                kernels.LOCKSTEP_CHUNK * kernels.PRUNED_CHUNK_GROWTH,
+                (True, kernels.LOCKSTEP_CHUNK),
+                (True, kernels.LOCKSTEP_CHUNK * kernels.PRUNED_CHUNK_GROWTH),
             ]
+
+    def test_level3_lockstep_walks_above_the_floor_match_scalar(self):
+        """Seeded level-3 instances above the default floor.
+
+        Algorithm 6's level-3 walk takes lockstep children here too, and
+        its later steps evaluate each child only along its walk prefix;
+        on these instances some prefixes run past the first
+        ``LOCKSTEP_CHUNK`` positions into a second chunk.  Trees and
+        budget trips match the scalar oracle at budgets that trip early,
+        mid-solve and just short of the end.  The solve reads no
+        per-child closure or terminal rows: the memos hold only the
+        root's row and the rows the winners' trees are rebuilt from (at
+        most one per covered terminal), where one level-2 scan per
+        child filled one row per child.
+        """
+        for seed in range(3):
+            graph = _random_reachable_graph(seed, n=40)
+            _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+            terminals = prepared.num_terminals
+            assert prepared.num_vertices * terminals >= DEFAULT_FLOOR
+            assert kernels.eligible(prepared)
+            assert not kernels.lockstep(prepared)
+            with lockstep_calls() as calls, walk_lengths() as lengths:
+                full = _outcome(pruned_dst, prepared, 3, 10**9)
+            assert calls and all(pruned for pruned, _ in calls)
+            assert max(lengths) > kernels.LOCKSTEP_CHUNK
+            assert len(prepared._cost_rows) <= 1 + terminals
+            assert len(prepared._terminal_rows) <= terminals
+            assert terminals < prepared.num_vertices // 3
+            assert full == _outcome(scalar_pruned_dst, prepared, 3, 10**9)
+            total = full[2]
+            for max_expansions in (1, total // 7, total // 2, total - 1):
+                assert _outcome(
+                    pruned_dst, prepared, 3, max_expansions
+                ) == _outcome(
+                    scalar_pruned_dst, prepared, 3, max_expansions
+                ), (seed, max_expansions)
 
     def test_floor_keeps_small_instances_scalar(self):
         """Below ``KERNEL_MIN_CELLS`` the level-2 dispatch declines
-        outright, and level-3 scans take the lockstep children instead."""
+        outright and Algorithm 4's level-3 scans take the lockstep
+        children instead; above it only Algorithm 6's level-3 walks
+        do."""
         graph = _random_reachable_graph(0, n=12)
         _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
         assert prepared.num_vertices * prepared.num_terminals < 4096
@@ -306,6 +373,10 @@ class TestSolverIdentity:
             assert kernels.eligible(prepared)
             assert not kernels.lockstep(prepared)
             assert kernels.pruned_scan(prepared, 0) is not None
+            for solver, pruned in ((improved_dst, False), (pruned_dst, True)):
+                with lockstep_calls() as calls:
+                    solver(prepared, 3)
+                assert bool(calls) == pruned, solver.__name__
 
     def test_lockstep_groups_respect_the_cell_cap(self, monkeypatch):
         """A capped pass splits the children into groups, same answers."""
@@ -325,6 +396,34 @@ class TestSolverIdentity:
         assert max(groups) == 3
         assert sum(groups) % prepared.num_vertices == 0
         assert _fingerprint(new) == _fingerprint(scalar_improved_dst(prepared, 3))
+
+    def test_pruned_lockstep_passes_respect_the_cell_cap(self, monkeypatch):
+        """Algorithm 6's groups are capped on per-child state and every
+        density pass on gathered cells; same answers."""
+        graph = _random_reachable_graph(1, n=15)
+        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        n = prepared.num_vertices
+        cap = 2 * n * prepared.num_terminals
+        monkeypatch.setattr(kernels, "LOCKSTEP_MAX_CELLS", cap)
+        groups = []
+        passes = []
+        solve_group = kernels.SubSolves._solve_group
+        row_minima = kernels._row_minima
+
+        def counting_groups(self, vertices):
+            groups.append(len(vertices))
+            return solve_group(self, vertices)
+
+        def counting_passes(densities):
+            passes.append(densities.size)
+            return row_minima(densities)
+
+        monkeypatch.setattr(kernels.SubSolves, "_solve_group", counting_groups)
+        monkeypatch.setattr(kernels, "_row_minima", counting_passes)
+        new = pruned_dst(prepared, 3)
+        assert max(groups) == cap // n
+        assert passes and max(passes) <= cap
+        assert _fingerprint(new) == _fingerprint(scalar_pruned_dst(prepared, 3))
 
 
 # ----------------------------------------------------------------------

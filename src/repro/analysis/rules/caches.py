@@ -22,7 +22,9 @@ PR 7 extends it again to the columnar core
 (``graph.columnar()``) and every sorted-view accessor
 (``sorted_starts`` and friends) alias the arrays all batched kernels
 read; writing into one silently corrupts every later window query,
-delta, and transformation on that graph.
+delta, and transformation on that graph.  ``value_column`` joins them:
+it hands out a value column or the Python values the store keeps for
+it, which every edge the store builds reads.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ CACHE_ACCESSORS = frozenset(
         "arrivals_by_start_order",
         "starts_by_arrival_order",
         "start_ranks",
+        "value_column",
     }
 )
 

@@ -149,8 +149,7 @@ class TransformedGraph:
             if store.arrivals_are_float:
                 values = pair_a.tolist()
             else:
-                edges = store.edges
-                values = [edges[p].arrival for p in pair_rep.tolist()]
+                values = store.values_at("arrivals", pair_rep)
             targets = targets[targets != root_id]
             instances = dict(
                 zip(
@@ -175,12 +174,14 @@ class TransformedGraph:
         """``(source_label, target_label, weight) -> representative edge``."""
         origin = self._solid_origin
         if origin is None:
-            ins, rep, us, vs, labels_list, edges_tup = self._solid_parts
-            origin = {}
-            for p, rp, u, v in zip(ins, rep, us, vs):
-                origin[
-                    (labels_list[u], labels_list[v], edges_tup[p].weight)
-                ] = edges_tup[rp]
+            ins, rep, us, vs, labels_list = self._solid_parts
+            store = self.source.columnar()
+            keys = zip(
+                map(labels_list.__getitem__, us),
+                map(labels_list.__getitem__, vs),
+                store.values_at("weights", ins),
+            )
+            origin = dict(zip(keys, self.source.edges_at(rep)))
             self._solid_origin = origin
             self._solid_parts = None
         return origin
@@ -337,7 +338,6 @@ def transform_temporal_graph(
         window = TimeWindow.unbounded()
     t_alpha, t_omega = window.t_alpha, window.t_omega
     store = graph.columnar()
-    edges_tup = store.edges
     labels_by_id = store.vertex_labels
     root_id = store.vertex_ids[root]
     earliest = store.earliest_arrival_labels(root_id, t_alpha, t_omega)
@@ -479,18 +479,17 @@ def transform_temporal_graph(
             ks[picked] == root_id, 0, ksp[picked] + shift[ks[picked]]
         ).tolist()
         v_first = (ktp[picked] + shift[ktg[picked]]).tolist()
-        ins_list = pos[kq[picked]].tolist()
-        rep_list = pos[kq[rep]].tolist()
+        ins = pos[kq[picked]]
         if store.weights_are_float:
             w_list = kw[picked].tolist()
         else:
-            w_list = [edges_tup[p].weight for p in ins_list]
+            w_list = store.values_at("weights", ins)
         for u, entry in zip(u_first, zip(v_first, w_list)):
             adjacency[u].append(entry)
         for v, entry in zip(v_first, zip(u_first, w_list)):
             in_adjacency[v].append(entry)
-        num_reach_edges += len(ins_list)
-        solid_parts = (ins_list, rep_list, u_first, v_first, labels_list, edges_tup)
+        num_reach_edges += len(ins)
+        solid_parts = (ins, pos[kq[rep]], u_first, v_first, labels_list)
 
     digraph = StaticDigraph.from_parts(
         labels_list, adjacency, in_adjacency, num_reach_edges

@@ -416,7 +416,15 @@ class ParallelExecutor:
 
         def submit(state: _ChunkState) -> None:
             state.submitted_at = time.monotonic()
-            in_flight[pool.submit(_run_chunk, state.payloads)] = state
+            try:
+                future = pool.submit(_run_chunk, state.payloads)
+            except BrokenProcessPool as exc:
+                # A worker died while chunks were still being submitted
+                # (a fast crash can beat the submit loop): record the
+                # chunk as failed so the loop below rebuilds and resubmits.
+                future = cf.Future()
+                future.set_exception(exc)
+            in_flight[future] = state
 
         for state in states:
             submit(state)

@@ -253,6 +253,14 @@ def _columnar_state(spec: _ScaleSpec):
     return {"graph": graph, "window": window, "root": root}
 
 
+def _store_build_state(spec: _ScaleSpec):
+    # A column-built graph makes its edge tuple on first read: read it
+    # here, so no timed run pays for it.
+    state = _columnar_state(spec)
+    state["edges"] = state["graph"].edges
+    return state
+
+
 def _columnar_ea_state(spec: _ScaleSpec):
     name, scale, fraction = spec.columnar_ea_dataset
     base = load_dataset(name, scale=scale)
@@ -619,7 +627,7 @@ def build_scenarios(
         # Constructed directly (not via graph.columnar()) so every
         # repeat pays the full build instead of hitting the per-graph
         # cached store; reading one order builds the lazy sort views.
-        store = ColumnarEdgeStore.from_edges(state["graph"].edges, state["graph"].vertices)
+        store = ColumnarEdgeStore.from_edges(state["edges"], state["graph"].vertices)
         store.positions_by_start()
         return None
 
@@ -714,7 +722,7 @@ def build_scenarios(
                     "the amortised cost the query speedups buy against."
                 ),
                 params=dict(columnar_params),
-                setup=lambda: _columnar_state(spec),
+                setup=lambda: _store_build_state(spec),
                 run=store_build_run,
             ),
         ]

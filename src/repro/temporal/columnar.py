@@ -2,7 +2,7 @@
 
 Every hot kernel before this module walked ``TemporalEdge`` objects one
 at a time -- an attribute access plus a Python-level comparison per
-edge.  :class:`ColumnarEdgeStore` keeps the same edges as five parallel
+edge.  :class:`ColumnarEdgeStore` keeps the edges as five parallel
 columns (``sources``/``targets`` as interned integer ids, ``starts``/
 ``arrivals``/``weights`` as floats) together with two permutations of
 the insertion positions -- one sorted by ``(start, arrival, position)``,
@@ -15,15 +15,22 @@ The columns are numpy ``float64``/``int64`` arrays and queries use
 ``searchsorted``/boolean masks.  Outputs are property-tested against
 the scalar object-level code frozen in :mod:`repro.perf.legacy`.
 
+The store holds no ``TemporalEdge`` objects.  A value column float64
+cannot stand in for exactly (int or ``Fraction`` timestamps, say) also
+keeps its Python values, so :meth:`ColumnarEdgeStore.edges_at` rebuilds
+the exact edges of any positions from the columns alone.
+
 Stores are derived, immutable state.  A graph built from columns
-(:meth:`TemporalGraph.from_columns`) gets its store with it; one built
-from edge objects builds it lazily (``graph.columnar()``).  Either way
-the graph keeps it for its lifetime, so structures derived from a store
+(:meth:`TemporalGraph.from_columns`) *is* its store until an algorithm
+reads ``graph.edges``; one built from edge objects builds its store
+lazily (``graph.columnar()``).  Either way the graph keeps it for its
+lifetime, so structures derived from a store
 (:func:`repro.temporal.index.edge_index_for`) can be cached per graph.
 
 The sorted views handed out by the accessor methods
-(:meth:`ColumnarEdgeStore.sorted_starts` and friends) are the *cached*
-arrays, not copies -- mutating one corrupts every later query.  The
+(:meth:`ColumnarEdgeStore.sorted_starts` and friends) and the kept
+Python values (:meth:`ColumnarEdgeStore.value_column`) are the *cached*
+objects, not copies -- mutating one corrupts every later query.  The
 REP102 ``cache-mutation`` lint rule holds callers to that, exactly as
 it does for the ``TemporalGraph`` adjacency accessors.
 """
@@ -36,6 +43,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.temporal.edge import TemporalEdge, Vertex
+from repro.temporal.graph import VALUE_COLUMNS, edge_rows
 
 #: The store's slots built on first read (see ``ColumnarEdgeStore._sort``).
 _SORTED_VIEWS = frozenset(
@@ -152,29 +160,46 @@ def _intern_labels(
     )
 
 
-def _float_column(values: Sequence[Any]) -> Tuple[Any, bool]:
-    """``(float64 array, exact)``: exact when every value is a Python float."""
-    if isinstance(values, array) and values.typecode == "d":
+def _float_column(values: Sequence[Any]) -> Tuple[Any, Optional[Sequence[Any]]]:
+    """``(read-only float64 array, kept)`` for one value column.
+
+    ``kept`` is None when the array stands in exactly for the values:
+    every value is a Python float, or the column is a float numpy or
+    ``array('d')`` column (both read back as Python floats).  Otherwise
+    it holds the Python values (numpy and stdlib arrays read back
+    through ``tolist()``).  A read-only float64 array is shared, not
+    copied.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        exact = True
+    elif isinstance(values, array) and values.typecode == "d":
         exact = True
     else:
+        if isinstance(values, (np.ndarray, array)):
+            values = values.tolist()
         exact = set(map(type, values)) <= {float}
-    return np.array(values, dtype=np.float64), exact
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not (
+        values.flags.writeable
+    ):
+        column = values
+    else:
+        column = np.array(values, dtype=np.float64)
+        column.flags.writeable = False
+    return column, None if exact else tuple(values)
 
 
 class ColumnarEdgeStore:
-    """Immutable struct-of-arrays view of one edge tuple.
+    """Immutable struct-of-arrays form of one graph's edges.
 
     Parameters
     ----------
-    edges:
-        The graph's edge tuple in insertion order.  The store keeps a
-        reference (for materialising ``TemporalEdge`` objects back out)
-        but never copies or mutates it.
     sources, targets:
-        The edges' endpoints, one entry per edge: vertex labels, or --
-        when ``labels`` is given -- integer indices into ``labels``.
+        The edges' endpoints, one entry per edge in insertion order:
+        vertex labels, or -- when ``labels`` is given -- integer indices
+        into ``labels``.
     starts, arrivals, weights:
-        The edges' Python values, one entry per edge.
+        The edges' values, one entry per edge: Python values, or numpy
+        / stdlib arrays read back as Python values.
     vertices:
         Optional extra vertices (isolated ones) interned after the edge
         endpoints, in the order given.
@@ -182,9 +207,9 @@ class ColumnarEdgeStore:
         The label table ``sources``/``targets`` index into.  Only the
         labels an edge uses are interned (plus ``vertices``).
 
-    The columns must describe ``edges`` exactly; the store does not
-    validate them (:meth:`TemporalGraph.from_columns` does).  Use
-    :meth:`from_edges` to build a store from edge objects alone.
+    The store does not validate the columns
+    (:meth:`TemporalGraph.from_columns` does).  Use :meth:`from_edges`
+    to build a store from edge objects.
 
     Vertex labels are interned to dense ids in first-occurrence order
     (edge sources/targets in insertion order, then the extras), so two
@@ -193,7 +218,6 @@ class ColumnarEdgeStore:
     """
 
     __slots__ = (
-        "edges",
         "vertex_labels",
         "vertex_ids",
         "starts_are_float",
@@ -204,6 +228,7 @@ class ColumnarEdgeStore:
         "starts",
         "arrivals",
         "weights",
+        "_kept",
         "_start_order",
         "_arrival_order",
         "_starts_sorted",
@@ -215,7 +240,6 @@ class ColumnarEdgeStore:
 
     def __init__(
         self,
-        edges: Sequence[TemporalEdge],
         sources: Sequence[Any],
         targets: Sequence[Any],
         starts: Sequence[Any],
@@ -224,8 +248,6 @@ class ColumnarEdgeStore:
         vertices: Optional[Iterable[Vertex]] = None,
         labels: Optional[Sequence[Vertex]] = None,
     ) -> None:
-        self.edges: Tuple[TemporalEdge, ...] = tuple(edges)
-
         if labels is None:
             vertex_labels, src_ids, dst_ids = _intern_labels(sources, targets)
         else:
@@ -246,15 +268,19 @@ class ColumnarEdgeStore:
         dst_ids.flags.writeable = False
         self.sources = src_ids
         self.targets = dst_ids
-        # Whether the float64 columns are *exact* stand-ins for the edge
-        # objects' Python values (same value, same type).  Consumers
-        # that must reproduce object-identical outputs (the Section 4.2
+        # Whether the float64 columns are *exact* stand-ins for the
+        # edges' Python values (same value, same type).  Consumers that
+        # must reproduce object-identical outputs (the Section 4.2
         # transformation) may read values straight off the columns when
-        # the flag is set, and fall back to the edge objects when a
-        # graph carries int (or other numeric) timestamps or weights.
-        self.starts, self.starts_are_float = _float_column(starts)
-        self.arrivals, self.arrivals_are_float = _float_column(arrivals)
-        self.weights, self.weights_are_float = _float_column(weights)
+        # the flag is set; for any other column (int or other numeric
+        # values) the store keeps the Python values in ``_kept``.
+        self._kept: Dict[str, Sequence[Any]] = {}
+        for name, values in zip(VALUE_COLUMNS, (starts, arrivals, weights)):
+            column, kept = _float_column(values)
+            setattr(self, name, column)
+            setattr(self, f"{name}_are_float", kept is None)
+            if kept is not None:
+                self._kept[name] = kept
 
     def __getattr__(self, name: str) -> Any:
         # The sort orders and the views derived from them (the
@@ -275,8 +301,8 @@ class ColumnarEdgeStore:
         # object core's stable sorts produce.
         start_order = np.lexsort((self.arrivals, self.starts))
         arrival_order = np.lexsort((self.starts, self.arrivals))
-        rank = np.empty(len(self.edges), dtype=np.int64)
-        rank[start_order] = np.arange(len(self.edges), dtype=np.int64)
+        rank = np.empty(self.num_edges, dtype=np.int64)
+        rank[start_order] = np.arange(self.num_edges, dtype=np.int64)
         self._starts_sorted = self.starts[start_order]
         self._arrivals_sorted = self.arrivals[arrival_order]
         self._arrival_by_start = self.arrivals[start_order]
@@ -292,16 +318,15 @@ class ColumnarEdgeStore:
         vertices: Optional[Iterable[Vertex]] = None,
     ) -> "ColumnarEdgeStore":
         """The store of an edge tuple: its columns read off the objects."""
-        edges = tuple(edges)
-        columns = tuple(zip(*edges)) if edges else ((),) * 5
-        return cls(edges, *columns, vertices=vertices)
+        columns = tuple(zip(*edges)) or ((),) * 5
+        return cls(*columns, vertices=vertices)
 
     # ------------------------------------------------------------------
     # Shared-view accessors (REP102-protected: never mutate the result)
     # ------------------------------------------------------------------
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.sources)
 
     @property
     def num_vertices(self) -> int:
@@ -334,6 +359,16 @@ class ColumnarEdgeStore:
     def start_ranks(self):
         """Per-position rank within the start order (shared view)."""
         return self._start_rank
+
+    def value_column(self, name: str) -> Sequence[Any]:
+        """Value column ``name`` (``"starts"``, ``"arrivals"`` or ``"weights"``).
+
+        The float64 array when it stands in exactly for the Python
+        values (the matching ``*_are_float`` flag), else the Python
+        values the store kept.  Either is shared.
+        """
+        kept = self._kept.get(name)
+        return getattr(self, name) if kept is None else kept
 
     # ------------------------------------------------------------------
     # Batched queries
@@ -475,16 +510,36 @@ class ColumnarEdgeStore:
             lo = cut
         return lab
 
+    def values_at(self, name: str, positions) -> List[Any]:
+        """The Python values of column ``name`` at insertion ``positions``."""
+        kept = self._kept.get(name)
+        if kept is None:
+            values: List[Any] = getattr(self, name)[positions].tolist()
+            return values
+        return [kept[p] for p in positions.tolist()]
+
     def edges_at(self, positions) -> List[TemporalEdge]:
-        """Materialise ``TemporalEdge`` objects for insertion positions."""
-        edges = self.edges
-        return [edges[p] for p in positions.tolist()]
+        """Build ``TemporalEdge`` objects for insertion positions.
+
+        Labels are the interned label objects and values the edges'
+        Python values.  Each call builds new objects; nothing is cached.
+        :meth:`TemporalGraph.edges_at` reuses the graph's edge tuple
+        instead when it has one.
+        """
+        labels = self.vertex_labels
+        return edge_rows(
+            zip(
+                [labels[i] for i in self.sources[positions].tolist()],
+                [labels[i] for i in self.targets[positions].tolist()],
+                *(self.values_at(name, positions) for name in VALUE_COLUMNS),
+            )
+        )
 
     # ------------------------------------------------------------------
     # Stdlib column export (pickling, shard payloads)
     # ------------------------------------------------------------------
-    def _value_column(self, values: List[Any], exact: bool):
-        """A shippable value column that round-trips value *and* type.
+    def _export(self, name: str, positions=None):
+        """Column ``name`` as a shippable column that round-trips value *and* type.
 
         ``array('d')`` when the store-wide flag proves every value is a
         Python float; ``array('q')`` when every value is a Python int
@@ -492,13 +547,17 @@ class ColumnarEdgeStore:
         back, so int-timestamp datasets ship as 8 bytes per value too).
         Anything else (Fractions, big ints, mixtures) falls back to a
         tuple of the original objects -- the downstream byte-identity
-        guarantees lean on this exactness.
+        guarantees lean on this exactness.  ``positions`` (insertion
+        positions) picks rows; all rows by default.
         """
-        if exact:
-            return array("d", values)
-        if all(
-            type(v) is int and -(2**63) <= v < 2**63 for v in values
-        ):
+        kept = self._kept.get(name)
+        if kept is None:
+            column = getattr(self, name)
+            if positions is not None:
+                column = column[positions]
+            return array("d", column.tobytes())
+        values = kept if positions is None else self.values_at(name, positions)
+        if all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
             return array("q", values)
         return tuple(values)
 
@@ -514,21 +573,13 @@ class ColumnarEdgeStore:
         payload format does not depend on the numpy version and rebuilds
         the identical graph (:meth:`TemporalGraph.from_columns`).
         """
-        edges = self.edges
-        return {
+        columns = {
             "labels": tuple(self.vertex_labels),
-            "sources": array("q", self.sources.tolist()),
-            "targets": array("q", self.targets.tolist()),
-            "starts": self._value_column(
-                [e.start for e in edges], self.starts_are_float
-            ),
-            "arrivals": self._value_column(
-                [e.arrival for e in edges], self.arrivals_are_float
-            ),
-            "weights": self._value_column(
-                [e.weight for e in edges], self.weights_are_float
-            ),
+            "sources": array("q", self.sources.tobytes()),
+            "targets": array("q", self.targets.tobytes()),
         }
+        columns.update((name, self._export(name)) for name in VALUE_COLUMNS)
+        return columns
 
     def time_slice_columns(self, t_alpha: float, t_omega: float) -> Dict[str, Any]:
         """Columns for the edges inside ``[t_alpha, t_omega]`` only.
@@ -542,40 +593,17 @@ class ColumnarEdgeStore:
         ``TemporalEdge`` objects and no labels outside the slice, so a
         worker unpickling it never sees out-of-range edges.
         """
-        picked = self.window_positions_graph_order(t_alpha, t_omega).tolist()
-        edges = self.edges
-        ids: Dict[Vertex, int] = {}
-        labels: List[Vertex] = []
-        sources = array("q")
-        targets = array("q")
-        starts: List[Any] = []
-        arrivals: List[Any] = []
-        weights: List[Any] = []
-        for p in picked:
-            e = edges[p]
-            u = ids.get(e.source)
-            if u is None:
-                u = len(labels)
-                ids[e.source] = u
-                labels.append(e.source)
-            v = ids.get(e.target)
-            if v is None:
-                v = len(labels)
-                ids[e.target] = v
-                labels.append(e.target)
-            sources.append(u)
-            targets.append(v)
-            starts.append(e.start)
-            arrivals.append(e.arrival)
-            weights.append(e.weight)
-        return {
-            "labels": tuple(labels),
-            "sources": sources,
-            "targets": targets,
-            "starts": self._value_column(starts, self.starts_are_float),
-            "arrivals": self._value_column(arrivals, self.arrivals_are_float),
-            "weights": self._value_column(weights, self.weights_are_float),
+        picked = self.window_positions_graph_order(t_alpha, t_omega)
+        src, dst = self.sources[picked], self.targets[picked]
+        src_ids, dst_ids, first = _first_occurrence_ids(src, dst)
+        labels = self.vertex_labels
+        columns = {
+            "labels": tuple(labels[i] for i in _endpoint_at(src, dst, first)),
+            "sources": array("q", src_ids.tobytes()),
+            "targets": array("q", dst_ids.tobytes()),
         }
+        columns.update((name, self._export(name, picked)) for name in VALUE_COLUMNS)
+        return columns
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,14 +8,20 @@ The paper's algorithms consume temporal graphs in two layouts:
   by *non-increasing* start time (Algorithm 2's input).
 
 Both are produced lazily and cached; a graph is immutable once built.
+
+A graph built from columns (:meth:`TemporalGraph.from_columns`: the
+generators, the loaders, pickles and shard payloads) holds only its
+:class:`~repro.temporal.columnar.ColumnarEdgeStore`.  It builds
+``TemporalEdge`` objects for the slices an algorithm walks (Algorithm
+1's window slice, a restricted window) and the whole edge tuple only
+when something reads :attr:`TemporalGraph.edges` or a layout derived
+from it (Algorithm 2's adjacency); that tuple is then kept.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import repeat
-from operator import itemgetter
 from typing import (
     Any,
     Dict,
@@ -41,6 +47,9 @@ from repro.temporal.edge import TemporalEdge, Vertex, make_edge
 #: tag in slot 0 is unambiguous and old pickles keep loading.
 _COLUMNAR_STATE_TAG = "repro-columnar-v1"
 
+#: The columnar store's value columns, in edge-field order.
+VALUE_COLUMNS = ("starts", "arrivals", "weights")
+
 
 class TemporalGraph:
     """An immutable directed temporal multigraph ``G = (V, E)``.
@@ -65,7 +74,6 @@ class TemporalGraph:
         "_edges",
         "_vertices",
         "_chronological",
-        "_chronological_starts",
         "_zero_duration",
         "_arrival_sorted",
         "_adjacency_desc",
@@ -96,7 +104,7 @@ class TemporalGraph:
             edge_list.append(edge)
             vertex_set.add(edge.source)
             vertex_set.add(edge.target)
-        self._edges: Tuple[TemporalEdge, ...] = tuple(edge_list)
+        self._edges: Optional[Tuple[TemporalEdge, ...]] = tuple(edge_list)
         self._vertices: FrozenSet[Vertex] = frozenset(vertex_set)
         self._reset_derived()
 
@@ -119,12 +127,12 @@ class TemporalGraph:
         read back as Python floats/ints).  ``vertices`` adds isolated
         vertices, as in the constructor.
 
+        The graph's :class:`~repro.temporal.columnar.ColumnarEdgeStore`
+        is built from the columns and is all the graph holds: no
+        ``TemporalEdge`` object exists until an algorithm reads one.
         Whole columns are validated at once (no NaN, ``arrival >=
         start``, ``weight >= 0``); the first bad row raises the
-        :class:`GraphFormatError` :func:`make_edge` raises for it.  The
-        edge tuple is then built in one pass, and the graph's
-        :class:`~repro.temporal.columnar.ColumnarEdgeStore` from the same
-        columns, so ``columnar()`` never walks the edge objects.
+        :class:`GraphFormatError` :func:`make_edge` raises for it.
         """
         graph = cls.__new__(cls)
         graph._assign_columns(
@@ -144,48 +152,30 @@ class TemporalGraph:
     ) -> None:
         from repro.temporal.columnar import ColumnarEdgeStore
 
-        starts, arrivals, weights = (
-            _python_values(column) for column in (starts, arrivals, weights)
-        )
         lengths = {len(c) for c in (sources, targets, starts, arrivals, weights)}
         if len(lengths) > 1:
             raise GraphFormatError(
                 f"edge columns differ in length: {sorted(lengths)}"
             )
         extras = None if vertices is None else list(vertices)
-        if labels is None:
-            source_labels, target_labels = sources, targets
-        else:
-            source_labels = _labels_at(labels, sources)
-            target_labels = _labels_at(labels, targets)
-        _check_values(source_labels, target_labels, starts, arrivals, weights)
-        # ``tuple.__new__`` skips the NamedTuple's Python-level
-        # ``__new__`` frame per edge; the rows were validated above.
-        edges = cast(
-            Tuple[TemporalEdge, ...],
-            tuple(
-                map(
-                    tuple.__new__,
-                    repeat(TemporalEdge),
-                    zip(source_labels, target_labels, starts, arrivals, weights),
-                )
-            ),
-        )
+        if labels is not None:
+            _check_label_ids(labels, sources)
+            _check_label_ids(labels, targets)
         store = ColumnarEdgeStore(
-            edges, sources, targets, starts, arrivals, weights, extras, labels
+            sources, targets, starts, arrivals, weights, extras, labels
         )
+        _check_rows(store)
         # The constructor's vertex set, built in its insertion order:
         # the extras, then the endpoints as the edges first meet them.
         vertex_set: Set[Vertex] = set(extras) if extras is not None else set()
         vertex_set.update(store.vertex_labels)
-        self._edges = edges
+        self._edges = None
         self._vertices = frozenset(vertex_set)
         self._reset_derived()
         self._columnar = store
 
     def _reset_derived(self) -> None:
         self._chronological: Optional[Tuple[TemporalEdge, ...]] = None
-        self._chronological_starts: Optional[List[float]] = None
         self._zero_duration: Optional[bool] = None
         self._arrival_sorted: Optional[Tuple[TemporalEdge, ...]] = None
         self._adjacency_desc: Optional[Dict[Vertex, List[TemporalEdge]]] = None
@@ -211,7 +201,7 @@ class TemporalGraph:
 
         store = self._columnar
         if store is None:
-            store = ColumnarEdgeStore.from_edges(self._edges, self._vertices)
+            store = ColumnarEdgeStore.from_edges(self.edges, self._vertices)
             self._columnar = store
         return store
 
@@ -235,21 +225,15 @@ class TemporalGraph:
         return self._prepare_memo
 
     def __getstate__(self) -> Tuple[Any, Any]:
-        # Pickle only the defining state.  The lazy layout caches (the
-        # chronological start keys and the zero-duration flag included)
-        # and the prepare memo are per-process derived state; shipping
-        # them (e.g. in a worker initializer payload) would multiply
-        # the payload by the size of the closure matrices.
-        #
-        # When the columnar store is already built (any graph that has
-        # been through a batch or sweep run), ship its stdlib column
-        # export instead of the per-edge object tuple: a handful of
-        # stdlib arrays pickles several times smaller and faster than
-        # M ``TemporalEdge`` NamedTuples.
-        store = self._columnar
-        if store is not None:
-            return (_COLUMNAR_STATE_TAG, store.export_columns())
-        return (self._edges, self._vertices)
+        # Pickle only the defining state: the store's stdlib column
+        # export (building the store if the graph has none), which
+        # pickles several times smaller and faster than M
+        # ``TemporalEdge`` NamedTuples.  The edge tuple, the lazy
+        # layout caches and the prepare memo are per-process derived
+        # state; shipping them (e.g. in a worker initializer payload)
+        # would multiply the payload by the size of the closure
+        # matrices.
+        return (_COLUMNAR_STATE_TAG, self.columnar().export_columns())
 
     def __setstate__(self, state: Tuple[Any, Any]) -> None:
         if state[0] == _COLUMNAR_STATE_TAG:
@@ -275,8 +259,28 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     @property
     def edges(self) -> Tuple[TemporalEdge, ...]:
-        """All temporal edges in insertion order."""
-        return self._edges
+        """All temporal edges in insertion order.
+
+        A column-built graph builds the tuple from its store on first
+        read and keeps it.
+        """
+        edges = self._edges
+        if edges is None:
+            store = self._columnar
+            edges = tuple(store.edges_at(np.arange(store.num_edges)))
+            self._edges = edges
+        return edges
+
+    def edges_at(self, positions: Any) -> List[TemporalEdge]:
+        """The edges at insertion ``positions`` (an int array), in that order.
+
+        Indexes the edge tuple when the graph has one, else builds just
+        these edges from the store's columns.
+        """
+        edges = self._edges
+        if edges is None:
+            return cast(List[TemporalEdge], self._columnar.edges_at(positions))
+        return [edges[p] for p in positions.tolist()]
 
     @property
     def vertices(self) -> FrozenSet[Vertex]:
@@ -291,13 +295,14 @@ class TemporalGraph:
     @property
     def num_edges(self) -> int:
         """``M = |E|`` counting parallel temporal edges."""
-        return len(self._edges)
+        return len(self)
 
     def __len__(self) -> int:
-        return len(self._edges)
+        edges = self._edges
+        return int(self._columnar.num_edges) if edges is None else len(edges)
 
     def __iter__(self) -> Iterator[TemporalEdge]:
-        return iter(self._edges)
+        return iter(self.edges)
 
     def __contains__(self, vertex: Vertex) -> bool:
         return vertex in self._vertices
@@ -334,10 +339,13 @@ class TemporalGraph:
         if self._chronological is None:
             store = self._float_time_store()
             if store is not None:
-                self._chronological = tuple(store.edges_at(store.positions_by_start()))
+                edges = self.edges
+                self._chronological = tuple(
+                    map(edges.__getitem__, store.positions_by_start().tolist())
+                )
             else:
                 self._chronological = tuple(
-                    sorted(self._edges, key=lambda e: (e.start, e.arrival))
+                    sorted(self.edges, key=lambda e: (e.start, e.arrival))
                 )
         return self._chronological
 
@@ -347,14 +355,17 @@ class TemporalGraph:
         """The chronological edges whose start lies in ``[t_alpha, t_omega]``.
 
         A contiguous run of :meth:`chronological_edges`, in the same
-        order, located by bisecting the cached start keys:
-        ``O(log M + output)``.
+        order: ``O(log M + output)``.  With float timestamps the run is
+        located in the store's start order and only its edges are
+        built; otherwise the cached chronological edges are bisected.
         """
+        store = self._float_time_store()
+        if store is not None:
+            lo, hi = store.start_bounds(t_alpha, t_omega)
+            return tuple(self.edges_at(store.positions_by_start()[lo:hi]))
         edges = self.chronological_edges()
-        if self._chronological_starts is None:
-            self._chronological_starts = [e.start for e in edges]
-        starts = self._chronological_starts
-        return edges[bisect_left(starts, t_alpha) : bisect_right(starts, t_omega)]
+        lo = _start_bisect(edges, t_alpha, right=False)
+        return edges[lo : _start_bisect(edges, t_omega, right=True)]
 
     def arrival_sorted_edges(self) -> Tuple[TemporalEdge, ...]:
         """Edges sorted by non-decreasing arrival time.
@@ -365,7 +376,7 @@ class TemporalGraph:
         """
         if self._arrival_sorted is None:
             self._arrival_sorted = tuple(
-                sorted(self._edges, key=lambda e: (e.arrival, e.start))
+                sorted(self.edges, key=lambda e: (e.arrival, e.start))
             )
         return self._arrival_sorted
 
@@ -380,7 +391,7 @@ class TemporalGraph:
             adjacency: Dict[Vertex, List[TemporalEdge]] = {
                 v: [] for v in self._vertices
             }
-            for edge in self._edges:
+            for edge in self.edges:
                 adjacency[edge.source].append(edge)
             for out_list in adjacency.values():
                 out_list.sort(key=lambda e: -e.start)
@@ -399,7 +410,7 @@ class TemporalGraph:
             adjacency: Dict[Vertex, List[TemporalEdge]] = {
                 v: [] for v in self._vertices
             }
-            for edge in self._edges:
+            for edge in self.edges:
                 adjacency[edge.source].append(edge)
             for out_list in adjacency.values():
                 out_list.sort(key=lambda e: e.start)
@@ -423,7 +434,7 @@ class TemporalGraph:
         """``N_o(u)``: the out temporal edges incident to ``vertex``."""
         if self._out_edges is None:
             grouped: Dict[Vertex, List[TemporalEdge]] = {v: [] for v in self._vertices}
-            for edge in self._edges:
+            for edge in self.edges:
                 grouped[edge.source].append(edge)
             self._out_edges = grouped
         return self._out_edges.get(vertex, [])
@@ -432,7 +443,7 @@ class TemporalGraph:
         """``N_i(v)``: the in temporal edges incident to ``vertex``."""
         if self._in_edges is None:
             grouped: Dict[Vertex, List[TemporalEdge]] = {v: [] for v in self._vertices}
-            for edge in self._edges:
+            for edge in self.edges:
                 grouped[edge.target].append(edge)
             self._in_edges = grouped
         return self._in_edges.get(vertex, [])
@@ -448,7 +459,7 @@ class TemporalGraph:
         single static weight is needed; the paper only uses ``|E_S|``).
         """
         static: Dict[Tuple[Vertex, Vertex], float] = {}
-        for edge in self._edges:
+        for edge in self.edges:
             key = edge.static_key()
             if key not in static or edge.weight < static[key]:
                 static[key] = edge.weight
@@ -461,17 +472,23 @@ class TemporalGraph:
         survive; vertices are recomputed from the surviving edges (the
         paper's G' extraction in Section 5.1).
 
-        When the graph's columnar store is already built, the scan is
-        answered from it in ``O(log M + output)`` (same edges, same
-        insertion order); a one-shot call on a cold graph stays a plain
-        ``O(M)`` pass rather than paying the store build.
+        When the graph's columnar store is already built, the window is
+        found in it in ``O(log M + output)`` and the subgraph is built
+        from the window's columns (same edges, same insertion order); a
+        one-shot call on a cold graph stays a plain ``O(M)`` pass rather
+        than paying the store build.
         """
         store = self._columnar
-        if store is not None:
-            picked = store.window_positions_graph_order(t_alpha, t_omega)
-            return TemporalGraph(store.edges_at(picked))
-        return TemporalGraph(
-            edge for edge in self._edges if edge.within(t_alpha, t_omega)
+        if store is None:
+            return TemporalGraph(
+                edge for edge in self.edges if edge.within(t_alpha, t_omega)
+            )
+        picked = store.window_positions_graph_order(t_alpha, t_omega)
+        return TemporalGraph.from_columns(
+            store.sources[picked],
+            store.targets[picked],
+            *(store.values_at(name, picked) for name in VALUE_COLUMNS),
+            labels=store.vertex_labels,
         )
 
     def with_durations(self, duration: float) -> "TemporalGraph":
@@ -487,11 +504,20 @@ class TemporalGraph:
         """
         if duration < 0:
             raise GraphFormatError("duration must be non-negative")
-        sources, targets, starts, _, weights = (
-            tuple(zip(*self._edges)) if self._edges else ((),) * 5
-        )
+        store = self.columnar()
+        starts = store.value_column("starts")
+        if store.starts_are_float and type(duration) in (int, float):
+            # float64 addition is Python float addition, value for value.
+            arrivals: Sequence[Any] = starts + duration
+        else:
+            arrivals = [s + duration for s in starts]
         return TemporalGraph.from_columns(
-            sources, targets, starts, [s + duration for s in starts], weights
+            store.sources,
+            store.targets,
+            starts,
+            arrivals,
+            store.value_column("weights"),
+            labels=store.vertex_labels,
         )
 
     def with_weights(self, weights: Dict[Tuple[Vertex, Vertex], float]) -> "TemporalGraph":
@@ -536,8 +562,8 @@ class TemporalGraph:
         return TemporalGraph.from_columns(
             store.sources,
             store.targets,
-            list(map(itemgetter(2), self._edges)),
-            list(map(itemgetter(3), self._edges)),
+            store.value_column("starts"),
+            store.value_column("arrivals"),
             weights,
             labels=store.vertex_labels,
         )
@@ -553,15 +579,15 @@ class TemporalGraph:
         GraphFormatError
             If the graph has no edges.
         """
-        if not self._edges:
+        if not len(self):
             raise GraphFormatError("time_span of an empty temporal graph")
         store = self._float_time_store()
         if store is not None:
             # The first start of the start order, the last arrival of
             # the arrival order.
             return float(store.sorted_starts()[0]), float(store.sorted_arrivals()[-1])
-        t_a = min(e.start for e in self._edges)
-        t_omega = max(e.arrival for e in self._edges)
+        t_a = min(e.start for e in self.edges)
+        t_omega = max(e.arrival for e in self.edges)
         return t_a, t_omega
 
     def has_zero_duration_edge(self) -> bool:
@@ -577,7 +603,7 @@ class TemporalGraph:
                 durations = store.arrivals - store.starts
                 self._zero_duration = bool((np.abs(durations) <= EPSILON).any())
             else:
-                self._zero_duration = any(is_zero(e.duration) for e in self._edges)
+                self._zero_duration = any(is_zero(e.duration) for e in self.edges)
         return self._zero_duration
 
     def distinct_time_instances(self) -> int:
@@ -588,7 +614,7 @@ class TemporalGraph:
 
             return len(sorted_distinct(np.concatenate((store.starts, store.arrivals))))
         instants: Set[float] = set()
-        for edge in self._edges:
+        for edge in self.edges:
             instants.add(edge.start)
             instants.add(edge.arrival)
         return len(instants)
@@ -612,55 +638,53 @@ def from_quintuples(
     return TemporalGraph(edges, vertices=vertices)
 
 
-def _python_values(column: Sequence[Any]) -> List[Any]:
-    """A value column as a list of Python values.
+def edge_rows(rows: Iterable[Tuple[Any, ...]]) -> List[TemporalEdge]:
+    """One ``TemporalEdge`` per already-validated ``(u, v, t_u, t_v, w)`` row.
 
-    numpy arrays and stdlib ``array`` columns read back through
-    ``tolist()``, so the edges hold Python floats/ints, never numpy
-    scalars.
+    ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``
+    frame per edge.  Only for rows whose graph validated them (a
+    store's columns): everything else goes through :func:`make_edge`.
     """
-    if isinstance(column, list):
-        return column
-    tolist = getattr(column, "tolist", None)
-    if tolist is None:
-        return list(column)
-    values: List[Any] = tolist()
-    return values
+    edges = list(map(tuple.__new__, repeat(TemporalEdge), rows))
+    return cast(List[TemporalEdge], edges)
 
 
-def _labels_at(labels: Sequence[Vertex], ids: Sequence[Any]) -> List[Vertex]:
-    """The labels an id column indexes, range-checked."""
+def _start_bisect(edges: Sequence[TemporalEdge], t: Any, right: bool) -> int:
+    """``bisect_left`` (``bisect_right`` if ``right``) of ``t`` by edge start."""
+    lo, hi = 0, len(edges)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        start = edges[mid].start
+        if start < t or (right and start == t):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _check_label_ids(labels: Sequence[Vertex], ids: Sequence[Any]) -> None:
+    """Range-check an id column against its label table."""
     column = np.asarray(ids, dtype=np.int64)
     if len(column) and (int(column.min()) < 0 or int(column.max()) >= len(labels)):
         raise GraphFormatError(
             f"vertex index out of range for {len(labels)} labels: "
             f"[{int(column.min())}, {int(column.max())}]"
         )
-    table = np.fromiter(labels, dtype=object, count=len(labels))
-    values: List[Vertex] = table[column].tolist()
-    return values
 
 
-def _check_values(
-    sources: Sequence[Vertex],
-    targets: Sequence[Vertex],
-    starts: List[Any],
-    arrivals: List[Any],
-    weights: List[Any],
-) -> None:
-    """Validate whole value columns; raise for the first bad row.
+def _check_rows(store: Any) -> None:
+    """Validate a store's value columns; raise for the first bad row.
 
     All-float columns are checked in one vectorised pass.  Other value
     types (ints, fractions) are compared as Python values, row by row,
     since float64 may round them.  Either way the first bad row goes
     through :func:`make_edge`, which raises its exact message.
     """
-    columns = (starts, arrivals, weights)
-    if all(set(map(type, column)) <= {float} for column in columns):
-        s, a, w = (np.asarray(column, dtype=np.float64) for column in columns)
+    if store.starts_are_float and store.arrivals_are_float and store.weights_are_float:
+        s, a, w = store.starts, store.arrivals, store.weights
         bad = np.isnan(s) | np.isnan(a) | np.isnan(w) | (a < s) | (w < 0)
-        rows: Iterable[int] = np.flatnonzero(bad)[:1].tolist()
+        rows = np.flatnonzero(bad)[:1]
     else:
-        rows = range(len(starts))
-    for i in rows:
-        make_edge(sources[i], targets[i], starts[i], arrivals[i], weights[i])
+        rows = np.arange(store.num_edges)
+    for edge in store.edges_at(rows):
+        make_edge(*edge)

@@ -42,8 +42,8 @@ class TemporalEdgeIndex:
     __slots__ = (
         "_store",
         "_edges",
+        "_ranks",
         "_starts",
-        "_positions",
         "_vertices",
         "_arrival_order",
         "_arrivals_sorted",
@@ -54,20 +54,22 @@ class TemporalEdgeIndex:
     def __init__(self, graph: TemporalGraph) -> None:
         store = graph.columnar()
         self._store = store
-        # The start-order view matches graph.chronological_edges()
-        # exactly (stable (start, arrival, position) sort), and
-        # _positions recovers the original graph.edges position of each
-        # indexed edge (needed to reproduce insertion-order outputs).
-        self._edges: List[TemporalEdge] = store.edges_at(store.positions_by_start())
-        self._positions: List[int] = [int(p) for p in store.positions_by_start()]
+        # The graph's own edge objects in the store's stable (start,
+        # arrival, position) order -- the order of
+        # graph.chronological_edges() -- so every list the index hands
+        # out shares them.
+        edges = graph.edges
+        self._edges: List[TemporalEdge] = [
+            edges[p] for p in store.positions_by_start().tolist()
+        ]
+        self._ranks = store.start_ranks()
         self._starts = store.sorted_starts()
         self._vertices = graph.vertices
         # Arrival-sorted view: ranks into _edges ordered by (arrival,
         # start, graph position); drives the per-target in-edge lists.
-        ranks = store.start_ranks()
-        self._arrival_order: List[int] = [
-            int(ranks[p]) for p in store.positions_by_arrival()
-        ]
+        self._arrival_order: List[int] = self._ranks[
+            store.positions_by_arrival()
+        ].tolist()
         self._arrivals_sorted = store.sorted_arrivals()
         # Lazy per-vertex adjacency used by the incremental repair loop.
         self._out_by_source: Optional[Dict[Vertex, Tuple[List[float], List[TemporalEdge]]]] = None
@@ -77,14 +79,17 @@ class TemporalEdgeIndex:
     def num_edges(self) -> int:
         return len(self._edges)
 
+    def _at(self, positions) -> List[TemporalEdge]:
+        """The indexed edges at graph insertion ``positions``."""
+        edges = self._edges
+        return [edges[r] for r in self._ranks[positions].tolist()]
+
     def edges_in(self, window: TimeWindow) -> List[TemporalEdge]:
         """All edges with ``start >= t_alpha`` and ``arrival <= t_omega``.
 
         Chronological order; one batched pass over the store.
         """
-        return self._store.edges_at(
-            self._store.window_positions(window.t_alpha, window.t_omega)
-        )
+        return self._at(self._store.window_positions(window.t_alpha, window.t_omega))
 
     def iter_edges_in(self, window: TimeWindow) -> Iterator[TemporalEdge]:
         """Yield the window's edges in chronological order."""
@@ -99,7 +104,7 @@ class TemporalEdgeIndex:
         instead of ``O(M)``.
         """
         return tuple(
-            self._store.edges_at(
+            self._at(
                 self._store.window_positions_graph_order(
                     window.t_alpha, window.t_omega
                 )
@@ -162,7 +167,7 @@ class TemporalEdgeIndex:
         added, removed = self._store.delta_positions(
             old_window.as_tuple(), new_window.as_tuple()
         )
-        return self._store.edges_at(added), self._store.edges_at(removed)
+        return self._at(added), self._at(removed)
 
     # ------------------------------------------------------------------
     # Per-vertex views (the incremental repair loop's scan structures)

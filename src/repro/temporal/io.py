@@ -14,18 +14,20 @@ Lines starting with ``%`` or ``#`` are comments.
 Both readers validate rows strictly: non-numeric, nan, or infinite
 weights/timestamps, negative weights, and edges arriving before they
 start all raise :class:`GraphFormatError` naming the offending line.
+Parsed fields go straight into columns, and the graph is built from
+them (:meth:`TemporalGraph.from_columns`): no edge object is made while
+loading.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import Callable, Iterable, Iterator, List, TextIO, Union
+from typing import Any, Callable, Iterable, Iterator, List, TextIO, Tuple, Union
 
 from repro import faults
 from repro.core.errors import GraphFormatError
 from repro.resilience.retry import DEFAULT_RETRY_POLICY
-from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
 
 PathOrFile = Union[str, os.PathLike, TextIO]
@@ -156,7 +158,8 @@ def read_konect(
     """
 
     def parse(lines: Iterable[str]) -> TemporalGraph:
-        edges: List[TemporalEdge] = []
+        columns: Tuple[List[Any], ...] = ([], [], [], [], [])
+        sources, targets, starts, arrivals, weights = columns
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith(("%", "#")):
@@ -166,8 +169,8 @@ def read_konect(
                 raise GraphFormatError(
                     f"line {lineno}: expected at least 'u v', got {line!r}"
                 )
-            u = _parse_vertex(parts[0])
-            v = _parse_vertex(parts[1])
+            sources.append(_parse_vertex(parts[0]))
+            targets.append(_parse_vertex(parts[1]))
             if len(parts) >= 3:
                 weight = _parse_float(parts[2], lineno, "weight")
             else:
@@ -175,10 +178,12 @@ def read_konect(
             if len(parts) >= 4:
                 timestamp = _parse_float(parts[3], lineno, "timestamp")
             else:
-                timestamp = float(len(edges))
+                timestamp = float(len(starts))
             _check_row(lineno, timestamp, timestamp + duration, weight)
-            edges.append(TemporalEdge(u, v, timestamp, timestamp + duration, weight))
-        return TemporalGraph(edges)
+            starts.append(timestamp)
+            arrivals.append(timestamp + duration)
+            weights.append(weight)
+        return TemporalGraph.from_columns(*columns)
 
     return _read_with_recovery(source, parse)
 
@@ -187,7 +192,8 @@ def read_native(source: PathOrFile) -> TemporalGraph:
     """Load the native 5-column ``u v start arrival weight`` format."""
 
     def parse(lines: Iterable[str]) -> TemporalGraph:
-        edges: List[TemporalEdge] = []
+        columns: Tuple[List[Any], ...] = ([], [], [], [], [])
+        sources, targets, starts, arrivals, weights = columns
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith(("%", "#")):
@@ -202,16 +208,12 @@ def read_native(source: PathOrFile) -> TemporalGraph:
             arrival = _parse_float(parts[3], lineno, "arrival")
             weight = _parse_float(parts[4], lineno, "weight")
             _check_row(lineno, start, arrival, weight)
-            edges.append(
-                TemporalEdge(
-                    _parse_vertex(parts[0]),
-                    _parse_vertex(parts[1]),
-                    start,
-                    arrival,
-                    weight,
-                )
-            )
-        return TemporalGraph(edges)
+            sources.append(_parse_vertex(parts[0]))
+            targets.append(_parse_vertex(parts[1]))
+            starts.append(start)
+            arrivals.append(arrival)
+            weights.append(weight)
+        return TemporalGraph.from_columns(*columns)
 
     return _read_with_recovery(source, parse)
 

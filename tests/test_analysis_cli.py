@@ -35,7 +35,7 @@ def test_violations_exit_one(capsys):
         "REP101", "REP102", "REP103", "REP104", "REP105", "REP106", "REP107",
     ):
         assert rule_code in out
-    assert "14 findings" in out
+    assert "15 findings" in out
 
 
 def test_default_excludes_skip_fixture_tree(capsys):
@@ -53,10 +53,10 @@ def test_json_report(capsys):
     assert code == EXIT_FINDINGS
     payload = json.loads(out)
     assert payload["version"] == 1
-    assert payload["counts"]["total"] == 14
+    assert payload["counts"]["total"] == 15
     assert payload["counts"]["by_rule"] == {
         "budget-tick": 1,
-        "cache-mutation": 5,
+        "cache-mutation": 6,
         "determinism": 3,
         "float-equality": 1,
         "temporal-invariant": 2,

@@ -57,6 +57,12 @@ CASES = [
         "ids.reverse()",
     ),
     (
+        "cache-mutation",
+        "REP102",
+        os.path.join("repro", "temporal", "valueuser.py"),
+        "weights.sort()",
+    ),
+    (
         "determinism",
         "REP103",
         os.path.join("repro", "perf", "timing.py"),

@@ -163,7 +163,7 @@ def test_edge_index_results_match_restricted():
 # Columnar pickling (TemporalGraph.__getstate__)
 # ----------------------------------------------------------------------
 def test_warm_graph_pickles_in_columnar_form():
-    """A cached store switches the pickle to tagged column arrays."""
+    """A cached store ships as tagged column arrays."""
     graph = small_graph()
     graph.columnar()
     tag, columns = graph.__getstate__()
@@ -176,14 +176,17 @@ def test_warm_graph_pickles_in_columnar_form():
     assert clone.vertices == graph.vertices  # isolated vertex survives
 
 
-def test_cold_graph_pickles_in_legacy_form():
+def test_cold_graph_round_trips_through_columns():
+    """A graph with no store builds one and ships the column layout."""
     graph = small_graph()
     assert graph.columnar_or_none() is None
-    state = graph.__getstate__()
-    assert state[0] == graph.edges  # legacy (edges, vertices) tuple
+    tag, columns = graph.__getstate__()
+    assert tag == _COLUMNAR_STATE_TAG
+    assert columns == graph.columnar().export_columns()
     clone = pickle.loads(pickle.dumps(graph))
     assert clone.edges == graph.edges
     assert clone.vertices == graph.vertices
+    assert clone.columnar().vertex_labels == graph.columnar().vertex_labels
 
 
 def test_legacy_state_still_loads():

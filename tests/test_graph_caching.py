@@ -51,13 +51,6 @@ class TestMemoisedDerivedState:
         assert figure3.has_zero_duration_edge()
         assert len(calls) == scanned
 
-    def test_start_keys_cached_identity(self, figure1):
-        figure1.chronological_slice(0, 6)
-        starts = figure1._chronological_starts
-        assert starts == [e.start for e in figure1.chronological_edges()]
-        figure1.chronological_slice(2, 4)
-        assert figure1._chronological_starts is starts
-
     def test_slice_is_the_start_window_of_the_chronological_order(self, figure1):
         for t_alpha, t_omega in ((0, 6), (2, 2), (3, float("inf")), (99, 100)):
             expected = tuple(
@@ -72,12 +65,12 @@ class TestMemoisedDerivedState:
         figure1.has_zero_duration_edge()
         figure1.chronological_slice(0, 6)
         assert figure1._zero_duration is not None
-        assert figure1._chronological_starts is not None
+        assert figure1._chronological is not None
         warm = pickle.dumps(figure1)
         assert len(warm) == len(cold)
         clone = pickle.loads(warm)
         assert clone._zero_duration is None
-        assert clone._chronological_starts is None
+        assert clone._chronological is None
         assert clone.has_zero_duration_edge() == figure1.has_zero_duration_edge()
         assert clone.chronological_slice(0, 6) == figure1.chronological_slice(0, 6)
 

@@ -82,6 +82,31 @@ class TestLifecycle:
             executor.map(_square, [1, 2])
         assert executor._pool is None
 
+    def test_pool_broken_during_submit_is_rebuilt(self, monkeypatch):
+        """A worker that dies before every chunk is submitted breaks
+        ``submit`` itself; the executor rebuilds instead of raising."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BrokenPool:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        real_ensure_pool = ParallelExecutor._ensure_pool
+
+        def ensure_pool(executor):
+            if executor.stats.rebuilds == 0:
+                executor._pool = BrokenPool()
+                return executor._pool
+            return real_ensure_pool(executor)
+
+        monkeypatch.setattr(ParallelExecutor, "_ensure_pool", ensure_pool)
+        with ParallelExecutor(2, chunk_size=1) as executor:
+            assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert executor.stats.rebuilds == 1
+
     def test_platform_probes(self):
         assert cpu_count() >= 1
         assert default_start_method() in ("fork", "spawn", "forkserver")

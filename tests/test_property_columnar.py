@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import math
 import pickle
+from array import array
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import minimum_spanning_tree_a
 from repro.core.errors import GraphFormatError, UnreachableRootError, ZeroDurationError
 from repro.core.numeric import is_zero
 from repro.core.sliding import iter_windows
@@ -381,6 +384,7 @@ def test_mstw_solver_identical(graph, root):
 def test_load_dataset_matches_object_path(name, weighted, seed, scale):
     got = load_dataset(name, scale=scale, seed=seed, weighted=weighted)
     expected = legacy_load_dataset(name, scale, seed, weighted)
+    assert got._edges is None  # no edge object before .edges is read
     assert exact_edges(got) == exact_edges(expected)
     assert got.vertices == expected.vertices
     assert store_columns(got.columnar()) == legacy_store_columns(expected)
@@ -495,12 +499,7 @@ def test_from_columns_equals_object_constructor(case):
 @settings(max_examples=60, deadline=None)
 @given(case=column_graphs())
 def test_pickle_round_trip_from_both_constructors(case):
-    """Graphs with a store ship their columns; the clone's store equals it.
-
-    (An object-built graph without a store ships its edge tuple and
-    vertex set instead, and its clone interns isolated vertices in the
-    clone's own set order.)
-    """
+    """Every graph ships its store's columns; the clone's store equals it."""
     edges, extras = case
     columns = tuple(zip(*edges)) if edges else ((),) * 5
     warm = TemporalGraph(edges, vertices=extras)
@@ -569,3 +568,154 @@ def test_time_helpers_match_object_scans(graph, offset):
             assert span == expected_span
             assert [type(t) for t in span] == [type(t) for t in expected_span]
 
+
+
+# ----------------------------------------------------------------------
+# Lazy edge objects: a column-built graph against an object-built one
+# ----------------------------------------------------------------------
+#: Timestamp/weight types: float64 stands in exactly for the first only.
+#: The fractions are quarters, which float64 holds exactly, so window
+#: bounds compare the same in both.
+VALUE_TYPES = {
+    "float": float,
+    "int": int,
+    "fraction": lambda value: Fraction(value, 4),
+}
+
+
+@st.composite
+def typed_graphs(draw, max_vertices=7, max_edges=20):
+    """``(edges, extras)``: one value type per graph, isolated extras."""
+    num = VALUE_TYPES[draw(st.sampled_from(sorted(VALUE_TYPES)))]
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        start = draw(st.integers(min_value=0, max_value=30))
+        duration = draw(st.integers(min_value=0, max_value=5))
+        weight = draw(st.integers(min_value=0, max_value=9))
+        edges.append(make_edge(u, v, num(start), num(start + duration), num(weight)))
+    extras = list(range(n + draw(st.integers(min_value=0, max_value=2))))
+    return edges, extras
+
+
+def _column_built(edges, extras):
+    columns = tuple(zip(*edges)) or ((),) * 5
+    return TemporalGraph.from_columns(*columns, vertices=extras)
+
+
+def _assert_same_graph(got, expected, extras=None):
+    """Edges (typed), vertex set and intern ids all equal."""
+    assert exact_edges(got) == exact_edges(expected)
+    assert got.vertices == expected.vertices
+    assert store_columns(got.columnar()) == legacy_store_columns(expected, extras)
+
+
+def _export_oracle(edges, labels, ids):
+    """The stdlib columns of ``edges``, value by value."""
+
+    def column(values):
+        if all(type(v) is float for v in values):
+            return array("d", values)
+        if all(type(v) is int for v in values):
+            return array("q", values)
+        return tuple(values)
+
+    return {
+        "labels": tuple(labels),
+        "sources": array("q", [ids[e.source] for e in edges]),
+        "targets": array("q", [ids[e.target] for e in edges]),
+        "starts": column([e.start for e in edges]),
+        "arrivals": column([e.arrival for e in edges]),
+        "weights": column([e.weight for e in edges]),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=typed_graphs(), window=windows())
+def test_lazy_slices_match_object_graph(case, window):
+    edges, extras = case
+    t_alpha, t_omega = window.t_alpha, window.t_omega
+    expected = TemporalGraph(edges, vertices=extras)
+    chronological = sorted(edges, key=lambda e: (e.start, e.arrival))
+
+    graph = _column_built(edges, extras)
+    got = graph.chronological_slice(t_alpha, t_omega)
+    assert [tuple(map(repr, e)) for e in got] == [
+        tuple(map(repr, e)) for e in chronological if t_alpha <= e.start <= t_omega
+    ]
+    if graph.columnar().starts_are_float and graph.columnar().arrivals_are_float:
+        assert graph._edges is None and graph._chronological is None
+
+    sub = _column_built(edges, extras).restricted(t_alpha, t_omega)
+    assert sub._edges is None
+    _assert_same_graph(
+        sub, TemporalGraph([e for e in edges if e.within(t_alpha, t_omega)])
+    )
+    assert _column_built(edges, extras).columnar().time_slice_columns(
+        t_alpha, t_omega
+    ) == _export_oracle(
+        [e for e in edges if e.within(t_alpha, t_omega)],
+        sub.columnar().vertex_labels,
+        sub.columnar().vertex_ids,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=typed_graphs(),
+    duration=st.sampled_from([0.0, 1.0, 1, Fraction(1, 2)]),
+    weights=st.lists(st.integers(min_value=0, max_value=9), min_size=20, max_size=20),
+)
+def test_lazy_copies_and_export_match_object_graph(case, duration, weights):
+    edges, extras = case
+    graph = _column_built(edges, extras)
+    durations = graph.with_durations(duration)
+    assert graph._edges is None and durations._edges is None
+    _assert_same_graph(
+        durations,
+        TemporalGraph(
+            [make_edge(e.source, e.target, e.start, e.start + duration, e.weight)
+             for e in edges]
+        ),
+    )
+
+    column = [float(w) for w in weights[: len(edges)]]
+    reweighted = graph.with_weight_column(column)
+    assert graph._edges is None and reweighted._edges is None
+    _assert_same_graph(
+        reweighted,
+        TemporalGraph([e._replace(weight=w) for e, w in zip(edges, column)]),
+    )
+
+    store = graph.columnar()
+    assert store.export_columns() == _export_oracle(
+        edges, store.vertex_labels, store.vertex_ids
+    )
+    assert store_columns(store) == legacy_store_columns(
+        TemporalGraph(edges, vertices=extras), extras
+    )
+    assert graph._edges is None
+    _assert_same_graph(graph, TemporalGraph(edges, vertices=extras), extras)
+
+
+def test_one_shot_queries_build_no_full_edge_set():
+    """MST_a and MST_w on a 1% window build only the edges they walk."""
+    graph = load_dataset("epinions", scale=2.0, seed=0, weighted=True)
+    store = graph.columnar()
+    t_start, t_end = graph.time_span()
+    window = TimeWindow(
+        t_start + 0.5 * (t_end - t_start), t_start + 0.51 * (t_end - t_start)
+    )
+    first = store.window_positions(window.t_alpha, window.t_omega)[:1]
+    root = store.edges_at(first)[0].source
+    tree = minimum_spanning_tree_a(graph, root, window)
+    result = minimum_spanning_tree_w(graph, root, window, level=2)
+    assert graph._edges is None and graph._chronological is None
+    assert not hasattr(store, "edges")
+    assert len(tree.parent_edge) >= 1
+    # The same answers from an object-built copy.
+    copy = TemporalGraph(graph.edges, vertices=graph.vertices)
+    assert minimum_spanning_tree_a(copy, root, window).parent_edge == tree.parent_edge
+    assert minimum_spanning_tree_w(copy, root, window, level=2).weight == result.weight

@@ -41,15 +41,15 @@ class BudgetExceededError(ReproError):
     """A cooperative :class:`repro.resilience.Budget` ran out mid-solve.
 
     Raised from ``budget.checkpoint()`` inside the DST solvers and the
-    ``MST_w`` pipeline when the wall-clock deadline, the node-expansion
-    ceiling, or the memory ceiling is hit.  Carries enough context for
+    ``MST_w`` pipeline when the wall-clock deadline or the node-expansion
+    ceiling is hit.  Carries enough context for
     structured reporting (which resource ran out, and how far the
     computation got).
 
     Attributes
     ----------
     reason:
-        ``"deadline"``, ``"expansions"``, or ``"memory"``.
+        ``"deadline"`` or ``"expansions"``.
     elapsed_seconds:
         Wall-clock time since the budget started.
     expansions:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.generators import (
     _columns,
@@ -55,9 +57,10 @@ def epinions_like(scale: float = 1.0, seed: int = 2) -> TemporalGraph:
             v += 1
         if rng.random() < 0.5:  # mild hub skew
             u %= max(2, n // 25)
-        if (u, v) in seen or u == v:
+        key = u * n + v  # an int key per static pair, not a tuple
+        if key in seen or u == v:
             continue
-        seen.add((u, v))
+        seen.add(key)
         start = float(rng.randint(0, 10_000))
         sources.append(u)
         targets.append(v)
@@ -121,10 +124,12 @@ def dblp_like(scale: float = 1.0, seed: int = 6) -> TemporalGraph:
     sources, targets, draws, _, _ = _uniform_columns(
         n, int(10 * n), 40, 1, True, 10.0, _rng(seed)
     )
-    years = [float(1990 + y) for y in range(25)]
-    times = [years[int(t) % 25] for t in draws]
+    # Read-only, so the store shares one array for starts and arrivals.
+    times = np.frombuffer(draws).astype(np.int64) % 25 + 1990.0
+    weights = np.ones(len(times))
+    times.flags.writeable = weights.flags.writeable = False
     return TemporalGraph.from_columns(
-        sources, targets, times, times, [1.0] * len(times), vertices=range(n)
+        sources, targets, times, times, weights, vertices=range(n)
     )
 
 

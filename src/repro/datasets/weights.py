@@ -11,7 +11,7 @@ maximum-influence structures.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -38,20 +38,23 @@ def _static_pairs(graph: TemporalGraph, use_out_degree: bool) -> Tuple[Any, Any,
     return store, pairs, np.bincount(ends, minlength=n)
 
 
-def _cascade(degrees: Any) -> List[float]:
-    """``max(log d, floor)`` per entry of an int array.
+def _cascade(degrees: Any) -> Any:
+    """``max(log d, floor)`` per entry of an int array, as float64.
 
-    ``math.log`` runs once per distinct degree and the float objects are
-    gathered (edges of equal degree share one): numpy's ``log`` need not
-    match libm to the last bit.
+    ``math.log`` runs once per distinct degree and its floats are
+    gathered (numpy's ``log`` need not match libm to the last bit);
+    float64 holds them exactly.  Read-only, so a store built from the
+    column shares it.
     """
     distinct, inverse = np.unique(degrees, return_inverse=True)
     table = np.fromiter(
         (max(math.log(d), WEIGHT_FLOOR) for d in distinct.tolist()),
-        dtype=object,
+        dtype=np.float64,
         count=len(distinct),
     )
-    return table[inverse.reshape(-1)].tolist()
+    column = table[inverse.reshape(-1)]
+    column.flags.writeable = False
+    return column
 
 
 def weight_cascade_weights(
@@ -81,7 +84,7 @@ def weight_cascade_weights(
     labels = store.vertex_labels
     return {
         (labels[a], labels[b]): w
-        for a, b, w in zip(u.tolist(), v.tolist(), weights)
+        for a, b, w in zip(u.tolist(), v.tolist(), weights.tolist())
     }
 
 

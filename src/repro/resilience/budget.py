@@ -1,4 +1,4 @@
-"""Cooperative deadline / node-expansion / memory budgets.
+"""Cooperative deadline / node-expansion budgets.
 
 The ``MST_w`` path is MAX-SNP-hard and the level-``i`` greedy DST
 solvers have ``O(n^i k^i)`` worst cases, so a single oversized window
@@ -6,12 +6,10 @@ or adversarial instance can hang a run indefinitely.  A :class:`Budget`
 makes every expensive loop *cooperatively* interruptible: solvers call
 ``budget.checkpoint()`` once per node expansion, and the checkpoint
 raises :class:`repro.core.errors.BudgetExceededError` as soon as the
-wall-clock deadline, the expansion ceiling, or the (peak-RSS) memory
-ceiling is hit.
+wall-clock deadline or the expansion ceiling is hit.
 
 Budgets are deliberately cheap: a checkpoint is one counter increment
-plus (by default) one ``time.monotonic()`` call; the memory probe runs
-only every ``memory_check_interval`` expansions.  A budget is shared
+plus (with a deadline) one ``time.monotonic()`` call.  A budget is shared
 state -- the same object can be threaded through a whole fallback chain
 so the deadline covers the chain end to end.
 """
@@ -22,22 +20,6 @@ import time
 from typing import List, Optional
 
 from repro.core.errors import BudgetExceededError
-
-try:  # pragma: no cover - resource is absent only on non-POSIX platforms
-    import resource
-except ImportError:  # pragma: no cover
-    resource = None  # type: ignore[assignment]
-
-
-def _peak_rss_bytes() -> Optional[int]:
-    """Peak resident set size of this process, or None if unavailable.
-
-    ``ru_maxrss`` is in kilobytes on Linux (bytes on macOS; we assume
-    the POSIX/Linux convention documented for this repo's environment).
-    """
-    if resource is None:  # pragma: no cover
-        return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 class Budget:
@@ -51,47 +33,23 @@ class Budget:
     max_expansions:
         Ceiling on the number of node expansions (checkpoint calls,
         weighted by their ``amount``).  ``None`` disables the ceiling.
-    max_memory_bytes:
-        Ceiling on the process's *peak* RSS.  ``None`` disables the
-        probe.  Note this is a high-water mark: once tripped it stays
-        tripped for the process lifetime, which is the right semantics
-        for "stop before the box starts swapping".
-    memory_check_interval:
-        How many expansions between memory probes (they cost a syscall).
     """
 
-    __slots__ = (
-        "deadline_seconds",
-        "max_expansions",
-        "max_memory_bytes",
-        "memory_check_interval",
-        "expansions",
-        "_started_at",
-        "_next_memory_check",
-    )
+    __slots__ = ("deadline_seconds", "max_expansions", "expansions", "_started_at")
 
     def __init__(
         self,
         deadline_seconds: Optional[float] = None,
         max_expansions: Optional[int] = None,
-        max_memory_bytes: Optional[int] = None,
-        memory_check_interval: int = 256,
     ) -> None:
         if deadline_seconds is not None and deadline_seconds < 0:
             raise ValueError(f"deadline_seconds must be >= 0, got {deadline_seconds}")
         if max_expansions is not None and max_expansions < 0:
             raise ValueError(f"max_expansions must be >= 0, got {max_expansions}")
-        if memory_check_interval < 1:
-            raise ValueError(
-                f"memory_check_interval must be >= 1, got {memory_check_interval}"
-            )
         self.deadline_seconds = deadline_seconds
         self.max_expansions = max_expansions
-        self.max_memory_bytes = max_memory_bytes
-        self.memory_check_interval = memory_check_interval
         self.expansions = 0
         self._started_at: Optional[float] = None
-        self._next_memory_check = memory_check_interval
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -128,11 +86,7 @@ class Budget:
     @property
     def is_limited(self) -> bool:
         """Whether any ceiling is configured at all."""
-        return (
-            self.deadline_seconds is not None
-            or self.max_expansions is not None
-            or self.max_memory_bytes is not None
-        )
+        return self.deadline_seconds is not None or self.max_expansions is not None
 
     def start(self) -> "Budget":
         """Start the wall clock if it is not already running.
@@ -149,7 +103,6 @@ class Budget:
         """Force-reset the wall clock and expansion counter."""
         self._started_at = time.monotonic()
         self.expansions = 0
-        self._next_memory_check = self.memory_check_interval
         return self
 
     def elapsed_seconds(self) -> float:
@@ -173,10 +126,6 @@ class Budget:
                 self.start()
             if self.elapsed_seconds() > self.deadline_seconds:
                 return "deadline"
-        if self.max_memory_bytes is not None:
-            rss = _peak_rss_bytes()
-            if rss is not None and rss > self.max_memory_bytes:
-                return "memory"
         return None
 
     # ------------------------------------------------------------------
@@ -200,17 +149,6 @@ class Budget:
                 self._trip(
                     "deadline", f"deadline of {self.deadline_seconds:g}s exceeded"
                 )
-        if (
-            self.max_memory_bytes is not None
-            and self.expansions >= self._next_memory_check
-        ):
-            self._next_memory_check = self.expansions + self.memory_check_interval
-            rss = _peak_rss_bytes()
-            if rss is not None and rss > self.max_memory_bytes:
-                self._trip(
-                    "memory",
-                    f"peak RSS {rss} exceeds ceiling {self.max_memory_bytes} bytes",
-                )
 
     def _trip(self, reason: str, detail: str) -> None:
         raise BudgetExceededError(
@@ -227,8 +165,6 @@ class Budget:
             limits.append(f"deadline={self.deadline_seconds:g}s")
         if self.max_expansions is not None:
             limits.append(f"max_expansions={self.max_expansions}")
-        if self.max_memory_bytes is not None:
-            limits.append(f"max_memory={self.max_memory_bytes}")
         label = ", ".join(limits) if limits else "unlimited"
         return f"Budget({label}, expansions={self.expansions})"
 

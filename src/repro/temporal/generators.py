@@ -6,22 +6,27 @@ testing, and the synthetic stand-ins for the paper's datasets (see
 
 All generators take an explicit ``seed`` (or a ``random.Random``) so
 every experiment in the benchmark harness is reproducible.  They append
-plain edge columns and build the graph once, through the validated
-:meth:`TemporalGraph.from_columns`.
+each drawn row to typed stdlib buffers (``array('q')`` vertex ids,
+``array('d')`` values), so no per-row Python object outlives its loop
+iteration, and build the graph once, through the validated
+:meth:`TemporalGraph.from_columns`, which reads both buffers without
+boxing them again.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple, Union
+from array import array
+from typing import Sequence, Tuple, Union
 
 from repro.temporal.graph import TemporalGraph
 
 RandomLike = Union[int, random.Random, None]
 
 
-#: ``(sources, targets, starts, arrivals, weights)`` edge columns.
-Columns = Tuple[List[int], List[int], List[float], List[float], List[float]]
+#: ``(sources, targets, starts, arrivals, weights)`` edge columns: vertex
+#: ids in ``array('q')``, values in ``array('d')``.
+Columns = Tuple[array, array, array, array, array]
 
 
 def _rng(seed: RandomLike) -> random.Random:
@@ -31,7 +36,7 @@ def _rng(seed: RandomLike) -> random.Random:
 
 
 def _columns() -> Columns:
-    return [], [], [], [], []
+    return array("q"), array("q"), array("d"), array("d"), array("d")
 
 
 def _uniform_columns(
@@ -118,19 +123,18 @@ def preferential_temporal_graph(
             return rng.randrange(num_hubs)
         return rng.randrange(num_vertices)
 
+    # Static pairs keyed as ``u * num_vertices + v`` ints, not tuples.
     used = set()
     sources, targets, starts, arrivals, weights = columns = _columns()
     while len(starts) < num_edges:
-        pair = None
         for attempt in range(20):
             # Fall back to unbiased picks once the hub pairs are used up.
             biased = rng.random() < hub_bias and attempt < 10
             u = pick(biased)
             v = pick(biased and rng.random() < 0.5)
-            if u != v and (u, v) not in used:
-                pair = (u, v)
+            if u != v and u * num_vertices + v not in used:
                 break
-        if pair is None:
+        else:
             # Distinct pairs are (nearly) exhausted -- dense request on a
             # small vertex set.  Reuse an existing pair with extra copies
             # so the requested edge count is still met.
@@ -138,9 +142,7 @@ def preferential_temporal_graph(
             v = rng.randrange(num_vertices - 1)
             if v >= u:
                 v += 1
-            pair = (u, v)
-        used.add(pair)
-        u, v = pair
+        used.add(u * num_vertices + v)
         copies = min(rng.randint(1, multiplicity), num_edges - len(starts))
         base = rng.randint(0, max(1, int(time_range) - copies - 2))
         duration = 0.0 if zero_duration else 1.0

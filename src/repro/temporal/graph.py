@@ -546,10 +546,11 @@ class TemporalGraph:
                 f"weight map missing {len(missing)} static edges, e.g. "
                 f"{missing[0]!r}"
             )
-        per_pair = np.fromiter(
-            (weights[key] for key in keys), dtype=object, count=len(keys)
-        )
-        return self.with_weight_column(per_pair[inverse.reshape(-1)].tolist())
+        values = [weights[key] for key in keys]
+        # float64 holds Python floats exactly; any other type is kept.
+        exact = set(map(type, values)) <= {float}
+        per_pair = np.array(values, dtype=np.float64 if exact else object)
+        return self.with_weight_column(per_pair[inverse.reshape(-1)])
 
     def with_weight_column(self, weights: Sequence[float]) -> "TemporalGraph":
         """A copy whose ``i``-th edge weighs ``weights[i]``.

@@ -16,14 +16,18 @@ weights/timestamps, negative weights, and edges arriving before they
 start all raise :class:`GraphFormatError` naming the offending line.
 Parsed fields go straight into columns, and the graph is built from
 them (:meth:`TemporalGraph.from_columns`): no edge object is made while
-loading.
+loading.  Vertex labels may be ints or strings, so they go in lists;
+the value columns are ``array('d')`` buffers, except a ``read_konect``
+weight column whose ``default_weight`` is not a float, which keeps that
+value's type in a list.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import Any, Callable, Iterable, Iterator, List, TextIO, Tuple, Union
+from array import array
+from typing import Any, Callable, Iterable, Iterator, List, TextIO, Union
 
 from repro import faults
 from repro.core.errors import GraphFormatError
@@ -158,8 +162,10 @@ def read_konect(
     """
 
     def parse(lines: Iterable[str]) -> TemporalGraph:
-        columns: Tuple[List[Any], ...] = ([], [], [], [], [])
-        sources, targets, starts, arrivals, weights = columns
+        sources: List[Any] = []
+        targets: List[Any] = []
+        starts, arrivals = array("d"), array("d")
+        weights = array("d") if type(default_weight) is float else []
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith(("%", "#")):
@@ -183,7 +189,7 @@ def read_konect(
             starts.append(timestamp)
             arrivals.append(timestamp + duration)
             weights.append(weight)
-        return TemporalGraph.from_columns(*columns)
+        return TemporalGraph.from_columns(sources, targets, starts, arrivals, weights)
 
     return _read_with_recovery(source, parse)
 
@@ -192,8 +198,9 @@ def read_native(source: PathOrFile) -> TemporalGraph:
     """Load the native 5-column ``u v start arrival weight`` format."""
 
     def parse(lines: Iterable[str]) -> TemporalGraph:
-        columns: Tuple[List[Any], ...] = ([], [], [], [], [])
-        sources, targets, starts, arrivals, weights = columns
+        sources: List[Any] = []
+        targets: List[Any] = []
+        starts, arrivals, weights = array("d"), array("d"), array("d")
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith(("%", "#")):
@@ -213,7 +220,7 @@ def read_native(source: PathOrFile) -> TemporalGraph:
             starts.append(start)
             arrivals.append(arrival)
             weights.append(weight)
-        return TemporalGraph.from_columns(*columns)
+        return TemporalGraph.from_columns(sources, targets, starts, arrivals, weights)
 
     return _read_with_recovery(source, parse)
 

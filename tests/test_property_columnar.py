@@ -12,8 +12,10 @@ the job if any test here is skipped.
 
 from __future__ import annotations
 
+import gc
 import math
 import pickle
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -41,8 +43,15 @@ from repro.perf.legacy import (
 )
 from repro.steiner.instance import prepare_instance
 from repro.temporal.edge import TemporalEdge, make_edge
+from repro.temporal.generators import (
+    layered_temporal_graph,
+    preferential_temporal_graph,
+    reachable_temporal_graph,
+    uniform_temporal_graph,
+)
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.index import TemporalEdgeIndex
+from repro.temporal.io import from_string
 from repro.temporal.paths import earliest_arrival_times
 from repro.temporal.window import TimeWindow
 
@@ -719,3 +728,77 @@ def test_one_shot_queries_build_no_full_edge_set():
     copy = TemporalGraph(graph.edges, vertices=graph.vertices)
     assert minimum_spanning_tree_a(copy, root, window).parent_edge == tree.parent_edge
     assert minimum_spanning_tree_w(copy, root, window, level=2).weight == result.weight
+
+
+# ----------------------------------------------------------------------
+# Typed load buffers: no per-row Python objects between draw and store
+# ----------------------------------------------------------------------
+def _recorded_from_columns(monkeypatch, load):
+    """The column types ``load()`` hands ``TemporalGraph.from_columns``."""
+    original = TemporalGraph.__dict__["from_columns"].__func__
+    calls = []
+
+    def recording(cls, *columns, **kwargs):
+        calls.append(tuple(type(column) for column in columns))
+        return original(cls, *columns, **kwargs)
+
+    monkeypatch.setattr(TemporalGraph, "from_columns", classmethod(recording))
+    load()
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_datasets_hand_typed_columns_to_from_columns(monkeypatch, name, weighted):
+    calls = _recorded_from_columns(
+        monkeypatch, lambda: load_dataset(name, scale=0.05, weighted=weighted)
+    )
+    assert all(list not in types for types in calls)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: uniform_temporal_graph(10, 30, seed=0),
+        lambda: preferential_temporal_graph(10, 30, multiplicity=3, seed=0),
+        lambda: reachable_temporal_graph(10, 5, seed=0),
+        lambda: layered_temporal_graph([2, 3, 2], 4, seed=0),
+    ],
+    ids=["uniform", "preferential", "reachable", "layered"],
+)
+def test_generators_hand_typed_columns_to_from_columns(monkeypatch, generate):
+    (types,) = _recorded_from_columns(monkeypatch, generate)
+    assert types == (array,) * 5
+
+
+def test_io_readers_hand_typed_value_columns_to_from_columns(monkeypatch):
+    native = "0 1 1.0 2.0 3.0\na 0 2.5 4.0 1.0\n"
+    konect = "0 1 2.0 5\n1 2\n"
+    calls = _recorded_from_columns(
+        monkeypatch,
+        lambda: (from_string(native), from_string(konect, fmt="konect")),
+    )
+    # Labels may be ints or strings, so only the value columns are typed.
+    assert [types[2:] for types in calls] == [(array,) * 3] * 2
+
+
+def test_epinions_load_peaks_near_its_live_bytes():
+    """Loading peaks at a small multiple of the graph it leaves behind.
+
+    Traced peak over live bytes for epinions x5, weighted: 5.6x with
+    per-row lists and ``(u, v)`` tuple keys, 3.75x with typed buffers
+    and int keys (numpy 2.4, Python 3.11).
+    """
+    load_dataset("epinions", scale=0.05, weighted=True)  # import warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = load_dataset("epinions", scale=5, weighted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.num_edges == 24_000
+    assert peak <= 4.5 * live, (peak, live)

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.temporal.generators`."""
 
+import hashlib
 import random
 
 import pytest
@@ -105,3 +106,37 @@ class TestLayered:
         layer0 = [e.start for e in g.edges if e.source < 2]
         layer1 = [e.start for e in g.edges if 2 <= e.source < 4]
         assert max(layer0) < min(layer1)
+
+
+#: sha256 of ``repr(graph.columnar().export_columns())`` per generator
+#: call and seed: the exact columns (intern order, values and value
+#: types) each generator has always drawn.
+GENERATOR_DIGESTS = {
+    ("uniform", 0): "ab361f1a828e01d52b4e01eef219d9ab57d19090492b317fdb717d0d8e30d1e0",
+    ("uniform", 1): "aafdedceae382e8f1d9d274bf8e9971c6b993832a8ec0c3c1fa9222992d27f1e",
+    ("uniform-zero", 0): "3449660c64f90f88d2defb24485121eaa2ce8a47d063938d2d765803a9801503",
+    ("uniform-zero", 1): "8e18a9d4bcaea9584f6220c55e5e2e8a60c48b6a908083d716e82a2ebe374ed0",
+    ("reachable", 0): "a7e3341d06edf9a4066601711c54e765256214d4c20837ccefee852cd4ab2ca5",
+    ("reachable", 1): "d7576d36668728921e255e89ccbd938d0321512b8fbe266a4663621abf5637d9",
+    ("layered", 0): "278709431f89665dd57473e7cbda19b82c27e3a9330ff627d97e9da5a9a625f0",
+    ("layered", 1): "798c3c443736ab3f02f829b1e1f7fb8ec957210168f81ec95d7a8eddbc11ccc1",
+}
+
+GENERATOR_CALLS = {
+    "uniform": lambda seed: uniform_temporal_graph(20, 60, seed=seed),
+    "uniform-zero": lambda seed: uniform_temporal_graph(
+        12, 40, zero_duration=True, seed=seed
+    ),
+    "reachable": lambda seed: reachable_temporal_graph(15, 20, root=3, seed=seed),
+    "layered": lambda seed: layered_temporal_graph([3, 4, 5], 8, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(GENERATOR_DIGESTS))
+def test_generator_columns_are_pinned(name, seed):
+    graph = GENERATOR_CALLS[name](seed)
+    export = repr(graph.columnar().export_columns()).encode()
+    assert hashlib.sha256(export).hexdigest() == GENERATOR_DIGESTS[name, seed]
+    assert {tuple(type(value) for value in edge) for edge in graph.edges} == {
+        (int, int, float, float, float)
+    }

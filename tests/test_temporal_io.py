@@ -25,6 +25,12 @@ class TestReadKonect:
         g = tio.read_konect(io.StringIO("1 2\n"), default_weight=3.0)
         assert g.edges[0].weight == 3.0
 
+    def test_int_default_weight_stays_int(self):
+        g = tio.read_konect(io.StringIO("1 2\n2 3 4.5\n3 1\n"), default_weight=1)
+        assert [e.weight for e in g.edges] == [1, 4.5, 1]
+        assert [type(e.weight) for e in g.edges] == [int, float, int]
+        assert not g.columnar().weights_are_float
+
     def test_zero_duration_default(self):
         g = tio.read_konect(io.StringIO("1 2 1 50\n"))
         assert g.edges[0].duration == 0.0

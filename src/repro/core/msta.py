@@ -9,7 +9,11 @@ its earliest possible arrival time.
   inside the window.  It requires strictly positive edge durations
   (Theorem 1); with zero durations an edge whose start equals its
   predecessor's arrival may be scanned *before* the predecessor
-  relaxes, as the paper's Figure 3 example shows.
+  relaxes, as the paper's Figure 3 example shows.  On a graph whose
+  columnar store holds exact float timestamps the pass is computed
+  from the store's columns (:meth:`ColumnarEdgeStore.
+  foremost_parent_positions`), building edge objects only for the
+  tree; otherwise it walks the edge objects.
 * :func:`msta_stack` (Algorithm 2) consumes per-vertex out-edge arrays
   sorted by non-increasing start time, maintaining a scan position per
   vertex so each edge is pushed at most once -- ``O(M)`` overall, and
@@ -91,12 +95,24 @@ def msta_chronological(
     chronological_slice`), in the same order as a full scan, so the
     arrivals and parents are identical: ``O(log M + M_window)``.
 
+    When the graph has a built store with exact float timestamps
+    (:meth:`TemporalGraph.float_time_store`) and no zero-duration
+    edge, the pass is computed from the columns instead: the store's
+    earliest-arrival labels decide which edges line 3 accepts, and with
+    positive durations the scan's parent of ``v`` is its first accepted
+    in-edge arriving at ``v``'s label (docs/algorithms.md).  Only the
+    tree's edges are built.  The parent dict is the scan's, in the
+    scan's key order.  The scan over edge objects remains for other
+    timestamp types, graphs without a built store, and zero-duration
+    graphs run with ``check_durations=False``.
+
     Set ``check_durations=False`` to skip the zero-duration guard --
     used by tests that demonstrate the Figure 3 failure mode.
 
     ``budget`` is checkpointed cooperatively every 1024 scanned
-    in-window edges; a drained budget raises
-    :class:`repro.core.errors.BudgetExceededError` mid-scan.
+    in-window edges (on the column path, that many times up front); a
+    drained budget raises :class:`repro.core.errors.BudgetExceededError`
+    with the same expansion count on either path.
     """
     if root not in graph.vertices:
         raise UnreachableRootError(f"root {root!r} is not a vertex of the graph")
@@ -108,10 +124,21 @@ def msta_chronological(
             "(Algorithm 2) for graphs with zero-duration edges"
         )
     tick = budget if budget is not None else NULL_BUDGET
+    t_omega = window.t_omega
+    store = graph.float_time_store()
+    if store is not None and not graph.has_zero_duration_edge():
+        lo, hi = store.start_bounds(window.t_alpha, t_omega)
+        for _ in range((hi - lo) // 1024):
+            tick.checkpoint(1024)
+        positions = store.foremost_parent_positions(
+            store.vertex_ids[root], window.t_alpha, t_omega
+        )
+        return TemporalSpanningTree(
+            root, {e.target: e for e in graph.edges_at(positions)}, window
+        )
     arrival: Dict[Vertex, float] = {root: window.t_alpha}
     parent: Dict[Vertex, TemporalEdge] = {}
     inf = float("inf")
-    t_omega = window.t_omega
     scanned = 0
     for edge in graph.chronological_slice(window.t_alpha, t_omega):
         scanned += 1

@@ -35,7 +35,9 @@ def _runtime_rows(
     for name in DATASETS:
         graph = msta_graph(name, duration=duration, scale=scale)
         root, window, active = msta_protocol(graph, fraction)
-        active.chronological_edges()
+        # One-off layouts stay out of the timed cells: the store's sort
+        # orders (Alg1) and the sorted adjacency (Alg2, Bhadra).
+        active.columnar().positions_by_start()
         active.sorted_adjacency()
         cells: List[object] = [name]
         reach = None

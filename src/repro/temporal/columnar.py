@@ -453,8 +453,10 @@ class ColumnarEdgeStore:
         through a time-respecting path inside ``[t_alpha, t_omega]``,
         ordered by ``(arrival, intern id)`` with float arrival times.
 
-        The sweep walks the arrival-sorted columns in chunks, never
-        splitting an arrival tie group.  Within a chunk it iterates a
+        The sweep walks the arrival-sorted columns from ``t_alpha`` to
+        ``t_omega`` (an edge arriving before ``t_alpha`` also starts
+        before it, so it can never depart from a label), in chunks that
+        never split an arrival tie group.  Within a chunk it iterates a
         relaxation fixpoint: an edge is usable when it departs no
         earlier than its source's current label, and usable edges
         scatter-min their arrival into their target's label.  Later
@@ -484,16 +486,24 @@ class ColumnarEdgeStore:
         intern ids: the earliest arrival time from ``src`` inside
         ``[t_alpha, t_omega]``, ``inf`` where unreachable, and
         ``t_alpha`` at ``src`` itself.
+
+        Only edges arriving in ``[t_alpha, t_omega]`` are swept, so the
+        cost is the window's, not the history before it.  Skipping the
+        earlier ones is exact: every label is ``t_alpha`` or more (or
+        ``inf``), and an edge arriving before ``t_alpha`` starts before
+        it (durations are non-negative), so it is never usable.  An
+        edge with ``start == arrival == t_alpha`` is kept (``"left"``).
         """
+        first = int(np.searchsorted(self._arrivals_sorted, t_alpha, side="left"))
         hi = int(np.searchsorted(self._arrivals_sorted, t_omega, side="right"))
-        order = self._arrival_order[:hi]
-        arr = self._arrivals_sorted[:hi]
-        st = self._start_by_arrival[:hi]
+        order = self._arrival_order[first:hi]
+        arr = self._arrivals_sorted[first:hi]
+        st = self._start_by_arrival[first:hi]
         srcs = self.sources[order]
         tgts = self.targets[order]
         lab = np.full(self.num_vertices, np.inf)
         lab[src] = t_alpha
-        lo = 0
+        lo, hi = 0, len(order)
         while lo < hi:
             cut = min(lo + EA_CHUNK, hi)
             if cut < hi:
@@ -509,6 +519,43 @@ class ColumnarEdgeStore:
                 np.minimum.at(lab, v[usable], a[usable])
             lo = cut
         return lab
+
+    def foremost_parent_positions(self, src: int, t_alpha: float, t_omega: float):
+        """Algorithm 1's tree edges, as insertion positions.
+
+        Requires every duration to be positive.  ``src`` is the root's
+        intern id.  Over the start slice ``[t_alpha, t_omega]``, an edge
+        is *usable* when it departs no earlier than its source's
+        earliest-arrival label and arrives by ``t_omega``.  The one-pass
+        scan gives each reached vertex ``v`` as parent its first usable
+        in-edge (start order) arriving at ``v``'s label, and inserts
+        ``v`` where its first usable in-edge with a finite arrival is
+        scanned; the result lists the parents in that insertion order.
+        """
+        lab = self.earliest_arrival_labels(src, t_alpha, t_omega)
+        lo, hi = self.start_bounds(t_alpha, t_omega)
+        arr = self._arrival_by_start[lo:hi]
+        pos = self._start_order[lo:hi]
+        tgt = self.targets[pos]
+        # The root is never relaxed, and an infinite arrival never
+        # improves a label.
+        usable = np.flatnonzero(
+            (self._starts_sorted[lo:hi] >= lab[self.sources[pos]])
+            & (arr <= t_omega)
+            & (arr < np.inf)
+            & (tgt != src)
+        )
+        tgt, arr = tgt[usable], arr[usable]
+        k = len(usable)
+        rank = np.arange(k, dtype=np.int64)
+        first = np.full(self.num_vertices, k, dtype=np.int64)
+        np.minimum.at(first, tgt, rank)
+        foremost = arr == lab[tgt]
+        parent = np.full(self.num_vertices, k, dtype=np.int64)
+        np.minimum.at(parent, tgt[foremost], rank[foremost])
+        reached = np.flatnonzero(first < k)
+        reached = reached[np.argsort(first[reached])]
+        return pos[usable[parent[reached]]]
 
     def values_at(self, name: str, positions) -> List[Any]:
         """The Python values of column ``name`` at insertion ``positions``."""

@@ -315,7 +315,7 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     # Input formats
     # ------------------------------------------------------------------
-    def _float_time_store(self) -> Any:
+    def float_time_store(self) -> Any:
         """The built columnar store, if its time columns are exact.
 
         Exact means every start and arrival is a Python float; for other
@@ -337,7 +337,7 @@ class TemporalGraph:
         sort of the edge objects by ``(start, arrival)``.
         """
         if self._chronological is None:
-            store = self._float_time_store()
+            store = self.float_time_store()
             if store is not None:
                 edges = self.edges
                 self._chronological = tuple(
@@ -359,7 +359,7 @@ class TemporalGraph:
         located in the store's start order and only its edges are
         built; otherwise the cached chronological edges are bisected.
         """
-        store = self._float_time_store()
+        store = self.float_time_store()
         if store is not None:
             lo, hi = store.start_bounds(t_alpha, t_omega)
             return tuple(self.edges_at(store.positions_by_start()[lo:hi]))
@@ -582,7 +582,7 @@ class TemporalGraph:
         """
         if not len(self):
             raise GraphFormatError("time_span of an empty temporal graph")
-        store = self._float_time_store()
+        store = self.float_time_store()
         if store is not None:
             # The first start of the start order, the last arrival of
             # the arrival order.
@@ -599,7 +599,7 @@ class TemporalGraph:
         one array pass.
         """
         if self._zero_duration is None:
-            store = self._float_time_store()
+            store = self.float_time_store()
             if store is not None:
                 durations = store.arrivals - store.starts
                 self._zero_duration = bool((np.abs(durations) <= EPSILON).any())
@@ -609,7 +609,7 @@ class TemporalGraph:
 
     def distinct_time_instances(self) -> int:
         """``|Gamma_G|``: the number of distinct timestamps in the graph."""
-        store = self._float_time_store()
+        store = self.float_time_store()
         if store is not None:
             from repro.temporal.columnar import sorted_distinct
 

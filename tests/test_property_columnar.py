@@ -25,7 +25,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro import minimum_spanning_tree_a
-from repro.core.errors import GraphFormatError, UnreachableRootError, ZeroDurationError
+from repro.core.errors import (
+    BudgetExceededError,
+    GraphFormatError,
+    UnreachableRootError,
+    ZeroDurationError,
+)
 from repro.core.numeric import is_zero
 from repro.core.sliding import iter_windows
 from repro.core.msta import msta_chronological, msta_stack
@@ -35,6 +40,7 @@ from repro.core.transformation import transform_temporal_graph
 from repro.datasets.registry import DATASETS, load_dataset
 from repro.incremental import SlidingEngine
 from repro.parallel.shard import ShardPayload
+from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.perf.legacy import (
     legacy_earliest_arrival,
     legacy_extract_window,
@@ -42,6 +48,7 @@ from repro.perf.legacy import (
     scalar_pruned_dst,
 )
 from repro.steiner.instance import prepare_instance
+from repro.temporal.columnar import EA_CHUNK
 from repro.temporal.edge import TemporalEdge, make_edge
 from repro.temporal.generators import (
     layered_temporal_graph,
@@ -802,3 +809,246 @@ def test_epinions_load_peaks_near_its_live_bytes():
         tracemalloc.stop()
     assert graph.num_edges == 24_000
     assert peak <= 4.5 * live, (peak, live)
+
+
+# ----------------------------------------------------------------------
+# Window-time one-shot queries: Algorithm 1 from the store's columns,
+# and an earliest-arrival sweep that starts at t_alpha
+# ----------------------------------------------------------------------
+def _scalar_alg1(graph, root, window, budget=None):
+    """Algorithm 1's one-pass scan over edge objects: the frozen oracle.
+
+    The loop ``msta_chronological`` ran on every graph before it read
+    the store's columns, over the edges starting inside the window in
+    ``(start, arrival, position)`` order.
+    """
+    tick = budget if budget is not None else NULL_BUDGET
+    arrival = {root: window.t_alpha}
+    parent = {}
+    inf = float("inf")
+    t_omega = window.t_omega
+    scanned = 0
+    for edge in sorted(graph.edges, key=lambda e: (e.start, e.arrival)):
+        if not window.t_alpha <= edge.start <= t_omega:
+            continue
+        scanned += 1
+        if not scanned & 1023:
+            tick.checkpoint(1024)
+        if (
+            edge.start >= arrival.get(edge.source, inf)
+            and edge.arrival < arrival.get(edge.target, inf)
+            and edge.arrival <= t_omega
+        ):
+            arrival[edge.target] = edge.arrival
+            parent[edge.target] = edge
+    return parent
+
+
+def _full_prefix_labels(store, src, t_alpha, t_omega):
+    """``earliest_arrival_labels`` as it swept every edge before ``t_omega``."""
+    hi = int(np.searchsorted(store.sorted_arrivals(), t_omega, side="right"))
+    order = store.positions_by_arrival()[:hi]
+    arr = store.sorted_arrivals()[:hi]
+    st_ = store.starts_by_arrival_order()[:hi]
+    srcs = store.sources[order]
+    tgts = store.targets[order]
+    lab = np.full(store.num_vertices, np.inf)
+    lab[src] = t_alpha
+    lo = 0
+    while lo < hi:
+        cut = min(lo + EA_CHUNK, hi)
+        if cut < hi:
+            cut = int(np.searchsorted(arr, arr[cut - 1], side="right"))
+        s, a = st_[lo:cut], arr[lo:cut]
+        u, v = srcs[lo:cut], tgts[lo:cut]
+        while True:
+            usable = (s >= lab[u]) & (a < lab[v])
+            if not usable.any():
+                break
+            np.minimum.at(lab, v[usable], a[usable])
+        lo = cut
+    return lab
+
+
+def _tree_items(parent):
+    """A parent dict as typed data, in key order."""
+    return [(repr(v), tuple(map(repr, e))) for v, e in parent.items()]
+
+
+#: Start times on a half-unit grid, so starts and arrivals tie often.
+_GRID = [x / 2 for x in range(21)]
+
+
+@st.composite
+def alg1_cases(draw, max_vertices=7, max_edges=24):
+    """``(edges, extras, root, window)`` with every duration positive.
+
+    Ties in start and in arrival, parallel duplicates, self-loops,
+    isolated vertices, infinite arrivals, and window bounds that land
+    on edge times or are unbounded.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    extras = list(range(n + draw(st.integers(min_value=0, max_value=2))))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        start = draw(st.sampled_from(_GRID))
+        duration = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, math.inf]))
+        weight = float(draw(st.integers(min_value=0, max_value=5)))
+        edges.append(make_edge(u, v, start, start + duration, weight))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            edges.append(edges[-1])  # an exact parallel duplicate
+    root = draw(st.sampled_from(extras))
+    times = sorted({t for e in edges for t in (e.start, e.arrival)} | {0.0, 5.0})
+    if draw(st.booleans()):
+        window = TimeWindow.unbounded()
+    else:
+        bounds = sorted(draw(st.lists(st.sampled_from(times), min_size=2, max_size=2)))
+        window = TimeWindow(*bounds)
+    return edges, extras, root, window
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=alg1_cases())
+def test_alg1_columns_match_scalar_scan(case):
+    """Column-path Algorithm 1 equals the scan: keys, key order, edges."""
+    edges, extras, root, window = case
+    graph = _column_built(edges, extras)
+    twin = TemporalGraph(edges, vertices=extras)
+    assert graph.float_time_store() is not None
+    assert not graph.has_zero_duration_edge()
+    got = msta_chronological(graph, root, window)
+    expected = _scalar_alg1(twin, root, window)
+    assert _tree_items(got.parent_edge) == _tree_items(expected)
+    # Only the tree's edges are built on the column path.
+    assert graph._edges is None
+    # The object-built twin has no store, so it runs the scan.
+    assert _tree_items(msta_chronological(twin, root, window).parent_edge) == (
+        _tree_items(expected)
+    )
+    assert twin.columnar_or_none() is None
+
+
+def _dataset_alg1_graph(name):
+    """A dataset graph with positive durations, store-built, no edge tuple.
+
+    Datasets with zero-duration edges get Table 2's unit durations.
+    """
+    graph = load_dataset(name, scale=0.5, seed=0)
+    if graph.has_zero_duration_edge():
+        graph = graph.with_durations(1.0)
+    assert graph._edges is None and not graph.has_zero_duration_edge()
+    return graph
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_alg1_columns_match_scalar_scan_on_datasets(name):
+    graph = _dataset_alg1_graph(name)
+    store = graph.columnar()
+    twin = TemporalGraph(
+        store.edges_at(np.arange(graph.num_edges)), vertices=graph.vertices
+    )
+    t_start, t_end = graph.time_span()
+    span = t_end - t_start
+    windows_ = [
+        TimeWindow(t_start + 0.5 * span, t_start + 0.51 * span),
+        TimeWindow(t_start + 0.6 * span, t_end),
+        TimeWindow.unbounded(),
+    ]
+    for window in windows_:
+        in_window = store.window_positions(window.t_alpha, window.t_omega)
+        sample = in_window[:: max(1, len(in_window) // 6)]
+        roots = {e.source for e in store.edges_at(sample)}
+        for root in sorted(roots):
+            got = msta_chronological(graph, root, window)
+            expected = _scalar_alg1(twin, root, window)
+            assert _tree_items(got.parent_edge) == _tree_items(expected)
+            src = store.vertex_ids[root]
+            assert np.array_equal(
+                store.earliest_arrival_labels(src, window.t_alpha, window.t_omega),
+                _full_prefix_labels(store, src, window.t_alpha, window.t_omega),
+            )
+    assert graph._edges is None
+
+
+def test_alg1_budget_trips_alike_on_both_paths():
+    """Same trip point and expansion count with and without columns."""
+    graph = _dataset_alg1_graph("epinions")
+    store = graph.columnar()
+    twin = TemporalGraph(
+        store.edges_at(np.arange(graph.num_edges)), vertices=graph.vertices
+    )
+    root = store.edges_at(store.positions_by_start()[:1])[0].source
+    window = TimeWindow.unbounded()
+
+    def run(solve, g, limit):
+        budget = Budget(max_expansions=limit)
+        try:
+            solve(g, root, window, budget=budget)
+        except BudgetExceededError as exc:
+            return "tripped", exc.expansions, budget.expansions
+        return "passed", None, budget.expansions
+
+    assert graph.num_edges >= 2048
+    for limit in (0, 1023, 1024, 2047, 2048, graph.num_edges, 10**9):
+        column = run(msta_chronological, graph, limit)
+        assert column == run(msta_chronological, twin, limit)
+        assert column == run(_scalar_alg1, twin, limit)
+    assert twin.columnar_or_none() is None
+
+
+@st.composite
+def sweep_cases(draw, max_vertices=7, max_edges=24):
+    """``(edges, extras, source, window)`` aimed at the sweep's first edge.
+
+    Durations may be zero.  A bounded window's ``t_alpha`` is an edge
+    time, often an arrival, and edges with ``start == arrival ==
+    t_alpha`` (plus ones arriving exactly at ``t_alpha``) are added.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    extras = list(range(n + draw(st.integers(min_value=0, max_value=2))))
+    source = draw(st.sampled_from(extras))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        start = draw(st.sampled_from(_GRID))
+        duration = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]))
+        edges.append(make_edge(u, v, start, start + duration, 1.0))
+    if not edges or draw(st.booleans()):
+        return edges, extras, source, TimeWindow.unbounded()
+    times = sorted({t for e in edges for t in (e.start, e.arrival)})
+    t_alpha = draw(st.sampled_from(times))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        # Often out of the source itself, so the sweep must use it.
+        u = draw(st.sampled_from([source % n, draw(st.integers(0, n - 1))]))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        start = t_alpha - draw(st.sampled_from([0.0, 0.0, 0.5]))
+        edges.insert(
+            draw(st.integers(min_value=0, max_value=len(edges))),
+            make_edge(u, v, start, t_alpha, 1.0),
+        )
+    t_omega = t_alpha + draw(st.sampled_from([0.0, 0.5, 2.0, 5.0, math.inf]))
+    return edges, extras, source, TimeWindow(t_alpha, t_omega)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sweep_cases())
+def test_window_sweep_matches_full_prefix_sweep(case):
+    edges, extras, source, window = case
+    graph = _column_built(edges, extras)
+    store = graph.columnar()
+    src = store.vertex_ids[source]
+    lab = store.earliest_arrival_labels(src, window.t_alpha, window.t_omega)
+    assert np.array_equal(
+        lab, _full_prefix_labels(store, src, window.t_alpha, window.t_omega)
+    )
+    reached = {
+        store.vertex_labels[i]: t
+        for i, t in enumerate(lab.tolist())
+        if t < math.inf or i == src
+    }
+    assert reached == legacy_earliest_arrival(
+        TemporalGraph(edges, vertices=extras), source, window
+    )

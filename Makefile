@@ -22,15 +22,17 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # CI's "Identity suites must not skip" step: the byte-identity suites
-# (columnar store, DST kernels, rooted instances) against the frozen
-# scalar oracles, failing on any test failure or skip.
+# (columnar store, DST kernels, rooted instances, generator draws)
+# against the frozen scalar oracles and pins, failing on any test
+# failure or skip.
 IDENTITY_REPORT ?= build/identity-report.txt
 
 identity:
 	@mkdir -p $(dir $(IDENTITY_REPORT))
 	@status=0; \
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_property_columnar.py \
-		tests/test_property_kernels.py tests/test_property_rooted.py -q -rs \
+		tests/test_property_kernels.py tests/test_property_rooted.py \
+		tests/test_temporal_generators.py -q -rs \
 		> $(IDENTITY_REPORT) 2>&1 || status=$$?; \
 	cat $(IDENTITY_REPORT); \
 	if grep -Eq "[0-9]+ skipped" $(IDENTITY_REPORT); then \

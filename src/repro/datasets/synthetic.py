@@ -22,17 +22,24 @@ Phone       tiny vertex set, enormous ``M/n``, weighted by duration
 
 from __future__ import annotations
 
-import random
+from array import array
 
 import numpy as np
 
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.generators import (
-    _columns,
+    _bits,
     _rng,
+    _split_pairs,
     _uniform_columns,
     preferential_temporal_graph,
 )
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """``column``, read-only, so the store shares it instead of copying."""
+    column.flags.writeable = False
+    return column
 
 
 def slashdot_like(scale: float = 1.0, seed: int = 1) -> TemporalGraph:
@@ -48,26 +55,48 @@ def epinions_like(scale: float = 1.0, seed: int = 2) -> TemporalGraph:
     n = max(10, int(800 * scale))
     target_edges = int(6 * n)
     rng = _rng(seed)
+    getrandbits, draw = rng.getrandbits, rng.random
+    nu, ku = _bits(n)
+    nv, kv = _bits(n - 1)
+    nt, kt = _bits(10_001)
+    hubs = max(2, n // 25)
     seen = set()
-    sources, targets, starts, arrivals, weights = columns = _columns()
-    while len(starts) < target_edges:
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
+    add_seen = seen.add
+    # Draws in order: each pair's key and start.
+    pairs, starts = array("q"), array("q")
+    add_pair, add_start = pairs.append, starts.append
+    count = 0
+    while count < target_edges:
+        u = getrandbits(ku)
+        while u >= nu:
+            u = getrandbits(ku)
+        v = getrandbits(kv)
+        while v >= nv:
+            v = getrandbits(kv)
         if v >= u:
             v += 1
-        if rng.random() < 0.5:  # mild hub skew
-            u %= max(2, n // 25)
-        key = u * n + v  # an int key per static pair, not a tuple
-        if key in seen or u == v:
+        if draw() < 0.5:  # mild hub skew
+            u %= hubs
+        if u == v:
             continue
-        seen.add(key)
-        start = float(rng.randint(0, 10_000))
-        sources.append(u)
-        targets.append(v)
-        starts.append(start)
-        arrivals.append(start + 1.0)
-        weights.append(1.0)
-    return TemporalGraph.from_columns(*columns, vertices=range(n))
+        key = u * n + v  # an int key per static pair, not a tuple
+        if key in seen:
+            continue
+        add_seen(key)
+        t = getrandbits(kt)
+        while t >= nt:
+            t = getrandbits(kt)
+        add_pair(key)
+        add_start(t)
+        count += 1
+    times = _read_only(np.frombuffer(starts, dtype=np.int64).astype(np.float64))
+    return TemporalGraph.from_columns(
+        *_split_pairs(pairs, n),
+        times,
+        _read_only(times + 1.0),
+        _read_only(np.ones(count)),
+        vertices=range(n),
+    )
 
 
 def facebook_like(scale: float = 1.0, seed: int = 3) -> TemporalGraph:
@@ -125,9 +154,8 @@ def dblp_like(scale: float = 1.0, seed: int = 6) -> TemporalGraph:
         n, int(10 * n), 40, 1, True, 10.0, _rng(seed)
     )
     # Read-only, so the store shares one array for starts and arrivals.
-    times = np.frombuffer(draws).astype(np.int64) % 25 + 1990.0
-    weights = np.ones(len(times))
-    times.flags.writeable = weights.flags.writeable = False
+    times = _read_only(np.frombuffer(draws).astype(np.int64) % 25 + 1990.0)
+    weights = _read_only(np.ones(len(times)))
     return TemporalGraph.from_columns(
         sources, targets, times, times, weights, vertices=range(n)
     )
@@ -141,19 +169,38 @@ def phone_like(scale: float = 1.0, seed: int = 7) -> TemporalGraph:
     weighted by call duration (the ``duration_voice_calls`` attribute).
     """
     n = max(8, int(60 * scale))
-    m = int(220 * n)
-    rng = random.Random(seed)
-    sources, targets, starts, arrivals, weights = columns = _columns()
-    for _ in range(m):
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
+    rng = _rng(seed)
+    getrandbits = rng.getrandbits
+    nu, ku = _bits(n)
+    nv, kv = _bits(n - 1)
+    nt, kt = _bits(400_001)
+    nd, kd = _bits(591)  # durations 10 .. 600
+    pairs, starts, durations = array("q"), array("q"), array("q")
+    add_pair, add_start, add_duration = pairs.append, starts.append, durations.append
+    for _ in range(int(220 * n)):
+        u = getrandbits(ku)
+        while u >= nu:
+            u = getrandbits(ku)
+        v = getrandbits(kv)
+        while v >= nv:
+            v = getrandbits(kv)
         if v >= u:
             v += 1
-        start = float(rng.randint(0, 400_000))
-        duration = float(rng.randint(10, 600))
-        sources.append(u)
-        targets.append(v)
-        starts.append(start)
-        arrivals.append(start + duration)
-        weights.append(duration)
-    return TemporalGraph.from_columns(*columns, vertices=range(n))
+        t = getrandbits(kt)
+        while t >= nt:
+            t = getrandbits(kt)
+        d = getrandbits(kd)
+        while d >= nd:
+            d = getrandbits(kd)
+        add_pair(u * n + v)
+        add_start(t)
+        add_duration(d)
+    times = _read_only(np.frombuffer(starts, dtype=np.int64).astype(np.float64))
+    weights = _read_only(np.frombuffer(durations, dtype=np.int64) + 10.0)
+    return TemporalGraph.from_columns(
+        *_split_pairs(pairs, n),
+        times,
+        _read_only(times + weights),
+        weights,
+        vertices=range(n),
+    )

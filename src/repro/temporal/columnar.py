@@ -375,8 +375,9 @@ class ColumnarEdgeStore:
     # ------------------------------------------------------------------
     def start_bounds(self, t_alpha: float, t_omega: float) -> Tuple[int, int]:
         """``[lo, hi)`` into the start order with ``t_alpha <= start <= t_omega``."""
-        lo = int(np.searchsorted(self._starts_sorted, t_alpha, side="left"))
-        hi = int(np.searchsorted(self._starts_sorted, t_omega, side="right"))
+        starts_sorted = self._starts_sorted
+        lo = int(starts_sorted.searchsorted(t_alpha, "left"))
+        hi = int(starts_sorted.searchsorted(t_omega, "right"))
         return lo, hi
 
     def window_positions(self, t_alpha: float, t_omega: float):
@@ -494,10 +495,20 @@ class ColumnarEdgeStore:
         it (durations are non-negative), so it is never usable.  An
         edge with ``start == arrival == t_alpha`` is kept (``"left"``).
         """
-        first = int(np.searchsorted(self._arrivals_sorted, t_alpha, side="left"))
-        hi = int(np.searchsorted(self._arrivals_sorted, t_omega, side="right"))
+        return self._arrival_sweep(src, t_alpha, t_omega)[0]
+
+    def _arrival_sweep(self, src: int, t_alpha: float, t_omega: float):
+        """``(labels, order, starts, arrivals, sources, targets)`` of the sweep.
+
+        ``labels`` is :meth:`earliest_arrival_labels`; the other five
+        are the swept edges (those arriving in ``[t_alpha, t_omega]``)
+        in arrival order: insertion positions, times and endpoint ids.
+        """
+        arrivals_sorted = self._arrivals_sorted
+        first = int(arrivals_sorted.searchsorted(t_alpha, "left"))
+        hi = int(arrivals_sorted.searchsorted(t_omega, "right"))
         order = self._arrival_order[first:hi]
-        arr = self._arrivals_sorted[first:hi]
+        arr = arrivals_sorted[first:hi]
         st = self._start_by_arrival[first:hi]
         srcs = self.sources[order]
         tgts = self.targets[order]
@@ -507,18 +518,18 @@ class ColumnarEdgeStore:
         while lo < hi:
             cut = min(lo + EA_CHUNK, hi)
             if cut < hi:
-                cut = int(np.searchsorted(arr, arr[cut - 1], side="right"))
+                cut = int(arr.searchsorted(arr[cut - 1], "right"))
             s, a = st[lo:cut], arr[lo:cut]
             u, v = srcs[lo:cut], tgts[lo:cut]
             while True:
                 # Strict ``a < lab[v]`` means an edge fires at most once:
                 # after the scatter-min its target label is <= a.
-                usable = (s >= lab[u]) & (a < lab[v])
-                if not usable.any():
+                fire = ((s >= lab[u]) & (a < lab[v])).nonzero()[0]
+                if not len(fire):
                     break
-                np.minimum.at(lab, v[usable], a[usable])
+                np.minimum.at(lab, v[fire], a[fire])
             lo = cut
-        return lab
+        return lab, order, st, arr, srcs, tgts
 
     def foremost_parent_positions(self, src: int, t_alpha: float, t_omega: float):
         """Algorithm 1's tree edges, as insertion positions.
@@ -531,31 +542,28 @@ class ColumnarEdgeStore:
         in-edge (start order) arriving at ``v``'s label, and inserts
         ``v`` where its first usable in-edge with a finite arrival is
         scanned; the result lists the parents in that insertion order.
+
+        The usable edges are read off the sweep's own arrays: they are
+        the swept edges that depart no earlier than their source's label
+        (so no earlier than ``t_alpha``, and no later than their arrival,
+        which is at most ``t_omega``), and the start ranks give their
+        scan order.
         """
-        lab = self.earliest_arrival_labels(src, t_alpha, t_omega)
-        lo, hi = self.start_bounds(t_alpha, t_omega)
-        arr = self._arrival_by_start[lo:hi]
-        pos = self._start_order[lo:hi]
-        tgt = self.targets[pos]
+        lab, order, st, arr, srcs, tgts = self._arrival_sweep(src, t_alpha, t_omega)
         # The root is never relaxed, and an infinite arrival never
         # improves a label.
-        usable = np.flatnonzero(
-            (self._starts_sorted[lo:hi] >= lab[self.sources[pos]])
-            & (arr <= t_omega)
-            & (arr < np.inf)
-            & (tgt != src)
-        )
-        tgt, arr = tgt[usable], arr[usable]
-        k = len(usable)
-        rank = np.arange(k, dtype=np.int64)
-        first = np.full(self.num_vertices, k, dtype=np.int64)
+        usable = ((st >= lab[srcs]) & (arr < np.inf) & (tgts != src)).nonzero()[0]
+        tgt, arr = tgts[usable], arr[usable]
+        rank = self._start_rank[order[usable]]
+        unseen = self.num_edges
+        first = np.full(self.num_vertices, unseen, dtype=np.int64)
         np.minimum.at(first, tgt, rank)
-        foremost = arr == lab[tgt]
-        parent = np.full(self.num_vertices, k, dtype=np.int64)
+        foremost = (arr == lab[tgt]).nonzero()[0]
+        parent = np.full(self.num_vertices, unseen, dtype=np.int64)
         np.minimum.at(parent, tgt[foremost], rank[foremost])
-        reached = np.flatnonzero(first < k)
-        reached = reached[np.argsort(first[reached])]
-        return pos[usable[parent[reached]]]
+        reached = (first < unseen).nonzero()[0]
+        reached = reached[first[reached].argsort()]
+        return self._start_order[parent[reached]]
 
     def values_at(self, name: str, positions) -> List[Any]:
         """The Python values of column ``name`` at insertion ``positions``."""

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test identity chaos bench bench-full bench-parallel bench-sliding bench-shard bench-dst bench-check bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
+.PHONY: install test identity chaos bench bench-full bench-parallel bench-sliding bench-dst bench-check bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
 
 # Bench defaults (override: make bench BENCH_SCALE=full BENCH_REPEATS=9).
 BENCH_SCALE ?= smoke
@@ -12,7 +12,6 @@ BENCH_BASELINE ?= benchmarks/baseline_smoke.json
 BENCH_JOBS ?= 4
 BENCH_PARALLEL_OUT ?= BENCH_PR4.json
 BENCH_SLIDING_OUT ?= BENCH_PR5.json
-BENCH_SHARD_OUT ?= BENCH_PR9.json
 BENCH_DST_OUT ?= BENCH_PR10.json
 
 install:
@@ -67,14 +66,6 @@ bench-sliding:
 	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
 		--only sliding_msta_incremental --only sliding_mstw_incremental \
 		--out $(BENCH_SLIDING_OUT)
-
-# The sharded_sweep family at full scale: legacy whole-graph shipping
-# vs per-shard columnar slices at jobs 2 (the committed BENCH_PR9.json
-# evidence).  Shard count defaults to jobs-aligned planning.
-bench-shard:
-	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
-		--jobs 2 --only sharded_sweep_jobs2 --only sharded_sweep_jobs2_wholegraph \
-		--only sharded_sweep_shards1 --out $(BENCH_SHARD_OUT)
 
 # The dst_kernels family at full scale: the frozen scalar MST_w ladder
 # (repro.perf.legacy scalar_*) vs the batched density kernels (the

@@ -322,9 +322,7 @@ def _cmd_bench(args) -> int:
     from repro.perf import compare, harness, scenarios
 
     if args.list:
-        for name in scenarios.scenario_names(
-            args.scale, jobs=args.jobs, shards=args.shards
-        ):
+        for name in scenarios.scenario_names(args.scale, jobs=args.jobs):
             print(name)
         return 0
     document = harness.run_benchmarks(
@@ -333,7 +331,6 @@ def _cmd_bench(args) -> int:
         names=args.only or None,
         progress=lambda line: print(line, file=sys.stderr),
         jobs=args.jobs,
-        shards=args.shards,
     )
     harness.summarize(document, stream=sys.stderr)
     if args.out:
@@ -530,14 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="unlock parallel_speedup scenarios up to this worker count "
         "(default 1: serial + jobs=1 engine variants only)",
-    )
-    p_bench.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="shard count for the sharded_sweep scenarios (default: "
-        "jobs-aligned -- one shard per worker)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

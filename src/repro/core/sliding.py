@@ -193,13 +193,10 @@ class SweepResult:
     engine: str
     measurements: List[WindowMeasurement]
     #: Engine work / fault-recovery counters (incremental sweeps only;
-    #: ``None`` for cold sweeps).  Sharded sweeps additionally fold in
-    #: per-shard diagnostics (``stats["shards"]``: timings, payload
-    #: bytes) and executor recovery counters (``stats["faults"]``).
-    #: Diagnostic by contract: excluded from :meth:`rows`, so exported
-    #: tables/series stay byte-identical whether or not recovery
-    #: actions (retries, cold fallbacks after injected faults) happened
-    #: along the way -- and at any shard/job count.
+    #: ``None`` for cold sweeps).  Diagnostic by contract: excluded
+    #: from :meth:`rows`, so exported tables/series stay byte-identical
+    #: whether or not recovery actions (retries, cold fallbacks after
+    #: injected faults) happened along the way.
     stats: Optional[Dict[str, Any]] = None
 
     def rows(self) -> List[dict]:

@@ -36,8 +36,10 @@ def _runtime_rows(
         graph = msta_graph(name, duration=duration, scale=scale)
         root, window, active = msta_protocol(graph, fraction)
         # One-off layouts stay out of the timed cells: the store's sort
-        # orders (Alg1) and the sorted adjacency (Alg2, Bhadra).
+        # orders and zero-duration memo (Alg1) and the sorted adjacency
+        # (Alg2, Bhadra).
         active.columnar().positions_by_start()
+        active.has_zero_duration_edge()
         active.sorted_adjacency()
         cells: List[object] = [name]
         reach = None

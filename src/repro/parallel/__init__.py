@@ -12,11 +12,7 @@ Three layers:
 * :mod:`repro.parallel.batch` / :mod:`repro.parallel.tasks` -- the two
   fan-out surfaces: ad-hoc ``(root, window)`` sweeps (:func:`run_batch`)
   and experiment-grid cell prefetch
-  (:func:`~repro.parallel.tasks.experiment_tasks`);
-* :mod:`repro.parallel.shard` -- the time-sharded execution engine:
-  contiguous window runs per shard, per-shard columnar slices with halo
-  overlap, one independent sweep engine per worker, deterministic
-  window-order merge (:func:`run_batch_sharded`, :func:`sweep_sharded`).
+  (:func:`~repro.parallel.tasks.experiment_tasks`).
 
 See ``docs/performance.md`` ("Parallel execution") for the worker
 model, the determinism guarantees, and when containment reuse fires.
@@ -35,28 +31,16 @@ from repro.parallel.engine import (
     default_start_method,
 )
 from repro.parallel.reuse import ReuseStats, WindowReuseIndex
-from repro.parallel.shard import (
-    ShardPayload,
-    ShardSpec,
-    plan_shards,
-    run_batch_sharded,
-    sweep_sharded,
-)
 
 __all__ = [
     "BatchResult",
     "ParallelExecutor",
     "ReuseStats",
-    "ShardPayload",
-    "ShardSpec",
     "SweepCell",
     "WindowReuseIndex",
     "chunk_size_for",
     "cpu_count",
     "default_start_method",
-    "plan_shards",
     "run_batch",
-    "run_batch_sharded",
     "run_sweep_serial",
-    "sweep_sharded",
 ]

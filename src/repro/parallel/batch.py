@@ -107,12 +107,6 @@ class BatchResult:
         inline_fallbacks / timeouts), all zero on a fault-free run.
         Like ``reuse``, purely diagnostic: recovery actions never
         change ``values``.
-    shards:
-        Per-shard diagnostics (time range, window/cell/edge counts,
-        payload bytes, worker elapsed seconds) when the batch ran
-        through the time-sharded engine
-        (:func:`repro.parallel.shard.run_batch_sharded`); ``None`` on
-        the legacy whole-graph path.  Diagnostic like ``reuse``.
     """
 
     values: List[Any]
@@ -122,7 +116,6 @@ class BatchResult:
     )
     jobs: int = 1
     faults: Dict[str, int] = field(default_factory=dict)
-    shards: Optional[List[Dict[str, Any]]] = None
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +143,6 @@ def _init_worker(graph_bytes: bytes, batch_token: int) -> None:
 
 
 def _cell_value(
-    graph: TemporalGraph,
     sub: TemporalGraph,
     cell: SweepCell,
     budget: Optional[Budget],
@@ -196,7 +188,7 @@ def run_sweep_cell(
     budget = Budget.per_task(budget_seconds)
     fallback_summary: Optional[Dict[str, Any]] = None
     try:
-        value, fallback_summary = _cell_value(graph, sub, cell, budget)
+        value, fallback_summary = _cell_value(sub, cell, budget)
     except BudgetExceededError as exc:
         value = OverBudgetCell(elapsed=exc.elapsed_seconds)
     after = reuse.stats()
@@ -259,7 +251,6 @@ def run_batch(
     budget_seconds: Optional[float] = None,
     chunk_size: Optional[int] = None,
     start_method: Optional[str] = None,
-    shards: Optional[int] = None,
 ) -> BatchResult:
     """Execute a sweep of cells with per-worker graph state and reuse.
 
@@ -272,30 +263,9 @@ def run_batch(
     (:func:`_window_aligned_chunk_size`), so a window's extraction and
     preparation are paid by exactly one worker no matter how many
     variants query it.
-
-    ``shards`` (any value >= 1) routes the batch through the
-    time-sharded engine instead -- per-shard columnar slices, one task
-    per shard, same values in the same order
-    (:func:`repro.parallel.shard.run_batch_sharded`).  ``None`` keeps
-    the legacy whole-graph path.
     """
-    if shards is not None:
-        from repro.parallel.shard import run_batch_sharded
-
-        return run_batch_sharded(
-            graph,
-            cells,
-            jobs=jobs,
-            shards=shards,
-            budget_seconds=budget_seconds,
-            start_method=start_method,
-        )
     if chunk_size is None:
         chunk_size = _window_aligned_chunk_size(cells, jobs)
-    if jobs > 1:
-        # Warm the columnar store so ``__getstate__`` ships the compact
-        # column export to workers instead of M edge objects.
-        graph.columnar()
     payload = pickle.dumps(graph)
     token = next(_BATCH_TOKENS)
     task = partial(run_sweep_cell, budget_seconds=budget_seconds)

@@ -36,9 +36,9 @@ from repro.perf.harness import SCHEMA_VERSION
 
 #: Schema versions this comparator can diff against each other.  v2
 #: only *adds* fields to v1 (top-level ``jobs``, platform CPU info,
-#: per-scenario ``reuse_hits``), and v3 only adds ``shard_stats`` to
-#: v2, so earlier baselines remain comparable and committed baselines
-#: keep gating CI across schema bumps.
+#: per-scenario ``reuse_hits``), and v3 only added the now-unwritten
+#: ``shard_stats`` to v2, so earlier baselines remain comparable and
+#: committed baselines keep gating CI across schema bumps.
 COMPATIBLE_VERSIONS = frozenset({1, 2, SCHEMA_VERSION})
 
 #: Both medians under this many seconds -> too fast to gate on.

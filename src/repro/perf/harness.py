@@ -19,11 +19,12 @@ Schema history:
   ``start_method`` to ``platform``, and an optional ``reuse_hits``
   per-scenario field (the batch engine's reuse-index hit count).  All
   v1 fields are unchanged, so the comparator accepts v1 baselines.
-* v3 -- adds an optional per-scenario ``shard_stats`` field (the
-  time-sharded engine's per-shard diagnostics: time range, window /
-  cell / edge counts, payload bytes, worker elapsed seconds), so shard
-  imbalance is diagnosable from the committed document.  Additive, so
-  the comparator accepts v1 and v2 baselines.
+* v3 -- added an optional per-scenario ``shard_stats`` field for the
+  time-sharded engine's per-shard diagnostics.  That engine is gone and
+  the field is no longer written; committed v3 documents that still
+  carry ``"shard_stats": null`` stay comparable, since the comparator
+  reads only the fields it gates on.  The comparator accepts v1 and v2
+  baselines too.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class ScenarioResult:
     tolerance: Optional[float] = None
     speedup: Optional[float] = None
     reuse_hits: Optional[int] = None
-    shard_stats: Optional[List[Dict[str, Any]]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -73,7 +73,6 @@ class _Timing:
     expansions: Optional[int] = None
     peak_alloc_bytes: Optional[int] = None
     reuse_hits: Optional[int] = None
-    shard_stats: Optional[List[Dict[str, Any]]] = None
     params: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -108,14 +107,12 @@ def _measure(scenario: Scenario, repeats: int, track_alloc: bool) -> _Timing:
         outcome = scenario.run(state)
         timing.samples.append(time.perf_counter() - start)
         # run() returns None, a bare expansion count, or a dict of
-        # counters ({"expansions", "reuse_hits", "shard_stats"}).
+        # counters ({"expansions", "reuse_hits"}).
         if isinstance(outcome, dict):
             if outcome.get("expansions") is not None:
                 timing.expansions = outcome["expansions"]
             if outcome.get("reuse_hits") is not None:
                 timing.reuse_hits = outcome["reuse_hits"]
-            if outcome.get("shard_stats") is not None:
-                timing.shard_stats = outcome["shard_stats"]
         elif outcome is not None:
             timing.expansions = outcome
     if track_alloc:
@@ -137,7 +134,6 @@ def run_benchmarks(
     track_alloc: bool = True,
     progress: Optional[Any] = None,
     jobs: int = 1,
-    shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run the scenario suite and return the bench document (a dict).
 
@@ -146,13 +142,11 @@ def run_benchmarks(
     automatically so speedups stay computable).  ``progress`` is an
     optional ``callable(str)`` for per-scenario status lines.  ``jobs``
     unlocks the pool-backed ``parallel_speedup`` variants up to that
-    worker count and is recorded in the document.  ``shards`` overrides
-    the shard count of the ``sharded_sweep`` pool scenarios (default:
-    jobs-aligned planning, one shard per worker).
+    worker count and is recorded in the document.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    scenarios = build_scenarios(scale, jobs, shards=shards)
+    scenarios = build_scenarios(scale, jobs)
     if names is not None:
         wanted = set(names)
         known = {s.name for s in scenarios}
@@ -190,7 +184,6 @@ def run_benchmarks(
                 baseline=scenario.baseline,
                 tolerance=scenario.tolerance,
                 reuse_hits=timing.reuse_hits,
-                shard_stats=timing.shard_stats,
             )
         )
 

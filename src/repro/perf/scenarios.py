@@ -99,9 +99,8 @@ class _ScaleSpec:
     parallel_dataset: Tuple[str, float] = ("epinions", 0.05)
     sweep_fractions: Tuple[float, ...] = (0.6, 0.45, 0.3)
     # (dataset name, generator scale, window fraction, step fraction)
-    # for the sharded_sweep family: a *sliding* window grid -- the
-    # shape where contiguous time-sharding pays, because each shard's
-    # slice covers only its run of windows plus the halo.
+    # for the sharded_sweep family: a *sliding* window grid, whose
+    # forward-sliding window groups the batch engine chains per worker.
     shard_sweep: Tuple[str, float, float, float] = (
         "epinions", 0.05, 0.3, 0.15,
     )
@@ -253,7 +252,7 @@ def _columnar_state(spec: _ScaleSpec):
     return {"graph": graph, "window": window, "root": root}
 
 
-def _store_build_state(spec: _ScaleSpec):
+def _columnar_state_with_edges(spec: _ScaleSpec):
     # A column-built graph makes its edge tuple on first read: read it
     # here, so no timed run pays for it.
     state = _columnar_state(spec)
@@ -282,23 +281,17 @@ def _solver_run(solver, level: int):
     return run
 
 
-def build_scenarios(
-    scale: str, jobs: int = 1, shards: Optional[int] = None
-) -> List[Scenario]:
+def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
     """The scenario list for a named scale (see :data:`SCALES`).
 
     ``jobs`` gates the pool-backed ``parallel_speedup`` /
     ``sharded_sweep`` variants: the serial baseline and the ``jobs=1``
     engine runs are always included; the ``jobs=2`` / ``jobs=4`` runs
     only when the requested job count reaches them (the default CI
-    bench stays pool-free).  ``shards`` overrides the shard count of
-    the pool-backed ``sharded_sweep`` scenario (default: jobs-aligned
-    -- one shard per worker).
+    bench stays pool-free).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if shards is not None and shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     try:
         spec = SCALES[scale]
     except KeyError:
@@ -441,25 +434,6 @@ def build_scenarios(
             for algorithm, level in _SWEEP_VARIANTS
         ]
         return {"graph": base, "cells": cells}
-
-    def shard_legacy_run(jobs_n: int):
-        def run(state):
-            result = run_batch(state["graph"], state["cells"], jobs=jobs_n)
-            return {"reuse_hits": result.reuse["hits"]}
-
-        return run
-
-    def shard_sharded_run(jobs_n: int, shards_n: int):
-        def run(state):
-            result = run_batch(
-                state["graph"], state["cells"], jobs=jobs_n, shards=shards_n
-            )
-            return {
-                "reuse_hits": result.reuse["hits"],
-                "shard_stats": result.shards,
-            }
-
-        return run
 
     scenarios = [
         Scenario(
@@ -642,7 +616,7 @@ def build_scenarios(
                     "(repro.perf.legacy) -- the speedup baseline."
                 ),
                 params=dict(columnar_params),
-                setup=columnar_setup,
+                setup=lambda: _columnar_state_with_edges(spec),
                 run=columnar_extract_legacy_run,
             ),
             Scenario(
@@ -668,7 +642,7 @@ def build_scenarios(
                     "(repro.perf.legacy) -- the speedup baseline."
                 ),
                 params=dict(columnar_params),
-                setup=columnar_setup,
+                setup=lambda: _columnar_state_with_edges(spec),
                 run=columnar_transform_legacy_run,
             ),
             Scenario(
@@ -722,7 +696,7 @@ def build_scenarios(
                     "the amortised cost the query speedups buy against."
                 ),
                 params=dict(columnar_params),
-                setup=lambda: _store_build_state(spec),
+                setup=lambda: _columnar_state_with_edges(spec),
                 run=store_build_run,
             ),
         ]
@@ -839,75 +813,34 @@ def build_scenarios(
             )
         )
 
-    scenarios.extend(
-        [
-            Scenario(
-                name="sharded_sweep_jobs1",
-                group="sharded_sweep",
-                description=(
-                    "Sliding-grid sweep through the legacy batch engine "
-                    "at jobs=1 (whole graph, inline) -- the reference "
-                    "the PR 4 regression was measured against."
-                ),
-                params=dict(shard_params, jobs=1),
-                setup=shard_setup,
-                run=shard_legacy_run(1),
+    scenarios.append(
+        Scenario(
+            name="sharded_sweep_jobs1",
+            group="sharded_sweep",
+            description=(
+                "Sliding-grid sweep through the batch engine at jobs=1 "
+                "(whole graph, inline)."
             ),
-            Scenario(
-                name="sharded_sweep_shards1",
-                group="sharded_sweep",
-                description=(
-                    "Same sweep through the time-sharded engine with a "
-                    "single shard (jobs=1, inline): the sharded path's "
-                    "planning + slicing overhead in isolation."
-                ),
-                params=dict(shard_params, jobs=1, shards=1),
-                setup=shard_setup,
-                run=shard_sharded_run(1, 1),
-                baseline="sharded_sweep_jobs1",
-            ),
-        ]
+            params=dict(shard_params, jobs=1),
+            setup=shard_setup,
+            run=parallel_batch_run(1),
+        )
     )
     if jobs >= 2:
-        # Jobs-aligned planning by default: one shard per worker.  A
-        # bench-level ``shards`` override re-plans the same workload at
-        # a different shard count (the name stays stable; the params
-        # record the effective count).
-        shards_n = shards if shards is not None else 2
-        scenarios.extend(
-            [
-                Scenario(
-                    name="sharded_sweep_jobs2_wholegraph",
-                    group="sharded_sweep",
-                    description=(
-                        "Same sweep, legacy engine at jobs=2: every "
-                        "worker deserializes the whole graph (the PR 4 "
-                        "regression shape on this workload)."
-                    ),
-                    params=dict(shard_params, jobs=2),
-                    setup=shard_setup,
-                    run=shard_legacy_run(2),
-                    baseline="sharded_sweep_jobs1",
-                    tolerance=5.0,
+        scenarios.append(
+            Scenario(
+                name="sharded_sweep_jobs2_wholegraph",
+                group="sharded_sweep",
+                description=(
+                    "Same sweep, batch engine at jobs=2: every worker "
+                    "deserializes the whole graph's column export once."
                 ),
-                Scenario(
-                    name="sharded_sweep_jobs2",
-                    group="sharded_sweep",
-                    description=(
-                        "Same sweep, time-sharded at jobs=2/shards=2: "
-                        "each worker receives only its shard's columnar "
-                        "slice (halo included) and runs an independent "
-                        "engine over its window run.  The speedup over "
-                        "sharded_sweep_jobs1 is the PR 9 headline -- "
-                        "parallel execution beating the inline engine."
-                    ),
-                    params=dict(shard_params, jobs=2, shards=shards_n),
-                    setup=shard_setup,
-                    run=shard_sharded_run(2, shards_n),
-                    baseline="sharded_sweep_jobs1",
-                    tolerance=5.0,
-                ),
-            ]
+                params=dict(shard_params, jobs=2),
+                setup=shard_setup,
+                run=parallel_batch_run(2),
+                baseline="sharded_sweep_jobs1",
+                tolerance=5.0,
+            )
         )
 
     def sliding_setup(dataset_spec):
@@ -1081,8 +1014,6 @@ def build_scenarios(
     return scenarios
 
 
-def scenario_names(
-    scale: str, jobs: int = 1, shards: Optional[int] = None
-) -> List[str]:
+def scenario_names(scale: str, jobs: int = 1) -> List[str]:
     """Names only, in run order (for ``bench --list``)."""
-    return [s.name for s in build_scenarios(scale, jobs, shards=shards)]
+    return [s.name for s in build_scenarios(scale, jobs)]

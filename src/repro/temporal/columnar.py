@@ -591,9 +591,9 @@ class ColumnarEdgeStore:
         )
 
     # ------------------------------------------------------------------
-    # Stdlib column export (pickling, shard payloads)
+    # Stdlib column export (pickling)
     # ------------------------------------------------------------------
-    def _export(self, name: str, positions=None):
+    def _export(self, name: str):
         """Column ``name`` as a shippable column that round-trips value *and* type.
 
         ``array('d')`` when the store-wide flag proves every value is a
@@ -602,19 +602,14 @@ class ColumnarEdgeStore:
         back, so int-timestamp datasets ship as 8 bytes per value too).
         Anything else (Fractions, big ints, mixtures) falls back to a
         tuple of the original objects -- the downstream byte-identity
-        guarantees lean on this exactness.  ``positions`` (insertion
-        positions) picks rows; all rows by default.
+        guarantees lean on this exactness.
         """
         kept = self._kept.get(name)
         if kept is None:
-            column = getattr(self, name)
-            if positions is not None:
-                column = column[positions]
-            return array("d", column.tobytes())
-        values = kept if positions is None else self.values_at(name, positions)
-        if all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
-            return array("q", values)
-        return tuple(values)
+            return array("d", getattr(self, name).tobytes())
+        if all(type(v) is int and -(2**63) <= v < 2**63 for v in kept):
+            return array("q", kept)
+        return tuple(kept)
 
     def export_columns(self) -> Dict[str, Any]:
         """The store's defining state as stdlib columns.
@@ -634,30 +629,6 @@ class ColumnarEdgeStore:
             "targets": array("q", self.targets.tobytes()),
         }
         columns.update((name, self._export(name)) for name in VALUE_COLUMNS)
-        return columns
-
-    def time_slice_columns(self, t_alpha: float, t_omega: float) -> Dict[str, Any]:
-        """Columns for the edges inside ``[t_alpha, t_omega]`` only.
-
-        The shard-payload primitive: membership and order match
-        :meth:`window_positions_graph_order` (start >= t_alpha and
-        arrival <= t_omega, insertion order), vertex labels are
-        re-interned locally in first-occurrence order, and the value
-        columns carry the slice's original Python values (exact arrays
-        when the store-wide flags allow).  The result holds no
-        ``TemporalEdge`` objects and no labels outside the slice, so a
-        worker unpickling it never sees out-of-range edges.
-        """
-        picked = self.window_positions_graph_order(t_alpha, t_omega)
-        src, dst = self.sources[picked], self.targets[picked]
-        src_ids, dst_ids, first = _first_occurrence_ids(src, dst)
-        labels = self.vertex_labels
-        columns = {
-            "labels": tuple(labels[i] for i in _endpoint_at(src, dst, first)),
-            "sources": array("q", src_ids.tobytes()),
-            "targets": array("q", dst_ids.tobytes()),
-        }
-        columns.update((name, self._export(name, picked)) for name in VALUE_COLUMNS)
         return columns
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

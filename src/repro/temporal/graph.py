@@ -10,7 +10,7 @@ The paper's algorithms consume temporal graphs in two layouts:
 Both are produced lazily and cached; a graph is immutable once built.
 
 A graph built from columns (:meth:`TemporalGraph.from_columns`: the
-generators, the loaders, pickles and shard payloads) holds only its
+generators, the loaders and pickles) holds only its
 :class:`~repro.temporal.columnar.ColumnarEdgeStore`.  It builds
 ``TemporalEdge`` objects for the slices an algorithm walks (Algorithm
 1's window slice, a restricted window) and the whole edge tuple only

@@ -242,3 +242,33 @@ class TestMstaBudgetThreading:
                 assert not any(
                     isinstance(cell, OverBudgetCell) for cell in row
                 )
+
+
+class TestMstaWarmUp:
+    """One-off layouts are paid before Table 2's timed cells, not in them."""
+
+    def test_zero_duration_memo_warm_before_first_timed_cell(self, monkeypatch):
+        from repro.experiments import msta_tables
+        from repro.experiments.checkpoint import ExperimentContext
+
+        actives = []
+        protocol = msta_tables.msta_protocol
+
+        def capture(*args, **kwargs):
+            root, window, active = protocol(*args, **kwargs)
+            actives.append(active)
+            return root, window, active
+
+        class FirstCellChecked(Exception):
+            pass
+
+        def cell(self, key, fn):
+            # Alg1 (msta_chronological) asks has_zero_duration_edge()
+            # first thing; an unset memo here is paid inside the timing.
+            assert actives[-1]._zero_duration is not None, key
+            raise FirstCellChecked
+
+        monkeypatch.setattr(msta_tables, "msta_protocol", capture)
+        monkeypatch.setattr(ExperimentContext, "cell", cell)
+        with pytest.raises(FirstCellChecked):
+            msta_tables.run_table2(quick=True)

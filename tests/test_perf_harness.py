@@ -252,36 +252,12 @@ class TestShardedScenarios:
     def test_sharded_scenarios_gated_by_jobs(self):
         at_one = scenario_names("smoke", jobs=1)
         assert "sharded_sweep_jobs1" in at_one
-        assert "sharded_sweep_shards1" in at_one
-        assert "sharded_sweep_jobs2" not in at_one
+        assert "sharded_sweep_jobs2_wholegraph" not in at_one
         at_two = scenario_names("smoke", jobs=2)
-        assert "sharded_sweep_jobs2" in at_two
         assert "sharded_sweep_jobs2_wholegraph" in at_two
 
-    def test_bad_shards_rejected(self):
-        with pytest.raises(ValueError):
-            build_scenarios("smoke", jobs=2, shards=0)
-
-    def test_shard_stats_surface_in_document(self):
-        doc = run_benchmarks(
-            "smoke",
-            repeats=1,
-            names=["sharded_sweep_shards1"],
-            track_alloc=False,
-        )
-        rows = {r["name"]: r for r in doc["scenarios"]}
-        stats = rows["sharded_sweep_shards1"]["shard_stats"]
-        assert isinstance(stats, list) and stats
-        for entry in stats:
-            assert set(entry) >= {
-                "shard", "t_lo", "t_hi", "windows",
-                "edges", "payload_bytes", "cells", "elapsed_s",
-            }
-        # The jobs1 baseline runs the legacy engine: no shard stats.
-        assert rows["sharded_sweep_jobs1"]["shard_stats"] is None
-
     def test_speedup_pair_present_at_full_scale(self):
-        """The committed BENCH_PR9 claim needs its pair at full scale."""
+        """The jobs=1 vs jobs=2 pair exists at full scale."""
         names = scenario_names("full", jobs=2)
-        assert "sharded_sweep_jobs2" in names
+        assert "sharded_sweep_jobs2_wholegraph" in names
         assert "sharded_sweep_jobs1" in names

@@ -39,7 +39,6 @@ from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.transformation import transform_temporal_graph
 from repro.datasets.registry import DATASETS, load_dataset
 from repro.incremental import SlidingEngine
-from repro.parallel.shard import ShardPayload
 from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.perf.legacy import (
     legacy_earliest_arrival,
@@ -528,35 +527,6 @@ def test_pickle_round_trip_from_both_constructors(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=column_graphs(), window=windows())
-def test_decoded_shard_columns_match_edge_decode(case, window):
-    edges, extras = case
-    payload = ShardPayload.slice_of(
-        TemporalGraph(edges, vertices=extras).columnar(), window.t_alpha, window.t_omega
-    )
-    columns = payload.columns
-    labels = columns["labels"]
-    # Oracle: one make_edge per row, then the object constructor.
-    expected = TemporalGraph(
-        [
-            make_edge(labels[u], labels[v], s, a, w)
-            for u, v, s, a, w in zip(
-                columns["sources"],
-                columns["targets"],
-                columns["starts"],
-                columns["arrivals"],
-                columns["weights"],
-            )
-        ],
-        vertices=labels,
-    )
-    got = payload.to_graph()
-    assert exact_edges(got) == exact_edges(expected)
-    assert got.vertices == expected.vertices
-    assert store_columns(got.columnar_or_none()) == legacy_store_columns(expected)
-
-
-@settings(max_examples=60, deadline=None)
 @given(graph=graphs(), offset=st.sampled_from([0.0, 0.25, 1e9]))
 def test_time_helpers_match_object_scans(graph, offset):
     if offset:
@@ -668,13 +638,6 @@ def test_lazy_slices_match_object_graph(case, window):
     assert sub._edges is None
     _assert_same_graph(
         sub, TemporalGraph([e for e in edges if e.within(t_alpha, t_omega)])
-    )
-    assert _column_built(edges, extras).columnar().time_slice_columns(
-        t_alpha, t_omega
-    ) == _export_oracle(
-        [e for e in edges if e.within(t_alpha, t_omega)],
-        sub.columnar().vertex_labels,
-        sub.columnar().vertex_ids,
     )
 
 

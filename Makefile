@@ -23,7 +23,9 @@ test:
 # CI's "Identity suites must not skip" step: the byte-identity suites
 # (columnar store, DST kernels, rooted instances, generator draws)
 # against the frozen scalar oracles and pins, failing on any test
-# failure or skip.
+# failure or skip.  A skip shows as a `-rs` "SKIPPED [n] file:line:
+# reason" line: pyproject's addopts "-q" plus this "-q" suppress the
+# final "N skipped" counts line.
 IDENTITY_REPORT ?= build/identity-report.txt
 
 identity:
@@ -34,7 +36,7 @@ identity:
 		tests/test_temporal_generators.py -q -rs \
 		> $(IDENTITY_REPORT) 2>&1 || status=$$?; \
 	cat $(IDENTITY_REPORT); \
-	if grep -Eq "[0-9]+ skipped" $(IDENTITY_REPORT); then \
+	if grep -Eq "^SKIPPED \[|[0-9]+ skipped" $(IDENTITY_REPORT); then \
 		echo "error: identity suite skipped -- the byte-identity contract is unchecked"; \
 		exit 1; \
 	fi; \

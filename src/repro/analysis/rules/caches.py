@@ -53,7 +53,6 @@ CACHE_ACCESSORS = frozenset(
         # slices, deltas, and the patched closure's hop matrix are all
         # handed out uncopied.
         "edges_in",
-        "edges_in_graph_order",
         "iter_edges_in",
         "in_edges_up_to",
         "delta",

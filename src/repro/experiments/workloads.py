@@ -99,9 +99,8 @@ def nested_sweep_windows(
     """Centered windows for the given fractions, widest first.
 
     ``middle_tenth_window`` centers every window on the graph's time
-    range, so decreasing fractions produce strictly *nested* windows --
-    the sweep shape under which the batch engine's containment reuse
-    fires for every window after the first.
+    range, so decreasing fractions produce strictly *nested* windows,
+    and a root valid on the innermost window is valid on all of them.
     """
     ordered = sorted(fractions, reverse=True)
     if ordered != list(fractions):

@@ -1,21 +1,20 @@
-"""Process-pool batch-query engine with cross-window work sharing.
+"""Process-pool batch-query engine.
 
-Three layers:
+Two layers:
 
 * :mod:`repro.parallel.engine` -- :class:`ParallelExecutor`, the pool
   wrapper with per-worker initialization, deterministic chunking, and a
   deterministic result-merge layer (output byte-identical to serial at
   any ``jobs`` value);
-* :mod:`repro.parallel.reuse` -- :class:`WindowReuseIndex`, deriving a
-  contained window's extraction artifacts from a cached containing
-  window instead of rescanning the full graph;
 * :mod:`repro.parallel.batch` / :mod:`repro.parallel.tasks` -- the two
-  fan-out surfaces: ad-hoc ``(root, window)`` sweeps (:func:`run_batch`)
+  fan-out surfaces: ad-hoc ``(root, window)`` sweeps (:func:`run_batch`,
+  one dynamically dispatched task per run of cells sharing a window and
+  a root, each extracting its window once from the worker's columns)
   and experiment-grid cell prefetch
   (:func:`~repro.parallel.tasks.experiment_tasks`).
 
 See ``docs/performance.md`` ("Parallel execution") for the worker
-model, the determinism guarantees, and when containment reuse fires.
+model, the determinism guarantees, and what the run dispatch measured.
 """
 
 from repro.parallel.batch import (
@@ -30,14 +29,11 @@ from repro.parallel.engine import (
     cpu_count,
     default_start_method,
 )
-from repro.parallel.reuse import ReuseStats, WindowReuseIndex
 
 __all__ = [
     "BatchResult",
     "ParallelExecutor",
-    "ReuseStats",
     "SweepCell",
-    "WindowReuseIndex",
     "chunk_size_for",
     "cpu_count",
     "default_start_method",

@@ -1,4 +1,4 @@
-"""The batch MST_w sweep engine: fan out cells, share work per worker.
+"""The batch MST_w sweep engine: one pool task per ``(window, root)`` run.
 
 This is the end-to-end face of :mod:`repro.parallel`: a list of
 :class:`SweepCell` queries over one :class:`TemporalGraph` is executed
@@ -7,14 +7,17 @@ by :func:`run_batch` across worker processes with three properties:
 * **the graph crosses the process boundary once per worker** -- the
   pool initializer receives ``pickle.dumps(graph)`` via ``initargs``
   (pickled once per worker) and deserializes it into module state;
-  individual tasks carry only the tiny cell descriptor;
-* **cross-window work sharing** -- every worker owns a
-  :class:`~repro.parallel.reuse.WindowReuseIndex`, so a cell whose
-  window is contained in an earlier cell's window derives its
-  extraction by filtering the cached artifacts instead of rescanning
-  the full graph, and same-window cells share one extracted subgraph
-  object, which makes the per-process ``prepare_mstw_instance`` memo
-  hit across query variants (levels / algorithms);
+  individual tasks carry only tiny cell descriptors;
+* **one task per run, handed out dynamically** -- consecutive cells
+  that share ``(window, root)`` form one task: it extracts the window
+  once from the worker's column-built graph (the same
+  :func:`~repro.temporal.window.extract_window` call
+  :func:`run_sweep_serial` makes), and the run's query variants
+  (levels / algorithms) share one ``prepare_mstw_instance`` memo entry
+  on that subgraph.  Tasks are submitted one per pool chunk, so a
+  worker that finishes early takes the next run instead of idling
+  behind a fixed share of the windows.  A task keeps nothing once it
+  returns;
 * **lossless resilience round-trips** -- each cell runs under its own
   per-task :class:`~repro.resilience.budget.Budget` created *inside*
   the worker (budgets anchor to a process-local clock and must never be
@@ -37,7 +40,7 @@ import itertools
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import BudgetExceededError
 from repro.core.mstw import minimum_spanning_tree_w, prepare_mstw_instance
@@ -45,7 +48,6 @@ from repro.core.postprocess import closure_tree_to_temporal
 from repro.experiments.checkpoint import decode_cell, encode_cell
 from repro.experiments.runner import DegradedCell, OverBudgetCell
 from repro.parallel.engine import ParallelExecutor
-from repro.parallel.reuse import WindowReuseIndex
 from repro.resilience.budget import Budget
 from repro.resilience.fallback import run_with_fallback
 from repro.steiner.charikar import charikar_dst
@@ -61,9 +63,6 @@ _SOLVERS = {
     "improved": improved_dst,
     "pruned": pruned_dst,
 }
-
-#: Default LRU bound of each worker's window reuse index.
-REUSE_MAX_WINDOWS = 16
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,11 @@ class BatchResult:
         the tree weight (a float), a :class:`DegradedCell`, or an
         :class:`OverBudgetCell`.
     reuse:
-        Worker reuse-index counters (hits / misses /
-        ``containment_derived``), summed across workers.  Diagnostic:
-        the split depends on which cells land on which worker, the
-        values never do.
+        Extraction sharing: ``misses`` counts window extractions (one
+        per run of consecutive cells sharing ``(window, root)``) and
+        ``hits`` the cells that reused their run's extraction.
+        Diagnostic only: it follows from the cell order, and the values
+        never depend on it.
     fallback_summaries:
         Per cell, the :meth:`FallbackResult.summary` dict of the
         degradation ladder that answered (``None`` for cells solved
@@ -119,27 +119,27 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# Worker-side state (per process; reset whenever the batch id changes)
+# Worker-side state (per process; set by the initializer, dropped by
+# run_batch in the driver once the batch ends)
 # ----------------------------------------------------------------------
 _worker_graph: Optional[TemporalGraph] = None
-_worker_reuse: Optional[WindowReuseIndex] = None
-_worker_batch: Optional[int] = None
-
-#: Driver-side batch tokens.  A fresh token per run_batch call makes the
-#: jobs=1 inline path re-initialise too, so repeated batches (bench
-#: repeats) honestly re-derive their artifacts instead of hitting state
-#: left over from the previous batch.
-_BATCH_TOKENS = itertools.count(1)
 
 
-def _init_worker(graph_bytes: bytes, batch_token: int) -> None:
-    """Per-worker initializer: deserialize the graph once, reset reuse."""
-    global _worker_graph, _worker_reuse, _worker_batch
-    if _worker_batch == batch_token:
-        return
+def _init_worker(graph_bytes: bytes) -> None:
+    """Per-worker initializer: deserialize the graph once per worker."""
+    global _worker_graph
     _worker_graph = pickle.loads(graph_bytes)
-    _worker_reuse = WindowReuseIndex(max_windows=REUSE_MAX_WINDOWS)
-    _worker_batch = batch_token
+
+
+def _release_worker() -> None:
+    """Drop the batch's graph copy from this process.
+
+    Pool workers exit with their pool; the driver holds a copy only
+    when it ran tasks inline (``jobs=1``, or a recompute after a
+    timeout or a dead pool), and :func:`run_batch` releases it here.
+    """
+    global _worker_graph
+    _worker_graph = None
 
 
 def _cell_value(
@@ -169,79 +169,50 @@ def _cell_value(
 
 
 def run_sweep_cell(
-    cell: SweepCell, budget_seconds: Optional[float] = None
+    sub: TemporalGraph, cell: SweepCell, budget_seconds: Optional[float] = None
 ) -> Dict[str, Any]:
-    """Worker task: solve one cell against the worker's shared state.
+    """Solve one cell on its run's extracted window.
 
-    Returns a JSON-stable payload -- the encoded cell value, the reuse
-    counter delta this cell caused, and the fallback-ladder summary --
-    so results survive the process boundary losslessly.
+    Returns a JSON-stable payload -- the encoded cell value and the
+    fallback-ladder summary -- so results survive the process boundary
+    losslessly.
     """
-    graph, reuse = _worker_graph, _worker_reuse
-    if graph is None or reuse is None:
-        raise RuntimeError(
-            "run_sweep_cell outside an initialised batch worker; "
-            "use run_batch(), which installs the worker initializer"
-        )
-    before = reuse.stats()
-    sub = reuse.extract(graph, cell.window)
     budget = Budget.per_task(budget_seconds)
     fallback_summary: Optional[Dict[str, Any]] = None
     try:
         value, fallback_summary = _cell_value(sub, cell, budget)
     except BudgetExceededError as exc:
         value = OverBudgetCell(elapsed=exc.elapsed_seconds)
-    after = reuse.stats()
-    return {
-        "cell": encode_cell(value),
-        "reuse": {key: after[key] - before[key] for key in sorted(after)},
-        "fallback": fallback_summary,
-    }
+    return {"cell": encode_cell(value), "fallback": fallback_summary}
 
 
-def _window_aligned_chunk_size(
-    cells: Sequence[SweepCell], jobs: int = 1
-) -> Optional[int]:
-    """Chunk size aligning pool chunks with consecutive same-window runs.
+def _run_sweep_run(
+    run: Tuple[SweepCell, ...], budget_seconds: Optional[float] = None
+) -> List[Dict[str, Any]]:
+    """Worker task: every cell of one ``(window, root)`` run.
 
-    A pure function of the cell list: when the cells form uniform
-    consecutive window groups (the sweep shape -- every window queried
-    by the same variant list), chunking by the group size puts each
-    window's cells in exactly one chunk, so one worker pays that
-    window's extraction + preparation and every variant shares it.
-
-    When the groups additionally *slide forward* (both window
-    boundaries non-decreasing group to group), the chunk grows to
-    ``group_size * ceil(groups / jobs)``: each worker then receives one
-    contiguous **slide-ordered chain** of windows, the shape under
-    which its reuse index and prepare memo see consecutive windows in
-    slide order (the incremental engine's sweet spot) instead of an
-    arbitrary interleaving.  Outputs are unaffected either way -- the
-    merge layer restores submission order; alignment is a work-sharing
-    optimisation, never a correctness requirement.
-
-    Any other shape returns ``None`` (engine default).
+    The window is extracted once from the worker's column-built graph,
+    exactly as :func:`run_sweep_serial` extracts it; each cell then goes
+    through :func:`run_sweep_cell`.  Nothing outlives the call: the
+    subgraph, which carries the run's prepare memo entry, is garbage
+    once the call returns.
     """
-    sizes: List[int] = []
-    group_windows: List[TimeWindow] = []
-    previous: Optional[TimeWindow] = None
-    for cell in cells:
-        if previous is not None and cell.window == previous:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-            group_windows.append(cell.window)
-        previous = cell.window
-    if len(sizes) > 1 and len(set(sizes)) == 1 and sizes[0] > 1:
-        forward = all(
-            b.t_alpha >= a.t_alpha and b.t_omega >= a.t_omega
-            for a, b in zip(group_windows, group_windows[1:])
+    graph = _worker_graph
+    if graph is None:
+        raise RuntimeError(
+            "a sweep run outside an initialised batch worker; "
+            "use run_batch(), which installs the worker initializer"
         )
-        if forward and jobs > 1:
-            chains = -(-len(sizes) // jobs)  # ceil
-            return sizes[0] * chains
-        return sizes[0]
-    return None
+    sub = extract_window(graph, run[0].window)
+    return [run_sweep_cell(sub, cell, budget_seconds) for cell in run]
+
+
+def _runs(cells: Sequence[SweepCell]) -> List[Tuple[SweepCell, ...]]:
+    """``cells`` split into maximal consecutive runs sharing ``(window, root)``."""
+    return [
+        tuple(run)
+        for _, run in itertools.groupby(cells, key=lambda c: (c.window, c.root))
+    ]
 
 
 def run_batch(
@@ -249,47 +220,35 @@ def run_batch(
     cells: Sequence[SweepCell],
     jobs: int = 1,
     budget_seconds: Optional[float] = None,
-    chunk_size: Optional[int] = None,
     start_method: Optional[str] = None,
 ) -> BatchResult:
-    """Execute a sweep of cells with per-worker graph state and reuse.
+    """Execute a sweep of cells, one pool task per ``(window, root)`` run.
 
     Output is identical to :func:`run_sweep_serial` on the same inputs
-    at any ``jobs`` value (property-tested): the executor's merge layer
-    restores submission order, and every derivation the reuse index
-    performs is exact.  Group cells by window in the input order --
-    chunks are contiguous, and when the groups are uniform the default
-    chunk size aligns chunks with them
-    (:func:`_window_aligned_chunk_size`), so a window's extraction and
-    preparation are paid by exactly one worker no matter how many
-    variants query it.
+    at any ``jobs`` value and any cell order (tested): the
+    executor's merge layer restores submission order, and each run
+    extracts its window exactly as the reference loop does.  Put the
+    variants of one ``(window, root)`` pair next to each other in the
+    input so they share one extraction and one preparation; any other
+    order is still correct and only shares less.
     """
-    if chunk_size is None:
-        chunk_size = _window_aligned_chunk_size(cells, jobs)
-    payload = pickle.dumps(graph)
-    token = next(_BATCH_TOKENS)
-    task = partial(run_sweep_cell, budget_seconds=budget_seconds)
+    runs = _runs(cells)
+    task = partial(_run_sweep_run, budget_seconds=budget_seconds)
     executor = ParallelExecutor(
         jobs,
         initializer=_init_worker,
-        initargs=(payload, token),
+        initargs=(pickle.dumps(graph),),
         start_method=start_method,
-        chunk_size=chunk_size,
+        chunk_size=1,
     )
-    with executor:
-        raw = executor.map(task, list(cells))
-    reuse = {
-        "hits": 0,
-        "misses": 0,
-        "containment_derived": 0,
-        "index_served_misses": 0,
-    }
-    for entry in raw:
-        for key, delta in entry["reuse"].items():
-            reuse[key] = reuse.get(key, 0) + delta
+    try:
+        with executor:
+            raw = [entry for run in executor.map(task, runs) for entry in run]
+    finally:
+        _release_worker()
     return BatchResult(
         values=[decode_cell(entry["cell"]) for entry in raw],
-        reuse=reuse,
+        reuse={"hits": len(raw) - len(runs), "misses": len(runs)},
         fallback_summaries=[entry["fallback"] for entry in raw],
         jobs=jobs,
         faults=executor.stats.as_dict(),

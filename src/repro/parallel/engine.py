@@ -77,7 +77,7 @@ __all__ = [
 
 #: Upper bound on chunks handed out per worker; smaller chunks balance
 #: load better, larger chunks keep related tasks on one worker so its
-#: per-worker caches (prepared instances, window indices) get reuse.
+#: per-worker caches (workloads, prepared instances) get reuse.
 _CHUNKS_PER_WORKER = 2
 
 #: How often the dispatch loop wakes to check per-task deadlines when
@@ -106,8 +106,8 @@ def chunk_size_for(num_items: int, jobs: int, override: Optional[int] = None) ->
     A pure function -- the same inputs always produce the same chunking,
     so the assignment of tasks to chunks (and therefore which tasks
     share a worker's caches) is reproducible.  ``override`` pins an
-    exact size (callers use this to keep all cells of one window on one
-    worker).
+    exact size (the batch engine pins 1: one run per chunk, so idle
+    workers take the next run).
     """
     if override is not None:
         if override < 1:

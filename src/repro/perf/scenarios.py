@@ -777,11 +777,10 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
         )
     )
     engine_description = (
-        "Same sweep through the batch engine ({}): per-window prep is "
-        "computed once and shared across query variants, and contained "
-        "windows derive their extraction from the containing window's "
-        "cached artifacts.  On a single-core host the speedup over the "
-        "serial baseline comes from this cross-window work sharing, "
+        "Same sweep through the batch engine ({}): each window's "
+        "variants form one task that extracts the window once and "
+        "shares one preparation.  On a single-core host the speedup "
+        "over the serial baseline comes from that per-window sharing, "
         "not from hardware parallelism."
     )
     scenarios.append(
@@ -987,7 +986,8 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
                 description=(
                     "The parallel sweep workload (jobs=1) with one "
                     "injected task error: the retry path's overhead -- "
-                    "one deterministic backoff plus one recomputed cell "
+                    "one deterministic backoff plus one recomputed "
+                    "window run "
                     "-- measured against the fault-free run."
                 ),
                 params=dict(parallel_params, jobs=1, injected_faults=1),

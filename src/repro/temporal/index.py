@@ -95,22 +95,6 @@ class TemporalEdgeIndex:
         """Yield the window's edges in chronological order."""
         return iter(self.edges_in(window))
 
-    def edges_in_graph_order(self, window: TimeWindow) -> Tuple[TemporalEdge, ...]:
-        """The window's edges in *graph insertion* order.
-
-        Identical to ``tuple(e for e in graph.edges if e.within(...))``
-        -- the full-scan extraction the window-reuse path performs --
-        but in ``O(log M + k log k)`` for ``k`` output edges
-        instead of ``O(M)``.
-        """
-        return tuple(
-            self._at(
-                self._store.window_positions_graph_order(
-                    window.t_alpha, window.t_omega
-                )
-            )
-        )
-
     def count_in(self, window: TimeWindow) -> int:
         """Number of edges inside the window (no list materialised)."""
         return self._store.count_in(window.t_alpha, window.t_omega)
@@ -285,9 +269,9 @@ def edge_index_for(
 ) -> Optional[TemporalEdgeIndex]:
     """The process-wide shared :class:`TemporalEdgeIndex` of ``graph``.
 
-    Sliding sweeps and the window-reuse index consult the same index
-    so the ``O(M log M)`` build is paid once per graph.  With ``create=False``
-    the call only reports an existing index (``None`` otherwise) --
+    Sliding sweeps share it so the ``O(M log M)`` build is paid once
+    per graph.  With ``create=False`` the call only reports an existing
+    index (``None`` otherwise) --
     used by paths that should stay ``O(M)`` when nothing sliding-shaped
     has touched the graph yet.  A graph's columnar store is built once
     and never replaced, so a cached index stays valid until the graph

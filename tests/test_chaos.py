@@ -196,8 +196,11 @@ class TestPoolRecovery:
             result = run_batch(graph, cells, jobs=2)
         assert result.values == expected
         assert result.faults["rebuilds"] >= 1
-        # The replacement workers re-derived their extraction caches.
-        assert result.reuse["misses"] >= 1
+        # One extraction per (window, root) run, whoever ran it.
+        assert result.reuse == {
+            "hits": len(cells) - len(WINDOWS),
+            "misses": len(WINDOWS),
+        }
 
     def test_over_budget_cells_survive_worker_crash(self):
         graph = _sweep_graph()

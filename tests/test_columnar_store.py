@@ -151,9 +151,8 @@ def test_edge_index_results_match_restricted():
     graph = small_graph()
     window = TimeWindow(1.0, 4.0)
     index = edge_index_for(graph)
-    assert [tuple(e) for e in index.edges_in_graph_order(window)] == [
-        tuple(e)
-        for e in graph.edges
+    assert [tuple(e) for e in index.subgraph(window).edges] == [
+        tuple(e) for e in graph.chronological_edges()
         if e.within(window.t_alpha, window.t_omega)
     ]
     assert index.count_in(window) == 2

@@ -103,13 +103,6 @@ class TestDeltaExtraction:
         assert set(index.edges_in(window)) == expected
         assert index.count_in(window) == len(expected)
 
-    def test_edges_in_graph_order_matches_graph_scan(self):
-        graph = random_temporal(3, n=9, m=50)
-        index = TemporalEdgeIndex(graph)
-        for window in [TimeWindow(0, 12), TimeWindow(7, 22), TimeWindow(30, 36)]:
-            expected = tuple(e for e in graph.edges if _in_window(e, window))
-            assert index.edges_in_graph_order(window) == expected
-
     def test_shared_index_is_per_graph(self, figure1, figure3):
         a = edge_index_for(figure1)
         assert edge_index_for(figure1) is a

@@ -1,29 +1,33 @@
-"""The batch sweep engine and its window-containment reuse index.
+"""The batch sweep engine: one pool task per ``(window, root)`` run.
 
 Headline property (the engine's reason to exist): ``run_batch`` output
 equals the pre-engine serial reference loop ``run_sweep_serial`` on the
-same cells at any ``jobs`` value -- including cells that go over budget
-or answer through the fallback ladder -- while the reuse index derives
-nested-window artifacts exactly.
+same cells at any ``jobs`` value and any cell order -- including cells
+that go over budget or answer through the fallback ladder -- while each
+run extracts its window once, from the worker's columns, and leaves
+nothing behind in the driver.
 """
 
+import gc
 import random
+import weakref
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.parallel import batch
 from repro.parallel.batch import (
     BatchResult,
     SweepCell,
     run_batch,
     run_sweep_serial,
 )
-from repro.parallel.reuse import WindowReuseIndex
 from repro.experiments.runner import OverBudgetCell
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
-from repro.temporal.window import TimeWindow, extract_window
+from repro.temporal.index import edge_index_for
+from repro.temporal.window import TimeWindow
 
 
 def _sweep_graph(n=14, extra=30, seed=11):
@@ -63,65 +67,6 @@ def _cells(windows=WINDOWS, fallback=False):
     ]
 
 
-class TestWindowReuseIndex:
-    def test_contained_extraction_is_exact(self):
-        graph = _sweep_graph()
-        index = WindowReuseIndex()
-        for window in WINDOWS:  # widest first: narrower ones derive
-            derived = index.extract(graph, window)
-            direct = extract_window(graph, window)
-            assert derived.edges == direct.edges
-            assert derived.vertices == direct.vertices
-
-    def test_in_window_edges_match_direct_filter(self):
-        graph = _sweep_graph()
-        index = WindowReuseIndex()
-        for window in WINDOWS:
-            expected = tuple(
-                e for e in graph.edges if e.within(window.t_alpha, window.t_omega)
-            )
-            assert index.in_window_edges(graph, window) == expected
-
-    def test_stats_count_hits_misses_and_derivations(self):
-        graph = _sweep_graph()
-        index = WindowReuseIndex()
-        assert index.stats() == {
-            "hits": 0,
-            "misses": 0,
-            "containment_derived": 0,
-            "index_served_misses": 0,
-        }
-        index.extract(graph, WINDOWS[0])  # miss, served by the edge index
-        index.extract(graph, WINDOWS[0])  # exact hit
-        index.extract(graph, WINDOWS[1])  # derived from the container
-        stats = index.stats()
-        assert stats["misses"] == 1
-        assert stats["index_served_misses"] == 1
-        assert stats["containment_derived"] == 1
-        # hits aggregates exact hits and derivations (both skip the scan)
-        assert stats["hits"] == 2
-        index.clear()
-        assert index.stats()["hits"] == 0
-
-    def test_extract_returns_same_object_per_window(self):
-        graph = _sweep_graph()
-        index = WindowReuseIndex()
-        first = index.extract(graph, WINDOWS[1])
-        assert index.extract(graph, WINDOWS[1]) is first
-
-    def test_lru_bound_evicts_oldest(self):
-        graph = _sweep_graph()
-        index = WindowReuseIndex(max_windows=1)
-        index.extract(graph, WINDOWS[2])
-        index.extract(graph, TimeWindow(0, 3))  # disjoint; evicts WINDOWS[2]
-        index.extract(graph, WINDOWS[2])  # full scan again
-        assert index.stats()["misses"] == 3
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(ValueError):
-            WindowReuseIndex(max_windows=0)
-
-
 class TestBatchEqualsSerial:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_values_identical_to_reference_loop(self, jobs):
@@ -132,18 +77,31 @@ class TestBatchEqualsSerial:
         assert isinstance(result, BatchResult)
         assert result.values == expected
         assert result.jobs == jobs
-        # Same-window variants + nested windows => the engine shared
-        # work the reference loop repeated.
-        assert result.reuse["hits"] >= 1
+        # Each window's variants form one run: one extraction per
+        # window, reused by the run's other cells.
+        assert result.reuse == {
+            "hits": len(cells) - len(WINDOWS),
+            "misses": len(WINDOWS),
+        }
         assert result.fallback_summaries == [None] * len(cells)
 
-    def test_containment_derivation_fires_at_jobs1(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interleaved_cells_identical_to_reference_loop(self, jobs):
         graph = _sweep_graph()
-        result = run_batch(graph, _cells(), jobs=1)
-        # One worker sees all three nested windows: the two narrower
-        # ones derive from the widest instead of rescanning the graph.
-        assert result.reuse["containment_derived"] >= 2
-        assert result.reuse["misses"] == 1
+        # Roots alternate cell by cell: no two neighbours share
+        # (window, root), so every cell is a run of its own.
+        cells = [
+            SweepCell(root, window, level=level, algorithm=algorithm)
+            for algorithm, level in VARIANTS
+            for window in WINDOWS
+            for root in (0, 1)
+        ]
+        assert all(
+            (a.window, a.root) != (b.window, b.root) for a, b in zip(cells, cells[1:])
+        )
+        result = run_batch(graph, cells, jobs=jobs)
+        assert result.values == run_sweep_serial(graph, cells)
+        assert result.reuse == {"hits": 0, "misses": len(cells)}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fallback_cells_round_trip(self, jobs):
@@ -171,12 +129,41 @@ class TestBatchEqualsSerial:
         for value in result.values:
             assert value.elapsed > 0
 
-    def test_chunk_override_does_not_change_output(self):
+
+class TestWorkerState:
+    def _spy_on_init(self, monkeypatch, keep):
+        """Record the graph copy each ``_init_worker`` call installs."""
+        init = batch._init_worker
+
+        def spy(graph_bytes):
+            init(graph_bytes)
+            keep(batch._worker_graph)
+
+        monkeypatch.setattr(batch, "_init_worker", spy)
+
+    def test_tasks_stay_column_native(self, monkeypatch):
+        copies = []
+        self._spy_on_init(monkeypatch, copies.append)
         graph = _sweep_graph()
         cells = _cells()
-        expected = run_sweep_serial(graph, cells)
-        pinned = run_batch(graph, cells, jobs=2, chunk_size=len(VARIANTS))
-        assert pinned.values == expected
+        assert run_batch(graph, cells, jobs=1).values == run_sweep_serial(
+            graph, cells
+        )
+        [copy] = copies
+        # Extraction reads the copy's columns: its edge tuple is never
+        # built, nor the TemporalEdgeIndex that would need it.
+        assert copy._edges is None
+        assert edge_index_for(copy, create=False) is None
+
+    def test_jobs1_batch_releases_the_graph_copy(self, monkeypatch):
+        copies = []
+        self._spy_on_init(monkeypatch, lambda g: copies.append(weakref.ref(g)))
+        graph = _sweep_graph()
+        run_batch(graph, _cells(), jobs=1)
+        gc.collect()
+        assert len(copies) == 1
+        assert batch._worker_graph is None
+        assert copies[0]() is None
 
 
 @st.composite

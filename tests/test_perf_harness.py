@@ -132,7 +132,10 @@ class TestHarness:
         rows = {r["name"]: r for r in doc["scenarios"]}
         # the serial baseline joins the run automatically
         assert set(rows) == {"parallel_sweep_serial", "parallel_sweep_jobs1"}
-        assert rows["parallel_sweep_jobs1"]["reuse_hits"] >= 1
+        # each window's variants share one extraction: one miss per window
+        engine = rows["parallel_sweep_jobs1"]
+        params = engine["params"]
+        assert engine["reuse_hits"] == params["cells"] - params["windows"] > 0
         assert rows["parallel_sweep_serial"]["reuse_hits"] is None
         with pytest.raises(KeyError):
             run_benchmarks("smoke", repeats=1, names=["nope"])

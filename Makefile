@@ -21,11 +21,11 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # CI's "Identity suites must not skip" step: the byte-identity suites
-# (columnar store, DST kernels, rooted instances, generator draws)
-# against the frozen scalar oracles and pins, failing on any test
-# failure or skip.  A skip shows as a `-rs` "SKIPPED [n] file:line:
-# reason" line: pyproject's addopts "-q" plus this "-q" suppress the
-# final "N skipped" counts line.
+# (columnar store, DST kernels, rooted instances, generator draws, CSR
+# adjacency walks) against the frozen scalar oracles and pins, failing
+# on any test failure or skip.  A skip shows as a `-rs` "SKIPPED [n]
+# file:line: reason" line: pyproject's addopts "-q" plus this "-q"
+# suppress the final "N skipped" counts line.
 IDENTITY_REPORT ?= build/identity-report.txt
 
 identity:
@@ -33,7 +33,8 @@ identity:
 	@status=0; \
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_property_columnar.py \
 		tests/test_property_kernels.py tests/test_property_rooted.py \
-		tests/test_temporal_generators.py -q -rs \
+		tests/test_temporal_generators.py \
+		tests/test_property_adjacency.py -q -rs \
 		> $(IDENTITY_REPORT) 2>&1 || status=$$?; \
 	cat $(IDENTITY_REPORT); \
 	if grep -Eq "^SKIPPED \[|[0-9]+ skipped" $(IDENTITY_REPORT); then \

@@ -37,7 +37,7 @@ def _graph(num_edges):
 def test_msta_scaling(benchmark, num_edges, solver_name):
     graph = _graph(num_edges)
     graph.chronological_edges()
-    graph.sorted_adjacency()
+    graph.columnar().out_adjacency()
     tree = benchmark.pedantic(
         SOLVERS[solver_name],
         args=(graph, 0),

@@ -43,7 +43,7 @@ def test_table2_msta_runtime(benchmark, workloads, name, setting, algorithm):
     # warm the cached input formats so only algorithm time is measured,
     # as in the paper (input preparation is shared by all algorithms)
     graph.chronological_edges()
-    graph.sorted_adjacency()
+    graph.columnar().out_adjacency()
     tree = benchmark.pedantic(
         solver, args=(graph, root, window), rounds=3, iterations=1, warmup_rounds=1
     )

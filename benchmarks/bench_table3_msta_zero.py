@@ -40,7 +40,8 @@ def workloads():
 def test_table3_msta_runtime(benchmark, workloads, name, setting, algorithm):
     root, window, graph = workloads[name][setting]
     solver = dict(ALGORITHMS)[algorithm]
-    graph.sorted_adjacency()
+    graph.edges
+    graph.columnar().out_adjacency()
     tree = benchmark.pedantic(
         solver, args=(graph, root, window), rounds=3, iterations=1, warmup_rounds=1
     )

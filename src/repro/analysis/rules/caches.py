@@ -2,13 +2,13 @@
 
 :class:`repro.temporal.graph.TemporalGraph` and
 :class:`repro.steiner.instance.PreparedInstance` memoise their derived
-layouts (sorted adjacencies, start arrays, closure cost rows, terminal
+layouts (chronological edge tuples, closure cost rows, terminal
 orders) and hand out the *cached* objects, not copies -- that aliasing
 is what makes the hot paths fast.  Any caller that mutates a returned
 structure corrupts every later read.  This rule flags writes (item
 assignment, ``del``, in-place ``+=``, and mutating method calls) on
 expressions derived from the cache accessors, tracking simple local
-aliases like ``adj = graph.ascending_adjacency()`` /
+aliases like ``adj = graph.columnar().out_adjacency()`` /
 ``adj[v].append(...)`` within each function scope.
 
 PR 5 extends the protected surface to the incremental sliding-window
@@ -24,7 +24,9 @@ PR 7 extends it again to the columnar core
 read; writing into one silently corrupts every later window query,
 delta, and transformation on that graph.  ``value_column`` joins them:
 it hands out a value column or the Python values the store keeps for
-it, which every edge the store builds reads.
+it, which every edge the store builds reads.  So do the store's CSR
+layouts (``out_adjacency``/``in_adjacency``, which replaced the
+graph's per-vertex adjacency dicts) and ``python_values``.
 """
 
 from __future__ import annotations
@@ -37,13 +39,8 @@ from repro.analysis.core import Finding, ParsedModule, Rule
 #: The memoising accessors whose results are shared, not copied.
 CACHE_ACCESSORS = frozenset(
     {
-        "sorted_adjacency",
-        "ascending_adjacency",
-        "ascending_starts",
         "chronological_edges",
         "arrival_sorted_edges",
-        "out_edges",
-        "in_edges",
         "cost_row",
         # PreparedInstance's sorted terminal block and its memoised
         # per-source rows: the kernels scan the block arrays in place.
@@ -54,7 +51,6 @@ CACHE_ACCESSORS = frozenset(
         # handed out uncopied.
         "edges_in",
         "iter_edges_in",
-        "in_edges_up_to",
         "delta",
         "costs_from",
         # ColumnarEdgeStore (PR 7): the store handed out by
@@ -70,6 +66,10 @@ CACHE_ACCESSORS = frozenset(
         "starts_by_arrival_order",
         "start_ranks",
         "value_column",
+        # The store's CSR layouts and per-position column views (shared).
+        "out_adjacency",
+        "in_adjacency",
+        "python_values",
     }
 )
 

@@ -87,16 +87,16 @@ def brute_force_mstw_weight(
     if not targets:
         return 0.0
 
+    # Its own in-edge lists: an oracle shares no layout with what it checks.
+    in_edges: Dict[Vertex, List[TemporalEdge]] = {}
+    for e in graph.edges:
+        if e.within(window.t_alpha, window.t_omega) and e.source in covered:
+            in_edges.setdefault(e.target, []).append(e)
     candidates: List[List[TemporalEdge]] = []
     for v in targets:
-        in_edges = [
-            e
-            for e in graph.in_edges(v)
-            if e.within(window.t_alpha, window.t_omega) and e.source in covered
-        ]
-        if not in_edges:
+        if v not in in_edges:
             return math.inf
-        candidates.append(in_edges)
+        candidates.append(in_edges[v])
 
     space = 1
     for options in candidates:

@@ -17,14 +17,16 @@ its earliest possible arrival time.
 * :func:`msta_stack` (Algorithm 2) consumes per-vertex out-edge arrays
   sorted by non-increasing start time, maintaining a scan position per
   vertex so each edge is pushed at most once -- ``O(M)`` overall, and
-  correct for zero durations.
+  correct for zero durations (over the columnar store's out-edge CSR).
 
 :func:`minimum_spanning_tree_a` dispatches automatically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.core.errors import UnreachableRootError, ZeroDurationError
 from repro.core.spanning_tree import TemporalSpanningTree
@@ -170,6 +172,10 @@ def msta_stack(
     out-edges.  Each edge is pushed at most once, giving ``O(M)``.
     Correct for zero-duration edges (Theorem 2).
 
+    The arrays are the store's out-edge CSR read backwards, which puts
+    equal starts in insertion order, as a stable descending sort did.
+    The stack holds positions; only the tree's edges are built.
+
     ``budget`` is checkpointed cooperatively once per popped stack
     entry; a drained budget raises
     :class:`repro.core.errors.BudgetExceededError` mid-scan.
@@ -178,35 +184,41 @@ def msta_stack(
         raise UnreachableRootError(f"root {root!r} is not a vertex of the graph")
     if window is None:
         window = TimeWindow.unbounded()
-    adjacency = graph.sorted_adjacency()
-    position: Dict[Vertex, int] = {v: 0 for v in graph.vertices}
-    arrival: Dict[Vertex, float] = {}
-    parent: Dict[Vertex, TemporalEdge] = {}
-    inf = float("inf")
-    # Stack entries are (parent_edge, vertex, tentative_arrival); the
-    # root is seeded with a virtual arrival of t_alpha.
-    stack: List[Tuple[Optional[TemporalEdge], Vertex, float]] = [
-        (None, root, window.t_alpha)
-    ]
+    store = graph.columnar()
+    offsets, positions, starts = store.out_adjacency()
+    arrivals = store.python_values("arrivals")
+    targets = store.python_values("targets")
+    t_alpha, t_omega = window.t_alpha, window.t_omega
+    arrival = [float("inf")] * store.num_vertices
+    # v's run starts at lows[v]; its backward scan resumes at scan[v].
+    lows = offsets.tolist()
+    scan = lows[1:]
+    parent: Dict[int, int] = {}
+    # Stack entries are the positions of parent edges; -1 seeds the
+    # root with a virtual arrival of t_alpha.
+    stack = [-1]
     tick = budget if budget is not None else NULL_BUDGET
     while stack:
         tick.checkpoint()
-        edge_in, v, t_arr = stack.pop()
-        if t_arr >= arrival.get(v, inf):
+        p = stack.pop()
+        v, t_arr = (store.vertex_ids[root], t_alpha) if p < 0 else (targets[p], arrivals[p])
+        if t_arr >= arrival[v]:
             continue
         arrival[v] = t_arr
-        if edge_in is not None:
-            parent[v] = edge_in
-        out_edges = adjacency[v]
-        pos = position[v]
-        # Resume the scan: out-edges are sorted by non-increasing start
-        # time, so everything from pos with start >= A(v) is now enabled.
-        while pos < len(out_edges) and out_edges[pos].start >= t_arr:
-            edge = out_edges[pos]
-            pos += 1
-            if edge.arrival > window.t_omega or edge.start < window.t_alpha:
-                continue
-            if edge.arrival < arrival.get(edge.target, inf):
-                stack.append((edge, edge.target, edge.arrival))
-        position[v] = pos
-    return TemporalSpanningTree(root, parent, window)
+        if p >= 0:
+            parent[v] = p
+        lo, hi = lows[v], scan[v]
+        # Resume the scan: everything below hi with start >= A(v) is now
+        # enabled.  Every pushed arrival is at least t_alpha, so so is
+        # every enabled start.
+        while hi > lo and starts[hi - 1] >= t_arr:
+            hi -= 1
+            q = positions[hi]
+            a = arrivals[q]
+            if a <= t_omega and a < arrival[targets[q]]:
+                stack.append(q)
+        scan[v] = hi
+    labels = store.vertex_labels
+    edges = graph.edges_at(np.array(list(parent.values()), dtype=np.int64))
+    tree = {labels[v]: edge for v, edge in zip(parent, edges)}
+    return TemporalSpanningTree(root, tree, window)

@@ -89,6 +89,7 @@ def epinions_like(scale: float = 1.0, seed: int = 2) -> TemporalGraph:
         add_pair(key)
         add_start(t)
         count += 1
+    del seen, add_seen  # one int per pair: freed before the load's peak
     times = _read_only(np.frombuffer(starts, dtype=np.int64).astype(np.float64))
     return TemporalGraph.from_columns(
         *_split_pairs(pairs, n),

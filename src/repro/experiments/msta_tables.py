@@ -36,11 +36,12 @@ def _runtime_rows(
         graph = msta_graph(name, duration=duration, scale=scale)
         root, window, active = msta_protocol(graph, fraction)
         # One-off layouts stay out of the timed cells: the store's sort
-        # orders and zero-duration memo (Alg1) and the sorted adjacency
-        # (Alg2, Bhadra).
+        # orders and zero-duration memo (Alg1), its out-edge CSR (Alg2)
+        # and the edge tuple (Bhadra).
         active.columnar().positions_by_start()
         active.has_zero_duration_edge()
-        active.sorted_adjacency()
+        active.columnar().out_adjacency()
+        active.edges
         cells: List[object] = [name]
         reach = None
         for algo_name, solver in algorithms:

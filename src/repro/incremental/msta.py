@@ -124,7 +124,7 @@ class IncrementalMSTa:
         )
         if previous is None or self._zero_duration or not forward:
             return self._cold(window)
-        added, removed = self.index.delta(previous, window)
+        added, removed = self.index.delta_positions(previous, window)
         tick = budget if budget is not None else NULL_BUDGET
         try:
             repaired = self._repair(window, added, removed, tick)
@@ -169,8 +169,8 @@ class IncrementalMSTa:
     def _repair(
         self,
         window: TimeWindow,
-        added: List[TemporalEdge],
-        removed: List[TemporalEdge],
+        added: List[int],
+        removed: List[int],
         budget: Budget,
     ) -> bool:
         """Patch the arrival/parent maps in place; False on budget drain."""
@@ -191,10 +191,16 @@ class IncrementalMSTa:
             return False
         return True
 
-    def _dirty_cone(self, removed: List[TemporalEdge], budget: Budget) -> Set[Vertex]:
-        """Every vertex whose tree path uses a removed edge."""
+    def _dirty_cone(self, removed: List[int], budget: Budget) -> Set[Vertex]:
+        """Every vertex whose tree path uses a removed edge (by position)."""
         parent = self._parent
-        seeds = [e.target for e in removed if parent.get(e.target) == e]
+        index = self.index
+        labels, _, targets, _, _ = index.columns
+        seeds = []
+        for p in removed:
+            v = labels[targets[p]]
+            if v in parent and parent[v] == index.edge(p):
+                seeds.append(v)
         if not seeds:
             return set()
         children: Dict[Vertex, List[Vertex]] = {}
@@ -214,7 +220,7 @@ class IncrementalMSTa:
     def _relax(
         self,
         window: TimeWindow,
-        added: List[TemporalEdge],
+        added: List[int],
         dirty: Set[Vertex],
         budget: Budget,
     ) -> None:
@@ -222,23 +228,28 @@ class IncrementalMSTa:
         arrival = self._arrival
         parent = self._parent
         index = self.index
-        t_omega = window.t_omega
+        labels, sources, targets, starts, arrivals = index.columns
+        t_alpha, t_omega = window.t_alpha, window.t_omega
         inf = float("inf")
-        work: List[Tuple[TemporalEdge, Vertex, float]] = []
+        # Work items are (edge position, vertex, arrival): an edge is
+        # built only when it becomes a parent.
+        work: List[Tuple[int, Vertex, float]] = []
         # Seeds: (a) surviving in-window in-edges of dirty vertices whose
         # source kept its (final) arrival; (b) the added edges.  Every
         # other relaxation is reached by propagation from these.
         for v in dirty:
-            for e in index.in_edges_up_to(v, t_omega):
-                if e.start < window.t_alpha:
+            for p in index.in_positions_up_to(v, t_omega):
+                start = starts[p]
+                if start < t_alpha:
                     continue
-                source_arrival = arrival.get(e.source, inf)
-                if e.start >= source_arrival and e.arrival < arrival.get(v, inf):
-                    work.append((e, v, e.arrival))
-        for e in added:
-            source_arrival = arrival.get(e.source, inf)
-            if e.start >= source_arrival and e.arrival < arrival.get(e.target, inf):
-                work.append((e, e.target, e.arrival))
+                source_arrival = arrival.get(labels[sources[p]], inf)
+                if start >= source_arrival and arrivals[p] < arrival.get(v, inf):
+                    work.append((p, v, arrivals[p]))
+        for p in added:
+            target = labels[targets[p]]
+            source_arrival = arrival.get(labels[sources[p]], inf)
+            if starts[p] >= source_arrival and arrivals[p] < arrival.get(target, inf):
+                work.append((p, target, arrivals[p]))
         touched: Set[Vertex] = set()
         while work:
             budget.checkpoint()
@@ -246,22 +257,21 @@ class IncrementalMSTa:
             if t_arr >= arrival.get(v, inf):
                 continue
             arrival[v] = t_arr
-            parent[v] = edge_in
+            parent[v] = index.edge(edge_in)
             touched.add(v)
-            for e in index.out_edges_enabled(v, t_arr, t_omega):
-                if e.arrival < arrival.get(e.target, inf):
-                    work.append((e, e.target, e.arrival))
+            for p in index.out_positions_enabled(v, t_arr, t_omega):
+                target = labels[targets[p]]
+                if arrivals[p] < arrival.get(target, inf):
+                    work.append((p, target, arrivals[p]))
         # Parent normalisation: the label-correcting pop order is not
         # Algorithm 1's scan order, so re-pick each relabelled vertex's
         # canonical winner -- the minimal (start, position) in-window
         # in-edge achieving its final arrival with a satisfied source.
         for v in touched:
-            a = arrival[v]
-            for e in index.in_edges_at_arrival(v, a):
-                if e.start < window.t_alpha:
-                    continue
-                if e.start >= arrival.get(e.source, inf):
-                    parent[v] = e
+            for p in index.in_positions_at_arrival(v, arrival[v]):
+                start = starts[p]
+                if start >= t_alpha and start >= arrival.get(labels[sources[p]], inf):
+                    parent[v] = index.edge(p)
                     break
 
 

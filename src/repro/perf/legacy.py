@@ -15,7 +15,8 @@ exactly as they stood before the memoisation/hoisting pass:
   edge tuple per window query;
 * :func:`legacy_earliest_arrival` -- the pre-columnar
   ``earliest_arrival_times``: the heap-based label-setting sweep over
-  the per-vertex ascending adjacency, in its un-normalised output
+  the per-vertex ascending adjacency
+  (:func:`legacy_ascending_adjacency`), in its un-normalised output
   form (the columnar identity suite's earliest-arrival oracle);
 * :func:`legacy_transform` -- the Section 4.2 transformation as
   implemented before the columnar batch construction: ``O(M)`` window
@@ -40,7 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.transformation import TransformedGraph, copy_label, dummy_label
 from repro.resilience.budget import NULL_BUDGET, Budget
@@ -63,18 +64,33 @@ def legacy_extract_window(
     )
 
 
+def legacy_ascending_adjacency(graph: TemporalGraph) -> Any:
+    """``(adjacency, starts)``: the per-vertex ascending-start lists ``TemporalGraph`` cached."""
+    adjacency: Dict[Vertex, List[TemporalEdge]] = {v: [] for v in graph.vertices}
+    for edge in graph.edges:
+        adjacency[edge.source].append(edge)
+    for out_list in adjacency.values():
+        out_list.sort(key=lambda e: e.start)
+    return adjacency, {v: [e.start for e in edges] for v, edges in adjacency.items()}
+
+
 def legacy_earliest_arrival(
     graph: TemporalGraph,
     source: Vertex,
     window: Optional[TimeWindow] = None,
+    layout: Any = None,
 ) -> Dict[Vertex, float]:
-    """``earliest_arrival_times`` exactly as implemented before the columnar sweep."""
+    """``earliest_arrival_times`` as it was before the columnar sweep.
+
+    ``layout`` is the graph's :func:`legacy_ascending_adjacency` (built if None).
+    """
     if window is None:
         window = TimeWindow.unbounded()
     if source not in graph.vertices:
         return {}
-    adjacency = graph.ascending_adjacency()
-    starts = graph.ascending_starts()
+    if layout is None:
+        layout = legacy_ascending_adjacency(graph)
+    adjacency, starts = layout
     arrival: Dict[Vertex, float] = {source: window.t_alpha}
     settled: Set[Vertex] = set()
     heap: List[Tuple[float, int, Vertex]] = [(window.t_alpha, 0, source)]

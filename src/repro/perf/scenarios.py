@@ -38,6 +38,7 @@ from repro.datasets.registry import load_dataset
 from repro.experiments.workloads import nested_sweep_windows
 from repro.parallel.batch import SweepCell, run_batch, run_sweep_serial
 from repro.perf.legacy import (
+    legacy_ascending_adjacency,
     legacy_earliest_arrival,
     legacy_extract_window,
     legacy_improved_dst,
@@ -267,9 +268,8 @@ def _columnar_ea_state(spec: _ScaleSpec):
     sub = extract_window(base, window)
     root = select_root(sub, window, min_reach_fraction=0.02)
     sub.columnar()
-    sub.ascending_adjacency()
-    sub.ascending_starts()
-    return {"graph": sub, "window": window, "root": root}
+    layout = legacy_ascending_adjacency(sub)
+    return {"graph": sub, "window": window, "root": root, "layout": layout}
 
 
 def _solver_run(solver, level: int):
@@ -590,7 +590,9 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
         return None
 
     def columnar_ea_legacy_run(state):
-        legacy_earliest_arrival(state["graph"], state["root"], state["window"])
+        legacy_earliest_arrival(
+            state["graph"], state["root"], state["window"], state["layout"]
+        )
         return None
 
     def columnar_ea_run(state):

@@ -11,6 +11,9 @@ between the orders.  Window extraction, sliding-window deltas, the
 earliest-arrival sweep, and the Section 4.2 transformation then run as
 batched passes over these arrays.
 
+Per-vertex walks (Algorithm 2, the path sweeps, the edge index's views)
+read a compressed sparse row (CSR) layout per direction instead.
+
 The columns are numpy ``float64``/``int64`` arrays and queries use
 ``searchsorted``/boolean masks.  Outputs are property-tested against
 the scalar object-level code frozen in :mod:`repro.perf.legacy`.
@@ -28,17 +31,17 @@ lifetime, so structures derived from a store
 (:func:`repro.temporal.index.edge_index_for`) can be cached per graph.
 
 The sorted views handed out by the accessor methods
-(:meth:`ColumnarEdgeStore.sorted_starts` and friends) and the kept
-Python values (:meth:`ColumnarEdgeStore.value_column`) are the *cached*
-objects, not copies -- mutating one corrupts every later query.  The
-REP102 ``cache-mutation`` lint rule holds callers to that, exactly as
-it does for the ``TemporalGraph`` adjacency accessors.
+(:meth:`ColumnarEdgeStore.sorted_starts` and friends), the CSR layouts
+and the kept Python values (:meth:`ColumnarEdgeStore.value_column`,
+:meth:`ColumnarEdgeStore.python_values`) are the *cached* objects, not
+copies -- mutating one corrupts every later query.  The REP102
+``cache-mutation`` lint rule holds callers to that.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +65,17 @@ _SORTED_VIEWS = frozenset(
 #: enough to amortise per-chunk numpy overhead, small enough that the
 #: within-chunk fixpoint re-scan stays cheap.
 EA_CHUNK = 4096
+
+
+class Adjacency(NamedTuple):
+    """CSR: vertex ``v``'s edges are ``positions[offsets[v]:offsets[v + 1]]``.
+
+    ``keys[i]`` is ``positions[i]``'s exact sort key, for ``bisect``.
+    """
+
+    offsets: Any
+    positions: Any
+    keys: Sequence[Any]
 
 
 def _int_column(values: Sequence[Any]):
@@ -112,6 +126,12 @@ def _first_occurrence_ids(sources, targets) -> Tuple[Any, Any, Any]:
     if shared and np.array_equal(ids, both):
         return sources, targets, first[order]
     return ids[0::2].copy(), ids[1::2].copy(), first[order]
+
+
+def _view(column) -> memoryview:
+    """A read-only memoryview of a freshly built array."""
+    column.flags.writeable = False
+    return memoryview(column)
 
 
 def sorted_distinct(values: Any) -> Any:
@@ -236,6 +256,7 @@ class ColumnarEdgeStore:
         "_arrival_by_start",
         "_start_by_arrival",
         "_start_rank",
+        "_adjacencies",
     )
 
     def __init__(
@@ -281,6 +302,7 @@ class ColumnarEdgeStore:
             setattr(self, f"{name}_are_float", kept is None)
             if kept is not None:
                 self._kept[name] = kept
+        self._adjacencies: Dict[str, Adjacency] = {}
 
     def __getattr__(self, name: str) -> Any:
         # The sort orders and the views derived from them (the
@@ -359,6 +381,54 @@ class ColumnarEdgeStore:
     def start_ranks(self):
         """Per-position rank within the start order (shared view)."""
         return self._start_rank
+
+    def out_adjacency(self) -> Adjacency:
+        """Out-edges by source id, then start, then *descending* position (shared).
+
+        Read backwards, a vertex's run is Algorithm 2's order: start
+        descending, then position.
+        """
+        if "out" not in self._adjacencies:
+            # A stable sort of the reversed columns puts later positions first.
+            order = np.lexsort((self._exact_key("starts")[::-1], self.sources[::-1]))
+            self._adjacencies["out"] = self._csr(
+                self.sources, self.num_edges - 1 - order, "starts"
+            )
+        return self._adjacencies["out"]
+
+    def in_adjacency(self) -> Adjacency:
+        """In-edges by target id, then arrival, start and position (shared)."""
+        if "in" not in self._adjacencies:
+            order = np.lexsort(
+                (self._exact_key("starts"), self._exact_key("arrivals"), self.targets)
+            )
+            self._adjacencies["in"] = self._csr(self.targets, order, "arrivals")
+        return self._adjacencies["in"]
+
+    def _csr(self, ids, positions, name: str) -> Adjacency:
+        offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=self.num_vertices), out=offsets[1:])
+        kept = self._kept.get(name)
+        if kept is None:
+            keys: Sequence[Any] = _view(getattr(self, name)[positions])
+        else:
+            keys = tuple(kept[p] for p in positions.tolist())
+        return Adjacency(_view(offsets), _view(positions), keys)
+
+    def _exact_key(self, name: str):
+        # float64 may round an int above 2**53 or a Fraction into a false
+        # tie, so kept values sort as int64 or by their dense ranks.
+        kept = self._kept.get(name)
+        key = getattr(self, name) if kept is None else _int_column(kept)
+        if key is None:
+            rank = {value: i for i, value in enumerate(sorted(set(kept)))}
+            key = np.array([rank[value] for value in kept], dtype=np.int64)
+        return key
+
+    def python_values(self, name: str) -> Sequence[Any]:
+        """Column ``name`` (ids or values) as a shared sequence of Python values."""
+        kept = self._kept.get(name)
+        return memoryview(getattr(self, name)) if kept is None else kept
 
     def value_column(self, name: str) -> Sequence[Any]:
         """Value column ``name`` (``"starts"``, ``"arrivals"`` or ``"weights"``).

@@ -7,15 +7,16 @@ The paper's algorithms consume temporal graphs in two layouts:
 * a **sorted adjacency edge list** -- per-vertex out-edge arrays sorted
   by *non-increasing* start time (Algorithm 2's input).
 
-Both are produced lazily and cached; a graph is immutable once built.
+The first is built lazily and cached; the second is the columnar
+store's out-edge CSR, read backwards.  A graph is immutable once built.
 
 A graph built from columns (:meth:`TemporalGraph.from_columns`: the
 generators, the loaders and pickles) holds only its
 :class:`~repro.temporal.columnar.ColumnarEdgeStore`.  It builds
-``TemporalEdge`` objects for the slices an algorithm walks (Algorithm
-1's window slice, a restricted window) and the whole edge tuple only
-when something reads :attr:`TemporalGraph.edges` or a layout derived
-from it (Algorithm 2's adjacency); that tuple is then kept.
+``TemporalEdge`` objects for the edges an algorithm returns or walks
+as objects (Algorithm 1's window slice, a restricted window, a tree's
+edges) and the whole edge tuple only when something reads
+:attr:`TemporalGraph.edges`; that tuple is then kept.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ class TemporalGraph:
         "_chronological",
         "_zero_duration",
         "_arrival_sorted",
-        "_adjacency_desc",
-        "_adjacency_asc",
-        "_starts_asc",
-        "_in_edges",
-        "_out_edges",
         "_prepare_memo",
         "_columnar",
         "__weakref__",
@@ -178,11 +174,6 @@ class TemporalGraph:
         self._chronological: Optional[Tuple[TemporalEdge, ...]] = None
         self._zero_duration: Optional[bool] = None
         self._arrival_sorted: Optional[Tuple[TemporalEdge, ...]] = None
-        self._adjacency_desc: Optional[Dict[Vertex, List[TemporalEdge]]] = None
-        self._adjacency_asc: Optional[Dict[Vertex, List[TemporalEdge]]] = None
-        self._starts_asc: Optional[Dict[Vertex, List[float]]] = None
-        self._in_edges: Optional[Dict[Vertex, List[TemporalEdge]]] = None
-        self._out_edges: Optional[Dict[Vertex, List[TemporalEdge]]] = None
         self._prepare_memo: Optional[OrderedDict[Any, Any]] = None
         self._columnar: Optional[Any] = None
 
@@ -380,73 +371,21 @@ class TemporalGraph:
             )
         return self._arrival_sorted
 
-    def sorted_adjacency(self) -> Dict[Vertex, List[TemporalEdge]]:
-        """Out-edges per vertex sorted by non-increasing start time.
-
-        This is the paper's "sorted adjacency edge list" format consumed
-        by Algorithm 2.  Every vertex of ``V`` is present as a key (with
-        an empty list when it has no out-edge).
-        """
-        if self._adjacency_desc is None:
-            adjacency: Dict[Vertex, List[TemporalEdge]] = {
-                v: [] for v in self._vertices
-            }
-            for edge in self.edges:
-                adjacency[edge.source].append(edge)
-            for out_list in adjacency.values():
-                out_list.sort(key=lambda e: -e.start)
-            self._adjacency_desc = adjacency
-        return self._adjacency_desc
-
-    def ascending_adjacency(self) -> Dict[Vertex, List[TemporalEdge]]:
-        """Out-edges per vertex sorted by ascending start time.
-
-        The layout every label-setting temporal-path sweep consumes
-        (:mod:`repro.temporal.paths`); cached so repeated single-source
-        queries -- root selection probes one sweep per candidate vertex
-        -- stop rebuilding and re-sorting the adjacency per call.
-        """
-        if self._adjacency_asc is None:
-            adjacency: Dict[Vertex, List[TemporalEdge]] = {
-                v: [] for v in self._vertices
-            }
-            for edge in self.edges:
-                adjacency[edge.source].append(edge)
-            for out_list in adjacency.values():
-                out_list.sort(key=lambda e: e.start)
-            self._adjacency_asc = adjacency
-        return self._adjacency_asc
-
-    def ascending_starts(self) -> Dict[Vertex, List[float]]:
-        """Per-vertex start times aligned with :meth:`ascending_adjacency`.
-
-        Sweeps bisect this to find the first usable out-edge; cached for
-        the same reason as the adjacency itself.
-        """
-        if self._starts_asc is None:
-            self._starts_asc = {
-                v: [e.start for e in edges]
-                for v, edges in self.ascending_adjacency().items()
-            }
-        return self._starts_asc
-
     def out_edges(self, vertex: Vertex) -> List[TemporalEdge]:
-        """``N_o(u)``: the out temporal edges incident to ``vertex``."""
-        if self._out_edges is None:
-            grouped: Dict[Vertex, List[TemporalEdge]] = {v: [] for v in self._vertices}
-            for edge in self.edges:
-                grouped[edge.source].append(edge)
-            self._out_edges = grouped
-        return self._out_edges.get(vertex, [])
+        """``N_o(u)``: the out temporal edges of ``vertex``, in insertion order."""
+        return self._incident(vertex, self.columnar().out_adjacency())
 
     def in_edges(self, vertex: Vertex) -> List[TemporalEdge]:
-        """``N_i(v)``: the in temporal edges incident to ``vertex``."""
-        if self._in_edges is None:
-            grouped: Dict[Vertex, List[TemporalEdge]] = {v: [] for v in self._vertices}
-            for edge in self.edges:
-                grouped[edge.target].append(edge)
-            self._in_edges = grouped
-        return self._in_edges.get(vertex, [])
+        """``N_i(v)``: the in temporal edges of ``vertex``, in insertion order."""
+        return self._incident(vertex, self.columnar().in_adjacency())
+
+    def _incident(self, vertex: Vertex, adjacency: Any) -> List[TemporalEdge]:
+        """A new list of the edges in ``vertex``'s run of a store CSR."""
+        v = self.columnar().vertex_ids.get(vertex)
+        if v is None:
+            return []
+        offsets, positions, _ = adjacency
+        return self.edges_at(np.sort(positions[offsets[v] : offsets[v + 1]]))
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -647,7 +586,7 @@ def edge_rows(rows: Iterable[Tuple[Any, ...]]) -> List[TemporalEdge]:
     store's columns): everything else goes through :func:`make_edge`.
     """
     edges = list(map(tuple.__new__, repeat(TemporalEdge), rows))
-    return cast(List[TemporalEdge], edges)
+    return cast("List[TemporalEdge]", edges)
 
 
 def _start_bisect(edges: Sequence[TemporalEdge], t: Any, right: bool) -> int:

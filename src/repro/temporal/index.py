@@ -17,12 +17,13 @@ That delta is the entry point of the :mod:`repro.incremental` engine.
 
 from __future__ import annotations
 
+import math
 import weakref
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.temporal.edge import TemporalEdge, Vertex
-from repro.temporal.graph import TemporalGraph
+from repro.temporal.graph import VALUE_COLUMNS, TemporalGraph, edge_rows
 from repro.temporal.window import TimeWindow
 
 
@@ -34,62 +35,28 @@ class TemporalEdgeIndex:
     graph:
         The temporal graph to index.  The index is a thin object layer
         over the graph's shared :class:`ColumnarEdgeStore`: the bulk
-        queries delegate to the store's batched passes, while the
-        per-vertex adjacency views (the incremental repair loop's scan
-        structures) stay object-level and are built lazily.
+        queries delegate to the store's batched passes, the per-vertex
+        views walk its CSR layouts, and each call builds the edges it
+        returns.
     """
 
-    __slots__ = (
-        "_store",
-        "_edges",
-        "_ranks",
-        "_starts",
-        "_vertices",
-        "_arrival_order",
-        "_arrivals_sorted",
-        "_out_by_source",
-        "_in_by_target",
-    )
+    __slots__ = ("_store", "_vertices", "_columns")
 
     def __init__(self, graph: TemporalGraph) -> None:
-        store = graph.columnar()
-        self._store = store
-        # The graph's own edge objects in the store's stable (start,
-        # arrival, position) order -- the order of
-        # graph.chronological_edges() -- so every list the index hands
-        # out shares them.
-        edges = graph.edges
-        self._edges: List[TemporalEdge] = [
-            edges[p] for p in store.positions_by_start().tolist()
-        ]
-        self._ranks = store.start_ranks()
-        self._starts = store.sorted_starts()
+        self._store = graph.columnar()
         self._vertices = graph.vertices
-        # Arrival-sorted view: ranks into _edges ordered by (arrival,
-        # start, graph position); drives the per-target in-edge lists.
-        self._arrival_order: List[int] = self._ranks[
-            store.positions_by_arrival()
-        ].tolist()
-        self._arrivals_sorted = store.sorted_arrivals()
-        # Lazy per-vertex adjacency used by the incremental repair loop.
-        self._out_by_source: Optional[Dict[Vertex, Tuple[List[float], List[TemporalEdge]]]] = None
-        self._in_by_target: Optional[Dict[Vertex, Tuple[List[float], List[TemporalEdge]]]] = None
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edges)
-
-    def _at(self, positions) -> List[TemporalEdge]:
-        """The indexed edges at graph insertion ``positions``."""
-        edges = self._edges
-        return [edges[r] for r in self._ranks[positions].tolist()]
+        # (sources, targets, starts, arrivals, weights) by position.
+        fields = ("sources", "targets") + VALUE_COLUMNS
+        self._columns = tuple(map(self._store.python_values, fields))
 
     def edges_in(self, window: TimeWindow) -> List[TemporalEdge]:
         """All edges with ``start >= t_alpha`` and ``arrival <= t_omega``.
 
         Chronological order; one batched pass over the store.
         """
-        return self._at(self._store.window_positions(window.t_alpha, window.t_omega))
+        return self._store.edges_at(
+            self._store.window_positions(window.t_alpha, window.t_omega)
+        )
 
     def iter_edges_in(self, window: TimeWindow) -> Iterator[TemporalEdge]:
         """Yield the window's edges in chronological order."""
@@ -118,10 +85,9 @@ class TemporalEdgeIndex:
 
         Lets sliding sweeps skip empty stretches of the timeline.
         """
-        i = bisect_left(self._starts, t)
-        if i == len(self._starts):
-            return None
-        return float(self._starts[i])
+        starts = self._store.sorted_starts()
+        i = bisect_left(starts, t)
+        return None if i == len(starts) else float(starts[i])
 
     # ------------------------------------------------------------------
     # Sliding-window deltas
@@ -148,87 +114,63 @@ class TemporalEdgeIndex:
         the slide, not the window.  Both lists come back ordered by
         ``(start, arrival, graph position)`` -- chronological order.
         """
-        added, removed = self._store.delta_positions(
-            old_window.as_tuple(), new_window.as_tuple()
-        )
-        return self._at(added), self._at(removed)
+        store = self._store
+        added, removed = store.delta_positions(old_window.as_tuple(), new_window.as_tuple())
+        return store.edges_at(added), store.edges_at(removed)
+
+    def delta_positions(
+        self, old_window: TimeWindow, new_window: TimeWindow
+    ) -> Tuple[List[int], List[int]]:
+        """:meth:`delta` as insertion positions, in the same order."""
+        store = self._store
+        added, removed = store.delta_positions(old_window.as_tuple(), new_window.as_tuple())
+        return added.tolist(), removed.tolist()
 
     # ------------------------------------------------------------------
     # Per-vertex views (the incremental repair loop's scan structures)
     # ------------------------------------------------------------------
-    def _source_adjacency(self) -> Dict[Vertex, Tuple[List[float], List[TemporalEdge]]]:
-        if self._out_by_source is None:
-            grouped: Dict[Vertex, List[TemporalEdge]] = {}
-            # _edges is already (start, arrival, position)-sorted, so the
-            # per-source sublists inherit ascending-start order.
-            for e in self._edges:
-                grouped.setdefault(e.source, []).append(e)
-            self._out_by_source = {
-                v: ([e.start for e in edges], edges) for v, edges in grouped.items()
-            }
-        return self._out_by_source
+    def _run(self, adjacency, vertex: Vertex, lo_key: Any, hi_key: Any) -> List[int]:
+        """Positions of ``vertex``'s CSR run with ``lo_key <= key <= hi_key``."""
+        v = self._store.vertex_ids.get(vertex)
+        if v is None:
+            return []
+        offsets, positions, keys = adjacency
+        hi = bisect_right(keys, hi_key, offsets[v], offsets[v + 1])
+        return positions[bisect_left(keys, lo_key, offsets[v], hi) : hi].tolist()
 
-    def _target_adjacency(self) -> Dict[Vertex, Tuple[List[float], List[TemporalEdge]]]:
-        if self._in_by_target is None:
-            grouped: Dict[Vertex, List[TemporalEdge]] = {}
-            # Walk the arrival-sorted view so the per-target sublists
-            # are ordered by (arrival, start, graph position) -- the
-            # exact tie-break order of Algorithm 1's parent choice.
-            for j in self._arrival_order:
-                e = self._edges[j]
-                grouped.setdefault(e.target, []).append(e)
-            self._in_by_target = {
-                v: ([e.arrival for e in edges], edges) for v, edges in grouped.items()
-            }
-        return self._in_by_target
+    @property
+    def columns(self) -> Tuple[Any, ...]:
+        """``(labels, sources, targets, starts, arrivals)``: edge ``p``'s
+        fields are ``labels[sources[p]]``, ``starts[p]``, ... (shared)."""
+        src, dst, starts, arrivals, _ = self._columns
+        return self._store.vertex_labels, src, dst, starts, arrivals
 
-    def out_edges_enabled(
-        self, vertex: Vertex, t: float, t_omega: float
-    ) -> Iterator[TemporalEdge]:
+    def edge(self, p: int) -> TemporalEdge:
+        """The edge at insertion position ``p``."""
+        labels = self._store.vertex_labels
+        src, dst, start, arrival, weight = self._columns
+        return edge_rows([(labels[src[p]], labels[dst[p]], start[p], arrival[p], weight[p])])[0]
+
+    def out_positions_enabled(self, vertex: Vertex, t: float, t_omega: float) -> List[int]:
         """Out-edges of ``vertex`` with ``start >= t`` and ``arrival <= t_omega``.
 
-        Bisects the per-source ascending-start array and stops at the
-        first start past ``t_omega`` -- the repair loop's out-scan.
+        Positions, by ``(start, arrival, position)``.
         """
-        entry = self._source_adjacency().get(vertex)
-        if entry is None:
-            return
-        starts, edges = entry
-        i = bisect_left(starts, t)
-        while i < len(starts) and starts[i] <= t_omega:
-            e = edges[i]
-            if e.arrival <= t_omega:
-                yield e
-            i += 1
+        _, _, starts, arrivals, _ = self._columns
+        run = self._run(self._store.out_adjacency(), vertex, t, t_omega)
+        enabled = [p for p in run if arrivals[p] <= t_omega]
+        # The CSR orders equal starts by descending position.
+        if len({starts[p] for p in enabled}) < len(enabled):
+            enabled.sort(key=lambda p: (starts[p], arrivals[p], p))
+        return enabled
 
-    def in_edges_at_arrival(
-        self, vertex: Vertex, arrival: float
-    ) -> Iterator[TemporalEdge]:
-        """In-edges of ``vertex`` arriving exactly at ``arrival``.
+    def in_positions_at_arrival(self, vertex: Vertex, arrival: float) -> List[int]:
+        """In-edges of ``vertex`` arriving exactly at ``arrival``, by ``(start, position)``."""
+        return self._run(self._store.in_adjacency(), vertex, arrival, arrival)
 
-        Yielded in ``(start, graph position)`` order -- the run feeding
-        the canonical parent-edge choice after an incremental repair.
-        """
-        entry = self._target_adjacency().get(vertex)
-        if entry is None:
-            return
-        arrivals, edges = entry
-        i = bisect_left(arrivals, arrival)
-        while i < len(arrivals) and arrivals[i] == arrival:
-            yield edges[i]
-            i += 1
-
-    def in_edges_up_to(
-        self, vertex: Vertex, t_omega: float
-    ) -> Iterator[TemporalEdge]:
-        """In-edges of ``vertex`` with ``arrival <= t_omega`` (arrival order)."""
-        entry = self._target_adjacency().get(vertex)
-        if entry is None:
-            return
-        arrivals, edges = entry
-        hi = bisect_right(arrivals, t_omega)
-        for i in range(hi):
-            yield edges[i]
+    def in_positions_up_to(self, vertex: Vertex, t_omega: float) -> List[int]:
+        """In-edges of ``vertex`` with ``arrival <= t_omega``, by ``(arrival, start, position)``."""
+        return self._run(self._store.in_adjacency(), vertex, -math.inf, t_omega)
 
     def has_incident_in(self, window: TimeWindow, vertex: Vertex) -> bool:
         """Whether ``vertex`` has any incident edge inside ``window``.
@@ -236,25 +178,16 @@ class TemporalEdgeIndex:
         Equivalent to ``vertex in index.subgraph(window).vertices``
         without materialising the subgraph.
         """
-        entry = self._source_adjacency().get(vertex)
-        if entry is not None:
-            starts, edges = entry
-            i = bisect_left(starts, window.t_alpha)
-            while i < len(starts) and starts[i] <= window.t_omega:
-                if edges[i].arrival <= window.t_omega:
-                    return True
-                i += 1
-        entry = self._target_adjacency().get(vertex)
-        if entry is not None:
-            arrivals, edges = entry
-            hi = bisect_right(arrivals, window.t_omega)
-            for i in range(hi):
-                if edges[i].start >= window.t_alpha:
-                    return True
-        return False
+        _, _, starts, arrivals, _ = self._columns
+        t_alpha, t_omega = window.t_alpha, window.t_omega
+        out = self._run(self._store.out_adjacency(), vertex, t_alpha, t_omega)
+        if any(arrivals[p] <= t_omega for p in out):
+            return True
+        into = self._run(self._store.in_adjacency(), vertex, -math.inf, t_omega)
+        return any(starts[p] >= t_alpha for p in into)
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return self._store.num_edges
 
 
 #: graph -> shared index; weak keys, and the index itself holds no

@@ -4,14 +4,14 @@ The paper builds on single-source temporal path computations: *foremost*
 (earliest-arrival) paths define ``MST_a`` and the reachable set ``V_r``;
 *shortest* (minimum-weight) paths appear inside the transformed graph's
 metric closure.  This module provides reference implementations that are
-correct for arbitrary (including zero) edge durations.  They serve both
-as a library feature and as independent oracles against which the
-paper's optimised Algorithms 1 and 2 are tested.
+correct for arbitrary (including zero) edge durations.
 
 Apart from :func:`earliest_arrival_times`, which runs the columnar
 store's scatter-min sweep, the functions are label-setting
 (Dijkstra-style) over arrival times, which is valid because arrival
-times along a time-respecting path are non-decreasing.
+times along a time-respecting path are non-decreasing.  They walk the
+store's CSR layouts by intern id -- as Algorithm 2 does, so Algorithms
+1 and 2 are tested against frozen object-level oracles instead.
 """
 
 from __future__ import annotations
@@ -19,16 +19,22 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.temporal.edge import TemporalEdge, Vertex
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.window import TimeWindow
 
 
-def _ascending_adjacency(graph: TemporalGraph) -> Dict[Vertex, List[TemporalEdge]]:
-    """Out-edges per vertex sorted by ascending start time (graph-cached)."""
-    return graph.ascending_adjacency()
+def _departures(store: Any, u: int, t: Any) -> List[int]:
+    """Positions of ``u``'s out-edges starting at ``t`` or later, by (start, position)."""
+    offsets, positions, starts = store.out_adjacency()
+    end = offsets[u + 1]
+    start_of = store.python_values("starts")
+    run = positions[bisect_left(starts, t, offsets[u], end) : end]
+    return sorted(run, key=lambda p: (start_of[p], p))
 
 
 def earliest_arrival_times(
@@ -77,39 +83,42 @@ def earliest_arrival_path(
         return None
     if source == target:
         return []
-    adjacency = _ascending_adjacency(graph)
-    starts = graph.ascending_starts()
-    arrival: Dict[Vertex, float] = {source: window.t_alpha}
-    parent: Dict[Vertex, TemporalEdge] = {}
-    settled: Set[Vertex] = set()
-    heap: List[Tuple[float, int, Vertex]] = [(window.t_alpha, 0, source)]
+    store = graph.columnar()
+    arrivals = store.python_values("arrivals")
+    targets = store.python_values("targets")
+    src, dst = store.vertex_ids[source], store.vertex_ids[target]
+    arrival: Dict[int, float] = {src: window.t_alpha}
+    parent: Dict[int, int] = {}
+    settled: Set[int] = set()
+    heap: List[Tuple[float, int, int]] = [(window.t_alpha, 0, src)]
     counter = 1
     while heap:
         t, _, u = heapq.heappop(heap)
         if u in settled or t > arrival.get(u, math.inf):
             continue
-        if u == target:
+        if u == dst:
             break
         settled.add(u)
-        idx = bisect_left(starts[u], t)
-        for edge in adjacency[u][idx:]:
-            if edge.arrival > window.t_omega:
+        for p in _departures(store, u, t):
+            a = arrivals[p]
+            if a > window.t_omega:
                 continue
-            if edge.arrival < arrival.get(edge.target, math.inf):
-                arrival[edge.target] = edge.arrival
-                parent[edge.target] = edge
-                heapq.heappush(heap, (edge.arrival, counter, edge.target))
+            v = targets[p]
+            if a < arrival.get(v, math.inf):
+                arrival[v] = a
+                parent[v] = p
+                heapq.heappush(heap, (a, counter, v))
                 counter += 1
-    if target not in parent:
+    if dst not in parent:
         return None
-    path: List[TemporalEdge] = []
-    current = target
-    while current != source:
-        edge = parent[current]
-        path.append(edge)
-        current = edge.source
+    sources = store.python_values("sources")
+    path: List[int] = []
+    current = dst
+    while current != src:
+        path.append(parent[current])
+        current = sources[path[-1]]
     path.reverse()
-    return path
+    return graph.edges_at(np.array(path, dtype=np.int64))
 
 
 def reachable_set(
@@ -136,17 +145,15 @@ def latest_departure_times(
         window = TimeWindow.unbounded()
     if target not in graph.vertices:
         return {}
-    in_adjacency: Dict[Vertex, List[TemporalEdge]] = {v: [] for v in graph.vertices}
-    for edge in graph.edges:
-        in_adjacency[edge.target].append(edge)
-    for edges in in_adjacency.values():
-        edges.sort(key=lambda e: e.arrival)
-    arrivals: Dict[Vertex, List[float]] = {
-        v: [e.arrival for e in edges] for v, edges in in_adjacency.items()
-    }
-    departure: Dict[Vertex, float] = {target: window.t_omega}
-    settled: Set[Vertex] = set()
-    heap: List[Tuple[float, int, Vertex]] = [(-window.t_omega, 0, target)]
+    store = graph.columnar()
+    offsets, positions, arrivals = store.in_adjacency()
+    arrival_of = store.python_values("arrivals")
+    starts = store.python_values("starts")
+    sources = store.python_values("sources")
+    dst = store.vertex_ids[target]
+    departure: Dict[int, float] = {dst: window.t_omega}
+    settled: Set[int] = set()
+    heap: List[Tuple[float, int, int]] = [(-window.t_omega, 0, dst)]
     counter = 1
     while heap:
         neg_t, _, v = heapq.heappop(heap)
@@ -154,16 +161,19 @@ def latest_departure_times(
         if v in settled or t < departure.get(v, -math.inf):
             continue
         settled.add(v)
-        # Relax every in-edge arriving no later than our departure from v.
-        hi = bisect_right(arrivals[v], t)
-        for edge in in_adjacency[v][:hi]:
-            if edge.start < window.t_alpha:
+        # Relax v's in-edges arriving by t, by (arrival, position).
+        run = positions[offsets[v] : bisect_right(arrivals, t, offsets[v], offsets[v + 1])]
+        for p in sorted(run, key=lambda p: (arrival_of[p], p)):
+            s = starts[p]
+            if s < window.t_alpha:
                 continue
-            if edge.start > departure.get(edge.source, -math.inf):
-                departure[edge.source] = edge.start
-                heapq.heappush(heap, (-edge.start, counter, edge.source))
+            u = sources[p]
+            if s > departure.get(u, -math.inf):
+                departure[u] = s
+                heapq.heappush(heap, (-s, counter, u))
                 counter += 1
-    return departure
+    labels = store.vertex_labels
+    return {labels[v]: t for v, t in departure.items()}
 
 
 def fastest_path_durations(
@@ -216,28 +226,33 @@ def shortest_path_distances(
         window = TimeWindow.unbounded()
     if source not in graph.vertices:
         return {}
-    adjacency = _ascending_adjacency(graph)
-    starts = graph.ascending_starts()
-    # State = (vertex, arrival time at vertex).  dist maps states to the
-    # cheapest cost of reaching that state.
-    dist: Dict[Tuple[Vertex, float], float] = {(source, window.t_alpha): 0.0}
-    best: Dict[Vertex, float] = {source: 0.0}
-    heap: List[Tuple[float, int, Vertex, float]] = [(0.0, 0, source, window.t_alpha)]
+    store = graph.columnar()
+    arrivals = store.python_values("arrivals")
+    targets = store.python_values("targets")
+    weights = store.python_values("weights")
+    src = store.vertex_ids[source]
+    # State = (vertex id, arrival time at vertex).  dist maps states to
+    # the cheapest cost of reaching that state.
+    dist: Dict[Tuple[int, float], float] = {(src, window.t_alpha): 0.0}
+    best: Dict[int, float] = {src: 0.0}
+    heap: List[Tuple[float, int, int, float]] = [(0.0, 0, src, window.t_alpha)]
     counter = 1
     while heap:
         cost, _, u, t = heapq.heappop(heap)
         if cost > dist.get((u, t), math.inf):
             continue
-        idx = bisect_left(starts[u], t)
-        for edge in adjacency[u][idx:]:
-            if edge.arrival > window.t_omega:
+        for p in _departures(store, u, t):
+            a = arrivals[p]
+            if a > window.t_omega:
                 continue
-            state = (edge.target, edge.arrival)
-            new_cost = cost + edge.weight
+            v = targets[p]
+            state = (v, a)
+            new_cost = cost + weights[p]
             if new_cost < dist.get(state, math.inf):
                 dist[state] = new_cost
-                if new_cost < best.get(edge.target, math.inf):
-                    best[edge.target] = new_cost
-                heapq.heappush(heap, (new_cost, counter, edge.target, edge.arrival))
+                if new_cost < best.get(v, math.inf):
+                    best[v] = new_cost
+                heapq.heappush(heap, (new_cost, counter, v, a))
                 counter += 1
-    return best
+    labels = store.vertex_labels
+    return {labels[v]: cost for v, cost in best.items()}

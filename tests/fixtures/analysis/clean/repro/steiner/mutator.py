@@ -2,5 +2,5 @@
 
 
 def degree(graph, vertex):
-    adjacency = graph.ascending_adjacency()
-    return len(adjacency[vertex])
+    offsets, _, _ = graph.columnar().out_adjacency()
+    return offsets[vertex + 1] - offsets[vertex]

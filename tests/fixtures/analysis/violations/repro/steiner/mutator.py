@@ -2,6 +2,6 @@
 
 
 def corrupt(graph, vertex, edge):
-    adjacency = graph.ascending_adjacency()
+    adjacency = graph.columnar().out_adjacency()
     adjacency[vertex].append(edge)
     return adjacency

@@ -154,6 +154,33 @@ class TestTable5LevelThreeCounts:
             assert 0 < alg6.expansions < alg4.expansions, config.name
 
 
+class TestTable5LevelTwoCounts:
+    """Table 5's level-2 ordering, Charik above Alg4 above Alg6, by work done.
+
+    ``test_table5_ordering`` compares millisecond wall times of Charik-2
+    and Alg6-2 in quick mode; this pins the same claim, and Alg4-2
+    between them, on the budget's candidate-vertex expansions, which no
+    host noise can move.
+    """
+
+    def test_expansions_order_charik_alg4_alg6(self):
+        from repro.experiments.workloads import QUICK_MSTW_WORKLOADS, mstw_workload
+        from repro.resilience.budget import Budget
+        from repro.steiner.charikar import charikar_dst
+        from repro.steiner.improved import improved_dst
+        from repro.steiner.pruned import pruned_dst
+
+        assert QUICK_MSTW_WORKLOADS
+        for config in QUICK_MSTW_WORKLOADS:
+            prepared = mstw_workload(config).prepared
+            charik, alg4, alg6 = Budget(), Budget(), Budget()
+            charikar_dst(prepared, 2, budget=charik)
+            improved_dst(prepared, 2, budget=alg4)
+            pruned_dst(prepared, 2, budget=alg6)
+            counts = (charik.expansions, alg4.expansions, alg6.expansions)
+            assert counts[0] > counts[1] > counts[2] > 0, (config.name, counts)
+
+
 class TestSweep:
     """The Section 2.3 sliding-window forecast table."""
 

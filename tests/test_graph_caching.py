@@ -14,16 +14,21 @@ class TestCaching:
         assert figure1.chronological_edges() is figure1.chronological_edges()
 
     def test_sorted_adjacency_cached_identity(self, figure1):
-        assert figure1.sorted_adjacency() is figure1.sorted_adjacency()
+        store = figure1.columnar()
+        assert store.out_adjacency() is store.out_adjacency()
+        assert store.in_adjacency() is store.in_adjacency()
 
     def test_arrival_sorted_cached_identity(self, figure1):
         assert figure1.arrival_sorted_edges() is figure1.arrival_sorted_edges()
 
     def test_out_edges_consistent_with_adjacency(self, figure1):
-        adjacency = figure1.sorted_adjacency()
+        store = figure1.columnar()
+        offsets, positions, _ = store.out_adjacency()
         for v in figure1.vertices:
+            i = store.vertex_ids[v]
+            run = positions[offsets[i] : offsets[i + 1]]
             assert sorted(map(tuple, figure1.out_edges(v))) == sorted(
-                map(tuple, adjacency[v])
+                tuple(figure1.edges[p]) for p in run
             )
 
     def test_derived_graphs_do_not_share_caches(self, figure1):
@@ -96,12 +101,14 @@ class TestImmutability:
 
 class TestAdjacencyMutationSafety:
     def test_mutating_returned_lists_is_callers_problem_but_detectable(self, figure1):
-        """The adjacency dict is cached; the contract is read-only use.
+        """The CSR adjacency is cached; the contract is read-only use.
 
         This test documents the sharing (it is intentional, for O(M)
         algorithm inputs) so any future defensive-copy change is
-        deliberate.
+        deliberate.  Its arrays are read-only views, so a write raises.
         """
-        adjacency = figure1.sorted_adjacency()
-        again = figure1.sorted_adjacency()
+        adjacency = figure1.columnar().out_adjacency()
+        again = figure1.columnar().out_adjacency()
         assert adjacency is again
+        with pytest.raises(TypeError):
+            adjacency.positions[0] = 1  # repro: ignore[cache-mutation]

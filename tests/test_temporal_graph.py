@@ -63,16 +63,21 @@ class TestFormats:
         assert arrivals == sorted(arrivals)
 
     def test_sorted_adjacency_descending_starts(self, figure1):
-        adjacency = figure1.sorted_adjacency()
-        assert set(adjacency) == figure1.vertices
-        for edges in adjacency.values():
-            starts = [e.start for e in edges]
-            assert starts == sorted(starts, reverse=True)
+        # Algorithm 2's sorted adjacency is the store's out-edge CSR,
+        # read backwards from each vertex's end.
+        store = figure1.columnar()
+        offsets, positions, starts = store.out_adjacency()
+        assert len(offsets) == figure1.num_vertices + 1
+        for v in range(figure1.num_vertices):
+            lo, hi = offsets[v], offsets[v + 1]
+            backwards = [figure1.edges[p].start for p in positions[lo:hi]][::-1]
+            assert backwards == sorted(backwards, reverse=True)
+            assert backwards == list(starts[lo:hi])[::-1]
 
     def test_sorted_adjacency_covers_all_edges(self, figure1):
-        adjacency = figure1.sorted_adjacency()
-        total = sum(len(edges) for edges in adjacency.values())
-        assert total == figure1.num_edges
+        offsets, positions, _ = figure1.columnar().out_adjacency()
+        assert offsets[-1] == figure1.num_edges
+        assert sorted(positions) == list(range(figure1.num_edges))
 
     def test_out_and_in_edges(self, figure1):
         assert len(figure1.out_edges(0)) == 4

@@ -22,10 +22,12 @@ test:
 
 # CI's "Identity suites must not skip" step: the byte-identity suites
 # (columnar store, DST kernels, rooted instances, generator draws, CSR
-# adjacency walks) against the frozen scalar oracles and pins, failing
-# on any test failure or skip.  A skip shows as a `-rs` "SKIPPED [n]
-# file:line: reason" line: pyproject's addopts "-q" plus this "-q"
-# suppress the final "N skipped" counts line.
+# adjacency walks) against the frozen scalar oracles and pins, plus the
+# sliding engine against the per-window cold trees and the sweep
+# experiment's row pins, failing on any test failure or skip.  A skip
+# shows as a `-rs` "SKIPPED [n] file:line: reason" line: pyproject's
+# addopts "-q" plus this "-q" suppress the final "N skipped" counts
+# line.
 IDENTITY_REPORT ?= build/identity-report.txt
 
 identity:
@@ -34,7 +36,8 @@ identity:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_property_columnar.py \
 		tests/test_property_kernels.py tests/test_property_rooted.py \
 		tests/test_temporal_generators.py \
-		tests/test_property_adjacency.py -q -rs \
+		tests/test_property_adjacency.py \
+		tests/test_property_incremental.py -q -rs \
 		> $(IDENTITY_REPORT) 2>&1 || status=$$?; \
 	cat $(IDENTITY_REPORT); \
 	if grep -Eq "^SKIPPED \[|[0-9]+ skipped" $(IDENTITY_REPORT); then \
@@ -62,9 +65,9 @@ bench-parallel:
 	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
 		--jobs $(BENCH_JOBS) --out $(BENCH_PARALLEL_OUT)
 
-# The sliding_sweep family at full scale: cold sweeps vs SlidingEngine
-# sweeps (MST_a by dirty-cone repair, MST_w by the cold pipeline over
-# the parent graph's columns; BENCH_PR5.json holds the older evidence).
+# The sliding_sweep family at full scale: SlidingEngine sweeps, each
+# window one query over the parent graph's columns (MST_a by Algorithm
+# 1, MST_w by the cold pipeline; BENCH_PR5.json holds older evidence).
 bench-sliding:
 	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
 		--only sliding_msta_incremental --only sliding_mstw_incremental \
@@ -80,10 +83,11 @@ bench-dst:
 		--only dst_kernels_pruned_scalar --only dst_kernels_pruned \
 		--out $(BENCH_DST_OUT)
 
-# The CI regression gate: run at smoke scale and diff against the
-# committed baseline (exit 1 on regression).
+# The CI regression gate: run at smoke scale with two workers (as CI's
+# bench-smoke job does, so the baseline's jobs=2 scenarios run) and diff
+# against the committed baseline (exit 1 on regression).
 bench-check:
-	$(PYTHON) -m repro bench --scale smoke --repeats $(BENCH_REPEATS) \
+	$(PYTHON) -m repro bench --scale smoke --repeats $(BENCH_REPEATS) --jobs 2 \
 		--out $(BENCH_OUT) --compare $(BENCH_BASELINE) --tolerance 3.0
 
 # The end-to-end benchmark (benchmarks/e2e, declared by BENCHMARK.json):

@@ -8,10 +8,10 @@ forward, we can predict the minimum cost for the future".
 
 This example slides a fixed-length window across a contact network and
 tracks, per window, how many individuals patient zero can infect and
-how quickly.  The sweep runs through the incremental sliding-window
-engine (:mod:`repro.incremental`): each slide repairs the previous
-window's tree around the edge delta instead of recomputing it, with
-output identical to the cold per-window computation.
+how quickly.  The sweep runs through the sliding-window engine
+(:mod:`repro.incremental`): each window is one earliest-arrival query
+over the contact network's columns, with output identical to the
+per-window computation on the window's own subgraph.
 
 Run:  python examples/epidemic_window_sweep.py
 """
@@ -23,13 +23,12 @@ from repro.incremental import SlidingEngine
 
 def main() -> None:
     # Call-detail records as the proxy contact network (the paper's
-    # Phone dataset shape): durations are call lengths, so the slide
-    # repair path applies (zero-duration graphs force cold solves).
+    # Phone dataset shape): durations are call lengths.
     contacts = load_dataset("phone", scale=0.15)
     t_start, t_end = contacts.time_span()
     span = t_end - t_start
     window_length = span * 0.5
-    step = span * 0.01  # fine-grained slide: the engine's use case
+    step = span * 0.01  # fine-grained slide
     patient_zero = max(
         contacts.vertices,
         key=lambda v: len(contacts.out_edges(v)),
@@ -48,7 +47,7 @@ def main() -> None:
     for i, window in enumerate(iter_windows(contacts, window_length, step)):
         measurement = engine.measure_msta(window)
         windows += 1
-        if i % 5:  # every window advances the engine; print every 5th
+        if i % 5:  # every window is measured; print every 5th
             continue
         tree = measurement.tree
         if tree is None or measurement.coverage == 0:
@@ -64,15 +63,11 @@ def main() -> None:
             f"{max(arrivals):>12.0f} | {sum(arrivals) / len(arrivals):>10.0f}"
         )
 
-    stats = engine.msta.stats
     print()
     print(
-        "each row is one MST_a query (every 5th window shown): the set of\n"
-        "infected individuals is exactly V_r, and per-individual infection\n"
-        "times are the earliest arrival times of the tree.  of the\n"
-        f"{windows} windows, the incremental engine answered "
-        f"{stats['incremental_slides']} by dirty-cone\n"
-        f"repair of the previous tree and {stats['cold_solves']} by a cold solve."
+        f"each row is one MST_a query (every 5th of {windows} windows shown):\n"
+        "the set of infected individuals is exactly V_r, and per-individual\n"
+        "infection times are the earliest arrival times of the tree."
     )
 
 

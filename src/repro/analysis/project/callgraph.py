@@ -1,7 +1,7 @@
 """Project-wide symbol resolution and conservative call graph.
 
 Nodes are ``"module:qualname"`` strings (``repro.experiments.runner:timed``,
-``repro.incremental.msta:IncrementalMSTa.advance``,
+``repro.incremental.engine:SlidingEngine.measure_msta``,
 ``repro.experiments.msta_tables:_runtime_rows.<locals>.runtime_cell``).
 Edges carry the metadata the interprocedural rules key off: whether the
 call site passes a budget alias and which exception handlers enclose

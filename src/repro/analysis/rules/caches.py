@@ -11,18 +11,16 @@ expressions derived from the cache accessors, tracking simple local
 aliases like ``adj = graph.columnar().out_adjacency()`` /
 ``adj[v].append(...)`` within each function scope.
 
-PR 5 extends the protected surface to the incremental sliding-window
-caches: :class:`repro.temporal.index.TemporalEdgeIndex` window slices
-and deltas, and the patched closure's cost rows, are shared read-only
-views too -- mutating one outside :mod:`repro.incremental` corrupts
-every later slide.
+Closure cost rows (``costs_from``) are protected too: each is a row of
+the closure's distance matrix, which every later cost and path query on
+that closure reads.
 
 PR 7 extends it again to the columnar core
 (:class:`repro.temporal.columnar.ColumnarEdgeStore`): the store itself
 (``graph.columnar()``) and every sorted-view accessor
 (``sorted_starts`` and friends) alias the arrays all batched kernels
 read; writing into one silently corrupts every later window query,
-delta, and transformation on that graph.  ``value_column`` joins them:
+and transformation on that graph.  ``value_column`` joins them:
 it hands out a value column or the Python values the store keeps for
 it, which every edge the store builds reads.  So do the store's CSR
 layouts (``out_adjacency``/``in_adjacency``, which replaced the
@@ -46,12 +44,7 @@ CACHE_ACCESSORS = frozenset(
         # per-source rows: the kernels scan the block arrays in place.
         "terminal_block",
         "terminal_row",
-        # TemporalEdgeIndex / incremental-engine views (PR 5): window
-        # slices, deltas, and the patched closure's hop matrix are all
-        # handed out uncopied.
-        "edges_in",
-        "iter_edges_in",
-        "delta",
+        # A closure's distance-matrix row, handed out uncopied.
         "costs_from",
         # ColumnarEdgeStore (PR 7): the store handed out by
         # graph.columnar() and its sorted-view accessors are the cached
@@ -105,10 +98,7 @@ OWNING_MODULES = frozenset(
         "repro.temporal.graph",
         "repro.steiner.instance",
         "repro.temporal.index",
-        # The incremental engine legally patches the structures it owns
-        # (closure rows, maintained arrival/parent maps).
-        "repro.incremental.msta",
-        "repro.incremental.prepare",
+        # The sliding-window engine.
         "repro.incremental.engine",
         # The columnar store builds (and legally fills) its own arrays.
         "repro.temporal.columnar",

@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.core.errors import ReproError, UnreachableRootError
-from repro.core.msta import minimum_spanning_tree_a
-from repro.core.mstw import minimum_spanning_tree_w
+from repro.core.errors import ReproError
 from repro.core.spanning_tree import TemporalSpanningTree
 from repro.temporal.edge import Vertex
 from repro.temporal.graph import TemporalGraph
-from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.window import TimeWindow
 
 
@@ -33,9 +30,8 @@ class WindowMeasurement:
     experiment tables): an empty window exports ``None`` -- never NaN --
     for makespan and zero for cost and coverage.
 
-    ``caveat`` is set by the incremental engine when a window degraded
-    to a cold recomputation (budget exhaustion); cold sweeps leave it
-    None.
+    ``caveat`` is always None; the field stays because the exported
+    :meth:`SweepResult.rows` schema carries it.
     """
 
     window: TimeWindow
@@ -103,35 +99,14 @@ def sliding_msta(
     root: Vertex,
     window_length: float,
     step: Optional[float] = None,
-    engine: str = "cold",
-    stats_out: Optional[Dict[str, int]] = None,
 ) -> List[WindowMeasurement]:
     """Earliest-arrival tree per sliding window (epidemic-style sweep).
 
-    ``engine="incremental"`` routes the sweep through
-    :class:`repro.incremental.SlidingEngine`: each slide patches the
-    previous window's tree instead of recomputing it.  The output is
-    identical window-for-window (property-tested); only the work per
-    slide changes.
+    Each window is one :meth:`repro.incremental.SlidingEngine.measure_msta`
+    query over the parent graph; the trees equal
+    ``minimum_spanning_tree_a`` on each window's subgraph.
     """
-    if engine == "incremental":
-        from repro.incremental import sliding_msta_incremental
-
-        return sliding_msta_incremental(
-            graph, root, window_length, step, stats_out=stats_out
-        )
-    if engine != "cold":
-        raise ReproError(f"unknown engine {engine!r}; expected 'cold' or 'incremental'")
-    index = TemporalEdgeIndex(graph)
-    results = []
-    for window in iter_windows(graph, window_length, step):
-        active = index.subgraph(window)
-        if root not in active.vertices:
-            results.append(WindowMeasurement(window, None))
-            continue
-        tree = minimum_spanning_tree_a(active, root, window)
-        results.append(WindowMeasurement(window, tree))
-    return results
+    return sweep(graph, root, window_length, step, kind="msta").measurements
 
 
 def sliding_mstw(
@@ -141,41 +116,17 @@ def sliding_mstw(
     step: Optional[float] = None,
     level: int = 2,
     algorithm: str = "pruned",
-    engine: str = "cold",
-    stats_out: Optional[Dict[str, int]] = None,
 ) -> List[WindowMeasurement]:
     """Minimum-cost tree per sliding window (the paper's cost forecast).
 
-    ``engine="incremental"`` routes the sweep through
-    :class:`repro.incremental.SlidingEngine`, which runs each window's
-    pipeline over the parent graph's columns instead of a window
-    subgraph; output-identical to the cold sweep.
+    Each window is one :meth:`repro.incremental.SlidingEngine.measure_mstw`
+    query over the parent graph's columns; the trees equal
+    ``minimum_spanning_tree_w`` on each window's subgraph.
     """
-    if engine == "incremental":
-        from repro.incremental import sliding_mstw_incremental
-
-        return sliding_mstw_incremental(
-            graph, root, window_length, step,
-            level=level, algorithm=algorithm, stats_out=stats_out,
-        )
-    if engine != "cold":
-        raise ReproError(f"unknown engine {engine!r}; expected 'cold' or 'incremental'")
-    index = TemporalEdgeIndex(graph)
-    results = []
-    for window in iter_windows(graph, window_length, step):
-        active = index.subgraph(window)
-        if root not in active.vertices:
-            results.append(WindowMeasurement(window, None))
-            continue
-        try:
-            result = minimum_spanning_tree_w(
-                active, root, window, level=level, algorithm=algorithm
-            )
-        except UnreachableRootError:
-            results.append(WindowMeasurement(window, None))
-            continue
-        results.append(WindowMeasurement(window, result.tree))
-    return results
+    return sweep(
+        graph, root, window_length, step,
+        kind="mstw", level=level, algorithm=algorithm,
+    ).measurements
 
 
 @dataclass(frozen=True)
@@ -190,13 +141,9 @@ class SweepResult:
 
     kind: str  #: ``"msta"`` or ``"mstw"``
     root: Vertex
-    engine: str
     measurements: List[WindowMeasurement]
-    #: Engine work / fault-recovery counters (incremental sweeps only;
-    #: ``None`` for cold sweeps).  Diagnostic by contract: excluded
-    #: from :meth:`rows`, so exported tables/series stay byte-identical
-    #: whether or not recovery actions (retries, cold fallbacks after
-    #: injected faults) happened along the way.
+    #: The engine's counters (``{"windows": n}``).  Excluded from
+    #: :meth:`rows`, so exported tables/series carry results only.
     stats: Optional[Dict[str, Any]] = None
 
     def rows(self) -> List[dict]:
@@ -226,30 +173,23 @@ def sweep(
     kind: str = "msta",
     level: int = 2,
     algorithm: str = "pruned",
-    engine: str = "incremental",
 ) -> SweepResult:
-    """The packaged sliding-window protocol (incremental by default).
+    """The packaged sliding-window protocol, as a :class:`SweepResult`.
 
-    A thin front door over :func:`sliding_msta` / :func:`sliding_mstw`
-    returning a :class:`SweepResult`; examples, the experiment runner,
-    and the bench scenarios all enter here.
+    One :class:`repro.incremental.SlidingEngine` answers every window.
+    :func:`sliding_msta` / :func:`sliding_mstw`, examples, the
+    experiment runner, and the bench scenarios all enter here.
     """
-    stats: Dict[str, int] = {}
+    from repro.incremental import SlidingEngine
+
+    engine = SlidingEngine(graph, root, level=level, algorithm=algorithm)
     if kind == "msta":
-        measurements = sliding_msta(
-            graph, root, window_length, step, engine=engine, stats_out=stats
-        )
+        measure = engine.measure_msta
     elif kind == "mstw":
-        measurements = sliding_mstw(
-            graph, root, window_length, step,
-            level=level, algorithm=algorithm, engine=engine, stats_out=stats,
-        )
+        measure = engine.measure_mstw
     else:
         raise ReproError(f"unknown sweep kind {kind!r}; expected 'msta' or 'mstw'")
+    measurements = [measure(window) for window in iter_windows(graph, window_length, step)]
     return SweepResult(
-        kind=kind,
-        root=root,
-        engine=engine,
-        measurements=measurements,
-        stats=stats or None,
+        kind=kind, root=root, measurements=measurements, stats=dict(engine.stats)
     )

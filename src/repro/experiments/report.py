@@ -46,8 +46,8 @@ PAPER_CLAIMS = {
     "fig8b": "Runtime grows polynomially in |V| (the O(|V|^i k^i) law).",
     "sweep": (
         "As the time window slides forward, we can predict the minimum "
-        "cost for the future (Section 2.3); each slide is answered "
-        "incrementally from the previous window where certifiable."
+        "cost for the future (Section 2.3); each window is one query "
+        "over the parent graph's columns."
     ),
 }
 

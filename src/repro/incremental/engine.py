@@ -1,51 +1,50 @@
 """The sliding-window query engine: one window at a time over one graph.
 
-:class:`SlidingEngine` answers a slide's windows over the parent graph:
+:class:`SlidingEngine` answers each window of a slide as one windowed
+query over the parent graph; no state is carried between windows:
 
 ==================  =================================================
 query               per-window work
 ==================  =================================================
-``MST_a``           dirty-cone repair (:class:`IncrementalMSTa`)
+``MST_a``           Algorithm 1 over the parent graph's columns
 ``MST_w``           the cold pipeline over the root's reach
 ==================  =================================================
 
-``MST_w`` carries no state between windows.  Each window is transformed
-reach-only from the parent graph's columnar store (no window subgraph is
-built), prepared with a fresh rooted closure, solved and postprocessed
--- exactly the per-window :func:`repro.core.mstw.minimum_spanning_tree_w`
-of the cold :func:`repro.core.sliding.sliding_mstw` loop.  Patching the
-previous window's closure and warm-starting Algorithm 6 from its
-densities saved nothing once a cold window cost only what the root's
-reach costs (``docs/performance.md``).
+``MST_a``: a root with no incident edge inside the window gives the
+None-measurement.  On a graph with no zero-duration edge the window's
+tree is :func:`repro.core.msta.minimum_spanning_tree_a` on the parent
+graph, whose Algorithm 1 reads only the window's slice of the columnar
+store -- exactly the tree of the window subgraph.  A graph with a
+zero-duration edge would get Algorithm 2 over the parent, which walks
+the edges in insertion order rather than the window subgraph's
+chronological order and can order the parent dict differently, so such
+a graph extracts the window subgraph first.
 
-``MST_a`` keeps its repair, the one reuse that still measures faster
-than a cold window; a sweep through the engine is **output-identical**
-to the cold :func:`repro.core.sliding.sliding_msta` loop --
-property-tested in ``tests/test_property_incremental.py``.
+``MST_w``: each window is transformed reach-only from the parent
+graph's columnar store (no window subgraph is built), prepared with a
+fresh rooted closure, solved and postprocessed -- exactly the
+per-window :func:`repro.core.mstw.minimum_spanning_tree_w`.
 
-Budgets: :meth:`SlidingEngine.measure_msta` accepts an optional
-:class:`repro.resilience.Budget` that is checkpointed inside the repair
-loops only.  A drained budget never raises out of the engine -- the
-window degrades to its (always-completing, unbudgeted) cold computation
-and the resulting :class:`~repro.core.sliding.WindowMeasurement` carries
-a ``caveat`` recording the degradation.
+Either query equals the cold per-window computation over the window's
+subgraph -- property-tested in ``tests/test_property_incremental.py``.
+``docs/performance.md`` ("Sliding windows") measures why windows share
+no state.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from types import SimpleNamespace
 
 from repro.core.errors import UnreachableRootError
+from repro.core.msta import minimum_spanning_tree_a
 from repro.core.mstw import _SOLVERS, _terminals
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.sliding import WindowMeasurement
 from repro.core.transformation import transform_temporal_graph
-from repro.incremental.msta import IncrementalMSTa
-from repro.resilience.budget import Budget
 from repro.steiner.instance import prepare_instance
 from repro.temporal.edge import Vertex
 from repro.temporal.graph import TemporalGraph
-from repro.temporal.index import TemporalEdgeIndex, edge_index_for
+from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.window import TimeWindow
 
 __all__ = ["SlidingEngine"]
@@ -63,10 +62,8 @@ class SlidingEngine:
     level / algorithm:
         Forwarded to the ``MST_w`` solve (Algorithm 6 by default).
 
-    Windows may arrive in any order; only a forward slide (both
-    boundaries non-decreasing) lets ``MST_a`` repair the previous tree,
-    other moves recompute cold.  :attr:`stats` counts the windows
-    answered; :attr:`msta` keeps the repair counters.
+    Windows may arrive in any order.  :attr:`stats` counts the windows
+    answered.
     """
 
     def __init__(
@@ -75,29 +72,30 @@ class SlidingEngine:
         root: Vertex,
         level: int = 2,
         algorithm: str = "pruned",
-        index: Optional[TemporalEdgeIndex] = None,
     ) -> None:
         self.graph = graph
         self.root = root
         self.level = level
         self.algorithm = algorithm
-        self.index = index if index is not None else edge_index_for(graph)
-        self.msta = IncrementalMSTa(graph, root, self.index)
         self.stats = {"windows": 0}
+        # Always empty: the sliding_sweep workload of
+        # benchmarks/e2e/workloads.py reads ``engine.msta.stats``.
+        self.msta = SimpleNamespace(stats={})
 
-    def measure_msta(
-        self, window: TimeWindow, budget: Optional[Budget] = None
-    ) -> WindowMeasurement:
+    def measure_msta(self, window: TimeWindow) -> WindowMeasurement:
         """One window of the earliest-arrival sweep.
 
-        Identical to the corresponding ``sliding_msta`` iteration
-        (modulo the ``caveat`` field, set only on budget degradation).
-        A drained budget never raises out of this method: the window
-        degrades to the cold computation and the caveat records it.
+        Equal to ``minimum_spanning_tree_a`` on the window's subgraph
+        (parent edges and arrival times, in the same order), and the
+        None-measurement when the root has no edge in the window.
         """
         self.stats["windows"] += 1
-        tree = self.msta.advance(window, budget=budget)
-        return WindowMeasurement(window, tree, caveat=self.msta.last_caveat)
+        graph = self.graph
+        if not graph.columnar().has_incident_in(self.root, window.t_alpha, window.t_omega):
+            return WindowMeasurement(window, None)
+        if graph.has_zero_duration_edge():
+            graph = TemporalEdgeIndex(graph).subgraph(window)
+        return WindowMeasurement(window, minimum_spanning_tree_a(graph, self.root, window))
 
     def measure_mstw(self, window: TimeWindow) -> WindowMeasurement:
         """One window of the minimum-cost sweep, identical to ``sliding_mstw``.

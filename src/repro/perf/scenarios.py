@@ -106,9 +106,7 @@ class _ScaleSpec:
         "epinions", 0.05, 0.3, 0.15,
     )
     # (dataset name, generator scale, window fraction, step fraction)
-    # for the sliding_sweep cold-vs-engine pairs.  The two kinds are
-    # tuned separately: MST_a repair pays off on long slides with tiny
-    # steps; MST_w windows are solved cold on both sides.
+    # for the sliding_sweep family, one scenario per kind.
     sliding_msta_dataset: Tuple[str, float, float, float] = (
         "slashdot", 0.5, 0.5, 0.1,
     )
@@ -865,32 +863,24 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
 
         return setup
 
-    def sliding_msta_run(engine):
-        def run(state):
-            sliding_msta(
-                state["graph"],
-                state["root"],
-                state["window_length"],
-                state["step"],
-                engine=engine,
-            )
-            return None
+    def sliding_msta_run(state):
+        sliding_msta(
+            state["graph"],
+            state["root"],
+            state["window_length"],
+            state["step"],
+        )
+        return None
 
-        return run
-
-    def sliding_mstw_run(engine):
-        def run(state):
-            sliding_mstw(
-                state["graph"],
-                state["root"],
-                state["window_length"],
-                state["step"],
-                level=2,
-                engine=engine,
-            )
-            return None
-
-        return run
+    def sliding_mstw_run(state):
+        sliding_mstw(
+            state["graph"],
+            state["root"],
+            state["window_length"],
+            state["step"],
+            level=2,
+        )
+        return None
 
     def sliding_params(dataset_spec):
         name, dataset_scale, wf, sf = dataset_spec
@@ -904,54 +894,32 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
     scenarios.extend(
         [
             Scenario(
-                name="sliding_msta_cold",
-                group="sliding_sweep",
-                description=(
-                    "MST_a sliding sweep, cold: every window re-extracts "
-                    "its subgraph and reruns the chronological scan."
-                ),
-                params=sliding_params(spec.sliding_msta_dataset),
-                setup=sliding_setup(spec.sliding_msta_dataset),
-                run=sliding_msta_run("cold"),
-            ),
-            Scenario(
                 name="sliding_msta_incremental",
                 group="sliding_sweep",
                 description=(
-                    "Same sweep through the incremental engine: per slide, "
-                    "delta extraction + dirty-cone repair of the previous "
-                    "window's tree (output-identical to cold)."
+                    "MST_a sliding sweep through SlidingEngine: each "
+                    "window is Algorithm 1 over the parent graph's "
+                    "columns, with no window subgraph and no state "
+                    "carried between windows (output-identical to the "
+                    "per-window cold tree)."
                 ),
                 params=sliding_params(spec.sliding_msta_dataset),
                 setup=sliding_setup(spec.sliding_msta_dataset),
-                run=sliding_msta_run("incremental"),
-                baseline="sliding_msta_cold",
-            ),
-            Scenario(
-                name="sliding_mstw_cold",
-                group="sliding_sweep",
-                description=(
-                    "MST_w sliding sweep (level 2, pruned), cold: full "
-                    "preparation (transformation + DAG closure) and solve "
-                    "per window."
-                ),
-                params=dict(sliding_params(spec.sliding_mstw_dataset), level=2),
-                setup=sliding_setup(spec.sliding_mstw_dataset),
-                run=sliding_mstw_run("cold"),
+                run=sliding_msta_run,
             ),
             Scenario(
                 name="sliding_mstw_incremental",
                 group="sliding_sweep",
                 description=(
-                    "Same sweep through SlidingEngine: each window's cold "
-                    "pipeline reads the parent graph's columns, with no "
-                    "window subgraph and no state carried between windows "
-                    "(output-identical to cold)."
+                    "MST_w sliding sweep (level 2, pruned) through "
+                    "SlidingEngine: each window's cold pipeline reads the "
+                    "parent graph's columns, with no window subgraph and "
+                    "no state carried between windows (output-identical "
+                    "to the per-window cold tree)."
                 ),
                 params=dict(sliding_params(spec.sliding_mstw_dataset), level=2),
                 setup=sliding_setup(spec.sliding_mstw_dataset),
-                run=sliding_mstw_run("incremental"),
-                baseline="sliding_mstw_cold",
+                run=sliding_mstw_run,
             ),
         ]
     )

@@ -67,15 +67,6 @@ class DagMetricClosure:
     def num_vertices(self) -> int:
         return self.graph.num_vertices
 
-    @property
-    def next_hop(self) -> np.ndarray:
-        """The next-hop matrix (read-only by convention).
-
-        Exposed for the incremental closure patcher, which copies the
-        rows of unaffected sources verbatim when a window slides.
-        """
-        return self._next_hop
-
     def cost(self, source: int, target: int) -> float:
         return float(self.dist[source, target])
 
@@ -128,33 +119,6 @@ class DagMetricClosure:
         return edges
 
 
-def relax_closure_row(
-    graph: StaticDigraph, dist: np.ndarray, next_hop: np.ndarray, u: int
-) -> None:
-    """Recompute row ``u`` of a DAG closure from its successors' rows.
-
-    The single source of the closure recurrence: ``dist[u] = min over
-    out-edges (u, v, w) of w + dist[v]`` with ``dist[u][u] = 0``, ties
-    kept on the earliest out-neighbor.  Both the full build below and
-    the incremental patcher (:mod:`repro.incremental.prepare`) call
-    exactly this, so a patched row is bitwise identical to a rebuilt
-    one -- same float operations in the same order.
-
-    Requires every successor row of ``u`` to be final already (reverse
-    topological processing).
-    """
-    row = dist[u]
-    row[:] = np.inf
-    next_hop[u, :] = -1
-    row[u] = 0.0
-    for v, w in graph.out_neighbors(u):
-        candidate = dist[v] + w
-        better = candidate < row
-        if better.any():
-            row[better] = candidate[better]
-            next_hop[u, better] = v
-
-
 def build_metric_closure_dag(
     graph: StaticDigraph,
     order: Optional[List[int]] = None,
@@ -178,7 +142,16 @@ def build_metric_closure_dag(
     dist = np.full((n, n), np.inf, dtype=np.float64)
     next_hop = np.full((n, n), -1, dtype=np.int32)
     for u in reversed(order):
-        relax_closure_row(graph, dist, next_hop, u)
+        # Every successor row is final (reverse topological order); ties
+        # keep the earliest out-neighbor.
+        row = dist[u]
+        row[u] = 0.0
+        for v, w in graph.out_neighbors(u):
+            candidate = dist[v] + w
+            better = candidate < row
+            if better.any():
+                row[better] = candidate[better]
+                next_hop[u, better] = v
     return DagMetricClosure(graph, dist, next_hop)
 
 

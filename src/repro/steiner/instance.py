@@ -351,8 +351,7 @@ def prepared_from_closure(
     """Wrap ``instance`` and a closure of its graph as a prepared instance.
 
     Indexes the root and terminals densely and applies the reachability
-    guard; every preparation path (eager, lazy, incremental patch) ends
-    here.
+    guard; every preparation path (eager or lazy) ends here.
 
     Raises
     ------

@@ -7,11 +7,11 @@ columns (``sources``/``targets`` as interned integer ids, ``starts``/
 ``arrivals``/``weights`` as floats) together with two permutations of
 the insertion positions -- one sorted by ``(start, arrival, position)``,
 one by ``(arrival, start, position)`` -- and the rank arrays mapping
-between the orders.  Window extraction, sliding-window deltas, the
-earliest-arrival sweep, and the Section 4.2 transformation then run as
-batched passes over these arrays.
+between the orders.  Window extraction, the earliest-arrival sweep,
+and the Section 4.2 transformation then run as batched passes over
+these arrays.
 
-Per-vertex walks (Algorithm 2, the path sweeps, the edge index's views)
+Per-vertex walks (Algorithm 2, the path sweeps, the incident-edge test)
 read a compressed sparse row (CSR) layout per direction instead.
 
 The columns are numpy ``float64``/``int64`` arrays and queries use
@@ -27,8 +27,8 @@ Stores are derived, immutable state.  A graph built from columns
 (:meth:`TemporalGraph.from_columns`) *is* its store until an algorithm
 reads ``graph.edges``; one built from edge objects builds its store
 lazily (``graph.columnar()``).  Either way the graph keeps it for its
-lifetime, so structures derived from a store
-(:func:`repro.temporal.index.edge_index_for`) can be cached per graph.
+lifetime, so structures derived from a store (the sort orders, the CSR
+layouts) are built once per graph.
 
 The sorted views handed out by the accessor methods
 (:meth:`ColumnarEdgeStore.sorted_starts` and friends), the CSR layouts
@@ -41,6 +41,7 @@ copies -- mutating one corrupts every later query.  The REP102
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -470,50 +471,27 @@ class ColumnarEdgeStore:
         lo, hi = self.start_bounds(t_alpha, t_omega)
         return int((self._arrival_by_start[lo:hi] <= t_omega).sum())
 
-    def delta_positions(
-        self,
-        old_window: Tuple[float, float],
-        new_window: Tuple[float, float],
-    ) -> Tuple[Any, Any]:
-        """``(added, removed)`` positions between two windows.
+    def has_incident_in(self, vertex: Vertex, t_alpha: Any, t_omega: Any) -> bool:
+        """Whether ``vertex`` has an edge with ``start >= t_alpha`` and
+        ``arrival <= t_omega``.
 
-        The columnar form of ``TemporalEdgeIndex.delta``: each side is
-        the union of a start-boundary slice of the start order and an
-        arrival-boundary slice of the arrival order (disjoint by
-        construction), re-sorted into chronological order via the rank
-        array.  ``O(log M + |Delta|)``.
+        Read off the vertex's two CSR runs, comparing the edges' exact
+        values (the CSR keys and :meth:`python_values`), so the cost is
+        the vertex's degree, not the window's size.
         """
-        return (
-            self._one_sided_positions(old_window, new_window),
-            self._one_sided_positions(new_window, old_window),
-        )
-
-    def _one_sided_positions(
-        self, frm: Tuple[float, float], to: Tuple[float, float]
-    ):
-        a1, o1 = frm
-        a2, o2 = to
-        parts = []
-        if a2 < a1:
-            lo = int(np.searchsorted(self._starts_sorted, a2, side="left"))
-            hi = min(
-                int(np.searchsorted(self._starts_sorted, a1, side="left")),
-                int(np.searchsorted(self._starts_sorted, o2, side="right")),
-            )
-            if hi > lo:
-                cand = self._start_order[lo:hi]
-                parts.append(cand[self._arrival_by_start[lo:hi] <= o2])
-        if o2 > o1:
-            left = max(a1, a2)
-            lo = int(np.searchsorted(self._arrivals_sorted, o1, side="right"))
-            hi = int(np.searchsorted(self._arrivals_sorted, o2, side="right"))
-            if hi > lo:
-                cand = self._arrival_order[lo:hi]
-                parts.append(cand[self._start_by_arrival[lo:hi] >= left])
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        picked = np.concatenate(parts)
-        return picked[np.argsort(self._start_rank[picked], kind="stable")]
+        v = self.vertex_ids.get(vertex)
+        if v is None:
+            return False
+        offsets, positions, keys = self.out_adjacency()
+        lo = bisect_left(keys, t_alpha, offsets[v], offsets[v + 1])
+        hi = bisect_right(keys, t_omega, lo, offsets[v + 1])
+        arrivals = self.python_values("arrivals")
+        if any(arrivals[p] <= t_omega for p in positions[lo:hi]):
+            return True
+        offsets, positions, keys = self.in_adjacency()
+        hi = bisect_right(keys, t_omega, offsets[v], offsets[v + 1])
+        starts = self.python_values("starts")
+        return any(starts[p] >= t_alpha for p in positions[offsets[v] : hi])
 
     def earliest_arrival(
         self, source: Vertex, t_alpha: float, t_omega: float

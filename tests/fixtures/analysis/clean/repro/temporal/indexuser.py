@@ -1,7 +1,7 @@
-"""Clean counterpart: copy the window slice before extending it."""
+"""Clean counterpart: copy the start order before sorting it."""
 
 
-def widen(index, window, extra_edge):
-    edges = list(index.edges_in(window))
-    edges.append(extra_edge)
-    return edges
+def window_order(graph):
+    order = graph.columnar().positions_by_start().copy()
+    order.sort()
+    return order

@@ -1,7 +1,7 @@
-"""Fixture: writing into a patched closure's shared cost row.
+"""Fixture: writing into a closure's shared cost row.
 
-``costs_from`` returns a row of the closure's distance matrix -- the
-same array the incremental patcher copies forward between windows.
+``costs_from`` returns a row of the closure's distance matrix, not a
+copy -- the same array every later cost and path query reads.
 """
 
 

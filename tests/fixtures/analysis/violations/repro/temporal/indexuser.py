@@ -1,11 +1,13 @@
-"""Fixture: mutating a shared TemporalEdgeIndex window slice.
+"""Fixture: sorting the store's shared start order in place.
 
-``edges_in`` hands out the index's derived view; appending to it
-corrupts every later window query and delta.
+``positions_by_start`` hands out the store's cached permutation, not a
+copy; every window query (``TemporalEdgeIndex.edges_in``, the
+transformation's window slice) slices it, so reordering it corrupts
+them all.
 """
 
 
-def widen(index, window, extra_edge):
-    edges = index.edges_in(window)
-    edges.append(extra_edge)
-    return edges
+def window_order(graph):
+    order = graph.columnar().positions_by_start()
+    order.sort()
+    return order

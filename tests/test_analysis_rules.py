@@ -36,7 +36,7 @@ CASES = [
         "cache-mutation",
         "REP102",
         os.path.join("repro", "temporal", "indexuser.py"),
-        "edges.append(extra_edge)",
+        "order.sort()",
     ),
     (
         "cache-mutation",
@@ -373,15 +373,15 @@ def test_budget_rule_covers_incremental_package(tmp_path):
 
 
 def test_cache_rule_allows_incremental_owners(tmp_path):
-    # The engine modules legally patch the structures they own; the
-    # same write outside them is the indexuser.py violation fixture.
+    # The sliding engine's module is a cache owner; the same write
+    # outside the owners is the indexuser.py violation fixture.
     findings, errors = _analyze_snippet(
         tmp_path,
-        ("repro", "incremental", "msta.py"),
-        "def fill(index, window, extra):\n"
-        "    edges = index.edges_in(window)\n"
-        "    edges.append(extra)\n"
-        "    return edges\n",
+        ("repro", "incremental", "engine.py"),
+        "def window_order(graph):\n"
+        "    order = graph.columnar().positions_by_start()\n"
+        "    order.sort()\n"
+        "    return order\n",
     )
     assert errors == []
     assert findings == []

@@ -29,13 +29,15 @@ from repro.cli import main as cli_main
 from repro.core.errors import (
     ExperimentInterruptedError,
     GraphFormatError,
+    UnreachableRootError,
 )
 from repro.core.mstw import (
     clear_prepare_memo,
+    minimum_spanning_tree_w,
     prepare_cache_info,
     prepare_mstw_instance,
 )
-from repro.core.sliding import sweep
+from repro.core.sliding import SweepResult, WindowMeasurement, iter_windows, sweep
 from repro.experiments.checkpoint import (
     ExperimentContext,
     decode_cell,
@@ -57,7 +59,7 @@ from repro.parallel.engine import ParallelExecutor, TimeoutCell
 from repro.temporal import io as tio
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
-from repro.temporal.index import edge_index_for
+from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.window import TimeWindow
 
 pytestmark = pytest.mark.chaos
@@ -133,14 +135,12 @@ def _cache_probe(_item):
     """Warm this worker's per-process caches and report their counters."""
     graph = _PROBE_GRAPH
     clear_prepare_memo()
-    edge_index_for(graph)
     window = TimeWindow(0, 20)
     prepare_mstw_instance(graph, 0, window)
     prepare_mstw_instance(graph, 0, window)
     info = prepare_cache_info()
     return {
         "pid": os.getpid(),
-        "index_warm": edge_index_for(graph, create=False) is not None,
         "memo_hits": info["hits"],
         "memo_misses": info["misses"],
     }
@@ -260,11 +260,10 @@ class TestCacheRewarm:
     def test_worker_caches_rewarm_after_pool_rebuild(self):
         """Satellite: per-process caches survive (re-warm after) a rebuild.
 
-        ``edge_index_for`` and the ``prepare_mstw_instance`` memo are
-        process-local, so a crashed worker takes its copies with it.
-        The probes run after the rebuild and must see a *working* cache
-        in the replacement workers: a miss on first derivation, a hit on
-        the repeat, and a live shared edge index.
+        The ``prepare_mstw_instance`` memo is process-local, so a
+        crashed worker takes its copy with it.  The probes run after
+        the rebuild and must see a *working* cache in the replacement
+        workers: a miss on first derivation and a hit on the repeat.
         """
         graph = _sweep_graph()
         payload = pickle.dumps(graph)
@@ -278,7 +277,6 @@ class TestCacheRewarm:
         assert executor.stats.rebuilds >= 1
         for entry in results:
             assert entry["pid"] != driver_pid  # computed in a (fresh) worker
-            assert entry["index_warm"] is True
             assert entry["memo_misses"] >= 1  # re-derived, not inherited
             assert entry["memo_hits"] >= 1  # ...and serving hits again
 
@@ -300,28 +298,28 @@ class TestSlidingSweepChaos:
         """
         graph = _sweep_graph()
         root = 9  # chain edge (8, 9) starts at t=12
-        expected = sweep(
-            graph, root, window_length=6, step=5, kind="mstw", engine="cold"
-        )
-        result = sweep(
-            graph, root, window_length=6, step=5, kind="mstw",
-            engine="incremental",
-        )
+        index = TemporalEdgeIndex(graph)
+        cold = []
+        for window in iter_windows(graph, 6, 5):
+            active = index.subgraph(window)
+            try:
+                tree = minimum_spanning_tree_w(active, root, window, level=2).tree
+            except UnreachableRootError:
+                tree = None
+            cold.append(WindowMeasurement(window, tree))
+        expected = SweepResult(kind="mstw", root=root, measurements=cold)
+        result = sweep(graph, root, window_length=6, step=5, kind="mstw")
         assert result.rows() == expected.rows()
         empty_rows = [row for row in result.rows() if row["coverage"] == 0]
         assert empty_rows, "workload must include empty windows"
         for row in empty_rows:
             assert row["cost"] == 0
             assert row["makespan"] is None
-        assert result.stats is not None
-        assert expected.stats is None  # cold sweeps carry no counters
+        assert result.stats == {"windows": len(cold)}
 
     def test_sweep_stats_stay_out_of_rows(self):
         graph = _sweep_graph()
-        result = sweep(
-            graph, 0, window_length=8, step=4, kind="mstw",
-            engine="incremental",
-        )
+        result = sweep(graph, 0, window_length=8, step=4, kind="mstw")
         assert result.stats
         for row in result.rows():
             assert set(row) == {

@@ -3,20 +3,19 @@
 *Output identity* against the scalar code the store replaced is
 property-tested in ``test_property_columnar.py``; this file pins down
 the store's contracts one by one -- interning order, sort orders, the
-per-graph store built once, the shared edge index cached per graph,
+per-graph store built once, the incident-edge test, the edge index,
 and the columnar pickle form.
 """
 
 from __future__ import annotations
 
-import gc
 import pickle
 from array import array
 
 from repro.temporal.columnar import ColumnarEdgeStore
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import _COLUMNAR_STATE_TAG, TemporalGraph
-from repro.temporal.index import _SHARED_INDICES, TemporalEdgeIndex, edge_index_for
+from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.window import TimeWindow
 
 
@@ -98,14 +97,15 @@ def test_window_queries():
     ]
 
 
-def test_delta_positions():
+def test_has_incident_in():
     store = small_graph().columnar()
-    added, removed = store.delta_positions((1.0, 4.0), (1.0, 7.0))
-    assert [int(p) for p in added] == [0, 3]
-    assert [int(p) for p in removed] == []
-    added, removed = store.delta_positions((1.0, 7.0), (3.0, 7.0))
-    assert [int(p) for p in added] == []
-    assert sorted(int(p) for p in removed) == [1, 2]
+    # Window [3, 5] holds only b->c; [1, 2] only a->b.
+    assert store.has_incident_in("b", 3.0, 5.0)  # as source
+    assert store.has_incident_in("c", 3.0, 5.0)  # as target
+    assert not store.has_incident_in("a", 3.0, 5.0)  # a's edges straddle it
+    assert not store.has_incident_in("c", 1.0, 2.0)
+    assert not store.has_incident_in("isolated", 0.0, 10.0)
+    assert not store.has_incident_in("missing", 0.0, 10.0)
 
 
 def test_earliest_arrival_kernel():
@@ -116,7 +116,7 @@ def test_earliest_arrival_kernel():
 
 
 # ----------------------------------------------------------------------
-# The per-graph store and the shared edge index
+# The per-graph store and the edge index
 # ----------------------------------------------------------------------
 def test_graph_store_is_built_once():
     graph = small_graph()
@@ -128,29 +128,10 @@ def test_graph_store_is_built_once():
     assert graph.columnar() is first
 
 
-def test_edge_index_cached_until_graph_dropped():
-    graph = small_graph()
-    index = edge_index_for(graph)
-    assert isinstance(index, TemporalEdgeIndex)
-    assert edge_index_for(graph) is index
-    assert edge_index_for(graph, create=False) is index
-    assert graph in _SHARED_INDICES
-    before = len(_SHARED_INDICES)
-    del graph
-    gc.collect()
-    assert len(_SHARED_INDICES) == before - 1
-
-
-def test_edge_index_create_false_does_not_build():
-    graph = small_graph()
-    assert edge_index_for(graph, create=False) is None
-    assert graph.columnar_or_none() is None
-
-
 def test_edge_index_results_match_restricted():
     graph = small_graph()
     window = TimeWindow(1.0, 4.0)
-    index = edge_index_for(graph)
+    index = TemporalEdgeIndex(graph)
     assert [tuple(e) for e in index.subgraph(window).edges] == [
         tuple(e) for e in graph.chronological_edges()
         if e.within(window.t_alpha, window.t_omega)

@@ -26,7 +26,7 @@ from repro.parallel.batch import (
 from repro.experiments.runner import OverBudgetCell
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
-from repro.temporal.index import edge_index_for
+from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.window import TimeWindow
 
 
@@ -144,6 +144,14 @@ class TestWorkerState:
     def test_tasks_stay_column_native(self, monkeypatch):
         copies = []
         self._spy_on_init(monkeypatch, copies.append)
+        indexed = []
+        build_index = TemporalEdgeIndex.__init__
+
+        def spy_index(index, graph):
+            indexed.append(graph)
+            build_index(index, graph)
+
+        monkeypatch.setattr(TemporalEdgeIndex, "__init__", spy_index)
         graph = _sweep_graph()
         cells = _cells()
         assert run_batch(graph, cells, jobs=1).values == run_sweep_serial(
@@ -153,7 +161,7 @@ class TestWorkerState:
         # Extraction reads the copy's columns: its edge tuple is never
         # built, nor the TemporalEdgeIndex that would need it.
         assert copy._edges is None
-        assert edge_index_for(copy, create=False) is None
+        assert not any(g is copy for g in indexed)
 
     def test_jobs1_batch_releases_the_graph_copy(self, monkeypatch):
         copies = []

@@ -2,11 +2,11 @@
 
 Algorithm 2 (:func:`repro.core.msta.msta_stack`), the
 :mod:`repro.temporal.paths` sweeps, ``TemporalGraph.out_edges`` /
-``in_edges`` and ``TemporalEdgeIndex``'s per-vertex views (insertion
-positions, which the incremental repair reads through the index's
-columns) walk the columnar store's CSR layouts.  Each is checked here against a frozen
-copy of the code it replaced, which keeps its own per-vertex lists of
-edge objects (the ``_scalar_alg1`` pattern of
+``in_edges`` and the store's incident-edge test
+(:meth:`ColumnarEdgeStore.has_incident_in`, which the sliding engine
+asks of every window's root) walk the columnar store's CSR layouts.
+Each is checked here against a frozen copy of the code it replaced,
+which keeps its own per-vertex lists of edge objects (the ``_scalar_alg1`` pattern of
 ``tests/test_property_columnar.py``): parent dicts with their key
 order, arrival and departure dicts with theirs, returned paths and
 edge sequences, and budget ticks.
@@ -36,7 +36,6 @@ from repro.datasets.registry import load_dataset
 from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.temporal.edge import TemporalEdge, Vertex, make_edge
 from repro.temporal.graph import TemporalGraph
-from repro.temporal.index import TemporalEdgeIndex
 from repro.temporal.paths import (
     earliest_arrival_path,
     earliest_arrival_times,
@@ -212,7 +211,7 @@ def frozen_shortest_path_distances(graph, source, window):
 
 
 class FrozenIndexViews:
-    """``TemporalEdgeIndex``'s per-vertex views over object lists.
+    """The incident-edge test over per-vertex object lists.
 
     The out lists are ordered by ``(start, arrival, position)``, the in
     lists by ``(arrival, start, position)`` -- by the edges' exact
@@ -230,37 +229,6 @@ class FrozenIndexViews:
             into.setdefault(e.target, []).append(e)
         self._out = {v: ([e.start for e in es], es) for v, es in out.items()}
         self._in = {v: ([e.arrival for e in es], es) for v, es in into.items()}
-
-    def out_edges_enabled(self, vertex, t, t_omega):
-        entry = self._out.get(vertex)
-        if entry is None:
-            return
-        starts, edges = entry
-        i = bisect_left(starts, t)
-        while i < len(starts) and starts[i] <= t_omega:
-            e = edges[i]
-            if e.arrival <= t_omega:
-                yield e
-            i += 1
-
-    def in_edges_at_arrival(self, vertex, arrival):
-        entry = self._in.get(vertex)
-        if entry is None:
-            return
-        arrivals, edges = entry
-        i = bisect_left(arrivals, arrival)
-        while i < len(arrivals) and arrivals[i] == arrival:
-            yield edges[i]
-            i += 1
-
-    def in_edges_up_to(self, vertex, t_omega):
-        entry = self._in.get(vertex)
-        if entry is None:
-            return
-        arrivals, edges = entry
-        hi = bisect_right(arrivals, t_omega)
-        for i in range(hi):
-            yield edges[i]
 
     def has_incident_in(self, window, vertex):
         entry = self._out.get(vertex)
@@ -423,32 +391,19 @@ def test_path_sweeps_match_frozen_sweeps(case):
 @settings(max_examples=150, deadline=None)
 @given(case=walk_cases())
 def test_index_views_match_frozen_views(case):
-    """Same edges, same order, for every vertex and every probe time."""
+    """The store's incident-edge test, for every vertex and probe window."""
     edges, extras, window, column_built = case
-    graph = _graph(edges, extras, column_built)
-    index = TemporalEdgeIndex(graph)
+    store = _graph(edges, extras, column_built).columnar()
     frozen = FrozenIndexViews(TemporalGraph(edges, vertices=extras))
     times = sorted({t for e in edges for t in (e.start, e.arrival)}) + [math.inf]
-
-    def built(positions):
-        return _typed(index.edge(p) for p in positions)
-
-    labels, sources, targets, starts, arrivals = index.columns
-    for p, e in enumerate(edges):
-        row = (labels[sources[p]], labels[targets[p]], starts[p], arrivals[p])
-        assert _typed([row]) == _typed([e[:4]])
+    probes = [window]
+    probes += [TimeWindow(t, window.t_omega) for t in times if t <= window.t_omega]
+    probes += [TimeWindow(window.t_alpha, t) for t in times if t >= window.t_alpha]
     for v in extras + ["absent"]:
-        assert index.has_incident_in(window, v) == frozen.has_incident_in(window, v)
-        for t in times:
-            assert built(index.in_positions_at_arrival(v, t)) == _typed(
-                frozen.in_edges_at_arrival(v, t)
-            )
-            assert built(index.in_positions_up_to(v, t)) == _typed(
-                frozen.in_edges_up_to(v, t)
-            )
-            assert built(index.out_positions_enabled(v, t, window.t_omega)) == _typed(
-                frozen.out_edges_enabled(v, t, window.t_omega)
-            )
+        for probe in probes:
+            assert store.has_incident_in(v, probe.t_alpha, probe.t_omega) == (
+                frozen.has_incident_in(probe, v)
+            ), (v, probe)
 
 
 @settings(max_examples=100, deadline=None)

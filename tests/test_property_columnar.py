@@ -146,24 +146,6 @@ def test_window_queries_identical(graph, window):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph=graphs(), old=windows(), new=windows())
-def test_delta_identical(graph, old, new):
-    added, removed = TemporalEdgeIndex(_fresh(graph)).delta(old, new)
-    in_old = set(_legacy_positions(graph, old))
-    in_new = set(_legacy_positions(graph, new))
-
-    def chronological(positions):
-        ordered = sorted(
-            positions,
-            key=lambda p: (graph.edges[p].start, graph.edges[p].arrival, p),
-        )
-        return [tuple(graph.edges[p]) for p in ordered]
-
-    assert [tuple(e) for e in added] == chronological(in_new - in_old)
-    assert [tuple(e) for e in removed] == chronological(in_old - in_new)
-
-
-@settings(max_examples=60, deadline=None)
 @given(graph=graphs(), window=windows(), source=st.integers(min_value=0, max_value=7))
 def test_earliest_arrival_identical(graph, window, source):
     g = _fresh(graph)
@@ -282,7 +264,7 @@ def test_engine_over_parent_graph_matches_cold_pipeline():
         graph = random_temporal(seed, n=14, m=60, zero_duration=seed % 3 == 2)
         windows = list(iter_windows(graph, 14, 2))
         index = TemporalEdgeIndex(graph)
-        engine = SlidingEngine(graph, 0, index=index)
+        engine = SlidingEngine(graph, 0)
         for window in windows + windows[::-1]:
             warm = engine.measure_mstw(window)
             active = index.subgraph(window)

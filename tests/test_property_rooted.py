@@ -17,8 +17,6 @@ the whole graph by the same closure method, with no rooting:
   through postprocessing to the temporal tree;
 * **invariance** -- adding islands changes neither the tree nor the
   budget's expansion count;
-* **patcher** -- incrementally patched closures stay bitwise equal to
-  cold ones across slides where the root's reach grows and shrinks;
 * **closure method** -- ``auto`` judges acyclicity on the rooted graph,
   so a cycle the root cannot reach does not turn it to Dijkstra.
 
@@ -38,9 +36,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.postprocess import closure_tree_to_temporal
-from repro.core.sliding import iter_windows
 from repro.core.transformation import transform_temporal_graph
-from repro.incremental import patch_prepared_instance
 from repro.resilience.budget import Budget
 from repro.static.closure import MetricClosure, build_metric_closure
 from repro.static.dag import (
@@ -62,7 +58,6 @@ from repro.steiner.instance import (
     rooted_instance,
 )
 from repro.steiner.pruned import pruned_dst
-from repro.temporal.index import edge_index_for
 from repro.temporal.paths import reachable_set
 from repro.temporal.window import TimeWindow
 
@@ -401,48 +396,3 @@ class TestClosureMethod:
         assert prepared.cost(prepared.root, prepared.terminals[0]) == (0.1 + 0.2) + 0.3
         with pytest.raises(ValueError):
             prepare_instance(instance, closure_method="dag")
-
-
-class TestPatcher:
-    def test_patched_closures_match_cold_as_reach_grows_and_shrinks(self):
-        grew = shrank = 0
-        for seed in range(8):
-            graph = random_temporal(seed, n=14, m=60)
-            windows = list(iter_windows(graph, 14, 2))
-            index = edge_index_for(graph)
-            # Backward slides bring edges in at the left end, so labels
-            # that were already in both windows can join the root's reach.
-            previous = None
-            for window in windows + windows[::-1]:
-                transformed = transform_temporal_graph(
-                    graph, 0, window, chronological=True
-                )
-                terminals = sorted(transformed.reached(), key=repr)
-                if not terminals:
-                    continue
-                cold = prepare_instance(transformed.dst_instance(terminals=terminals))
-                prepared = None
-                if previous is not None:
-                    prev_window, prev_transformed, prev_prepared = previous
-                    added, removed = index.delta(prev_window, window)
-                    changed = {
-                        v for e in added + removed for v in (e.source, e.target)
-                    }
-                    prepared = patch_prepared_instance(
-                        prev_transformed, prev_prepared, transformed, terminals,
-                        changed,
-                    )
-                if prepared is None:
-                    previous = (window, transformed, cold)
-                    continue
-                assert prepared.instance.graph.labels() == cold.instance.graph.labels()
-                assert np.array_equal(prepared.closure.dist, cold.closure.dist)
-                assert np.array_equal(
-                    prepared.closure.next_hop, cold.closure.next_hop
-                )
-                old_reach = set(prev_prepared.instance.graph.labels())
-                new_reach = set(prepared.instance.graph.labels())
-                grew += bool(new_reach - old_reach)
-                shrank += bool(old_reach - new_reach)
-                previous = (window, transformed, prepared)
-        assert grew > 0 and shrank > 0, (grew, shrank)

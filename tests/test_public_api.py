@@ -52,10 +52,7 @@ def test_top_level_exports():
         ("repro.core", ["OnlineMSTa", "sliding_msta", "cluster_by_weight",
                         "sweep", "SweepResult", "WindowMeasurement",
                         "tree_to_json", "tree_from_json"]),
-        ("repro.incremental", ["IncrementalMSTa", "SlidingEngine",
-                               "patch_prepared_instance",
-                               "sliding_msta_incremental",
-                               "sliding_mstw_incremental"]),
+        ("repro.incremental", ["SlidingEngine"]),
         ("repro.baselines", ["bhadra_msta", "brute_force_mstw_weight",
                              "realize_static_tree"]),
         ("repro.hardness", ["max_leaf_spanning_tree", "max_leaf_to_mstw_graph"]),

@@ -2,6 +2,10 @@
 
 PYTHON ?= python
 
+# Every target runs the package from source, so a checkout works
+# without `pip install -e .`; a caller's PYTHONPATH is kept after src.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test identity chaos bench bench-full bench-parallel bench-sliding bench-dst bench-check bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
 
 # Bench defaults (override: make bench BENCH_SCALE=full BENCH_REPEATS=9).
@@ -33,7 +37,7 @@ IDENTITY_REPORT ?= build/identity-report.txt
 identity:
 	@mkdir -p $(dir $(IDENTITY_REPORT))
 	@status=0; \
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_property_columnar.py \
+	$(PYTHON) -m pytest tests/test_property_columnar.py \
 		tests/test_property_kernels.py tests/test_property_rooted.py \
 		tests/test_temporal_generators.py \
 		tests/test_property_adjacency.py \
@@ -85,10 +89,14 @@ bench-dst:
 
 # The CI regression gate: run at smoke scale with two workers (as CI's
 # bench-smoke job does, so the baseline's jobs=2 scenarios run) and diff
-# against the committed baseline (exit 1 on regression).
+# against the committed baseline (exit 1 on regression).  The document
+# goes under build/, so the gate never rewrites committed evidence.
+BENCH_CHECK_OUT ?= build/bench-check.json
+
 bench-check:
+	@mkdir -p $(dir $(BENCH_CHECK_OUT))
 	$(PYTHON) -m repro bench --scale smoke --repeats $(BENCH_REPEATS) --jobs 2 \
-		--out $(BENCH_OUT) --compare $(BENCH_BASELINE) --tolerance 3.0
+		--out $(BENCH_CHECK_OUT) --compare $(BENCH_BASELINE) --tolerance 3.0
 
 # The end-to-end benchmark (benchmarks/e2e, declared by BENCHMARK.json):
 # four whole workloads, each repeat in a fresh process, to one JSON
@@ -140,8 +148,8 @@ lint:
 		echo "ruff not installed; running compileall instead"; \
 		$(PYTHON) -m compileall -q src tests; \
 	fi
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src tests
-	PYTHONPATH=src $(PYTHON) -m repro.analysis --project \
+	$(PYTHON) -m repro.analysis src tests
+	$(PYTHON) -m repro.analysis --project \
 		--baseline lint-baseline.json src
 
 # The strict typing gate over the clean-file list in pyproject.toml.

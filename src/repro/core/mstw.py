@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import UnreachableRootError
@@ -61,7 +61,10 @@ class MSTwResult:
     num_terminals:
         ``k = |V_r| - 1``, the DST terminal count.
     transformed_vertices / transformed_edges:
-        ``|V(𝔾)|`` and ``|E(𝔾)|`` (Table 4 columns).
+        ``|V(𝔾)|`` and ``|E(𝔾)|`` of the whole window's 𝔾 (Table 4
+        columns): read through :attr:`transformed`, which counts them
+        on first read, so a caller that never reads them never pays for
+        the whole window's Step 1(a).
     preprocessing_seconds / solve_seconds:
         Wall-clock split between stages 1-3 and stages 4-5.
     level / algorithm:
@@ -71,17 +74,19 @@ class MSTwResult:
         (:func:`repro.resilience.run_with_fallback`): the ladder rung
         that answered, whether a stronger rung was attempted first, and
         the answering rung's approximation caveat.
+    transformed:
+        The reach-only transformation the answer was solved on (left
+        out of ``==`` and ``repr``).
     """
 
     tree: TemporalSpanningTree
     closure_tree_cost: float
     num_terminals: int
-    transformed_vertices: int
-    transformed_edges: int
     preprocessing_seconds: float
     solve_seconds: float
     level: int
     algorithm: str
+    transformed: TransformedGraph = field(compare=False, repr=False)
     rung: Optional[str] = None
     degraded: bool = False
     caveat: Optional[str] = None
@@ -90,6 +95,16 @@ class MSTwResult:
     def weight(self) -> float:
         """``ζ(ST(r))``: the spanning tree's total weight."""
         return self.tree.total_weight
+
+    @property
+    def transformed_vertices(self) -> int:
+        """``|V(𝔾)|`` of the whole window's 𝔾."""
+        return self.transformed.num_vertices
+
+    @property
+    def transformed_edges(self) -> int:
+        """``|E(𝔾)|`` of the whole window's 𝔾."""
+        return self.transformed.num_edges
 
 
 def _terminals(transformed: TransformedGraph) -> List[Vertex]:
@@ -208,12 +223,11 @@ def minimum_spanning_tree_w(
         tree=tree,
         closure_tree_cost=closure_tree.cost,
         num_terminals=len(terminals),
-        transformed_vertices=transformed.num_vertices,
-        transformed_edges=transformed.num_edges,
         preprocessing_seconds=prep_seconds,
         solve_seconds=solve_seconds,
         level=level,
         algorithm=algorithm,
+        transformed=transformed,
         rung=rung,
         degraded=degraded,
         caveat=caveat,

@@ -15,9 +15,11 @@ Theorem 5 only needs the part of 𝔾 the root copy reaches, so that is
 all :func:`transform_temporal_graph` builds.  With ``EA(v)`` the root's
 earliest arrival time at ``v``, copy ``(v, t)`` is reachable iff
 ``EA(v) <= t`` and a solid edge is usable iff ``EA(u) <= t_u`` (see
-``docs/algorithms.md``).  Table 4's ``|V(𝔾)|`` and ``|E(𝔾)|`` still
-describe the whole window's 𝔾; they are counted over the window's
-columns without building it.
+``docs/algorithms.md``).  Step 1(a) runs only over the edges into
+``V_r``, so the construction costs what the root reaches, not what the
+window holds.  Table 4's ``|V(𝔾)|`` and ``|E(𝔾)|`` still describe the
+whole window's 𝔾; they are counted over the window's columns, without
+building it, on first read.
 """
 
 from __future__ import annotations
@@ -57,16 +59,15 @@ class TransformedGraph:
     root_label:
         The label of the root's single copy.
     num_vertices / num_edges:
-        ``|V(𝔾)|`` and ``|E(𝔾)|`` of the whole window's 𝔾 (Table 4);
-        ``num_edges`` is counted on first access.
+        ``|V(𝔾)|`` and ``|E(𝔾)|`` of the whole window's 𝔾 (Table 4).
     skipped_edges:
         In-window temporal edges that yield no solid edge of the whole
         𝔾: edges into the root, self-loops, and edges whose source has
-        no copy at or before their start (counted with ``num_edges``).
+        no copy at or before their start.
     arrival_instances:
         Per original vertex, the sorted distinct arrival times that
         index its virtual copies, over the whole window (the root has
-        the single instance ``t_alpha``).  Built on first access.
+        the single instance ``t_alpha``).
     solid_origin:
         Maps ``(source_label, target_label, weight)`` of a solid edge to
         a representative original temporal edge (used by postprocessing
@@ -74,6 +75,12 @@ class TransformedGraph:
         the few solid edges that end up in the Steiner tree, so the
         construction hands over flat index arrays and the dict is
         materialised on first access.
+
+    The whole-window statistics come from one run of
+    :func:`_whole_statistics` over the window's columns, on the first
+    read of any of them (the ``arrival_instances`` dict is then built
+    on its own first read); a query that reads none of them never pays
+    for the whole window's Step 1(a).
     """
 
     __slots__ = (
@@ -82,12 +89,9 @@ class TransformedGraph:
         "root",
         "digraph",
         "root_label",
-        "num_vertices",
-        "_num_edges",
-        "_skipped_edges",
-        "_count_parts",
+        "_whole",
+        "_whole_parts",
         "_arrival_instances",
-        "_instance_parts",
         "_solid_origin",
         "_solid_parts",
     )
@@ -99,74 +103,81 @@ class TransformedGraph:
         root: Vertex,
         digraph: StaticDigraph,
         root_label: Tuple,
-        arrival_instances: Optional[Dict[Vertex, List[float]]],
-        solid_origin: Optional[Dict[Tuple, TemporalEdge]],
-        skipped_edges: Optional[int],
+        arrival_instances: Optional[Dict[Vertex, List[float]]] = None,
+        solid_origin: Optional[Dict[Tuple, TemporalEdge]] = None,
+        skipped_edges: Optional[int] = None,
         solid_parts: Optional[Tuple] = None,
-        instance_parts: Optional[Tuple] = None,
-        num_vertices: Optional[int] = None,
-        count_parts: Optional[Tuple] = None,
+        whole_parts: Optional[Tuple] = None,
     ) -> None:
         self.source = source
         self.window = window
         self.root = root
         self.digraph = digraph
         self.root_label = root_label
-        # Without ``num_vertices`` / ``count_parts`` the digraph is the
-        # whole 𝔾 and describes itself.
-        if num_vertices is None:
-            num_vertices = digraph.num_vertices
-        self.num_vertices = num_vertices
-        self._num_edges = digraph.num_edges if count_parts is None else None
-        self._skipped_edges = skipped_edges
-        self._count_parts = count_parts
+        # ``whole_parts`` is ``(store, window positions, chronological)``;
+        # without it the digraph is the whole 𝔾 and describes itself.
+        self._whole: Optional[Tuple] = None
+        if whole_parts is None:
+            self._whole = (digraph.num_vertices, digraph.num_edges, skipped_edges)
+        self._whole_parts = whole_parts
         self._arrival_instances = arrival_instances
-        self._instance_parts = instance_parts
         self._solid_origin = solid_origin
         self._solid_parts = solid_parts
 
+    def _statistics(self) -> Tuple:
+        """``(|V(𝔾)|, |E(𝔾)|, skipped edges, instance parts)``, once."""
+        whole = self._whole
+        if whole is None:
+            store, pos, chronological = self._whole_parts
+            whole = _whole_statistics(store, pos, chronological, self.root)
+            self._whole = whole
+            self._whole_parts = None
+        return whole
+
+    @property
+    def num_vertices(self) -> int:
+        """``|V(𝔾)|`` of the whole window's 𝔾 (computed on first read)."""
+        return self._statistics()[0]
+
     @property
     def num_edges(self) -> int:
-        """``|E(𝔾)|`` of the whole window's 𝔾 (counted on first access)."""
-        if self._num_edges is None:
-            self._num_edges, self._skipped_edges = _whole_counts(*self._count_parts)
-            self._count_parts = None
-        return self._num_edges
+        """``|E(𝔾)|`` of the whole window's 𝔾 (computed on first read)."""
+        return self._statistics()[1]
 
     @property
     def skipped_edges(self) -> int:
         """In-window edges that yield no solid edge of the whole 𝔾."""
-        if self._skipped_edges is None:
-            self.num_edges
-        return self._skipped_edges
+        return self._statistics()[2]
 
     @property
     def arrival_instances(self) -> Dict[Vertex, List[float]]:
-        """Per original vertex, its sorted distinct in-window arrivals."""
+        """Per original vertex, its sorted distinct in-window arrivals.
+
+        Built from :func:`_whole_statistics`' instance pairs on first
+        read; the counts alone never build it.
+        """
         instances = self._arrival_instances
         if instances is None:
-            store, pair_a, pair_rep, pair_off, targets, root_id = self._instance_parts
+            store, pair_a, pair_rep, pair_off, targets, block = self._statistics()[3]
             if store.arrivals_are_float:
                 values = pair_a.tolist()
             else:
                 values = store.values_at("arrivals", pair_rep)
-            targets = targets[targets != root_id]
             instances = dict(
                 zip(
-                    map(store.vertex_labels.__getitem__, targets.tolist()),
+                    map(store.vertex_labels.__getitem__, targets[block].tolist()),
                     map(
                         values.__getitem__,
                         map(
                             slice,
-                            pair_off[targets].tolist(),
-                            pair_off[targets + 1].tolist(),
+                            pair_off[block].tolist(),
+                            pair_off[block + 1].tolist(),
                         ),
                     ),
                 )
             )
             instances[self.root] = [self.window.t_alpha]
             self._arrival_instances = instances
-            self._instance_parts = None
         return instances
 
     @property
@@ -250,7 +261,6 @@ def _whole_counts(
     starts: Any,
     weights: Any,
     pair_key: Any,
-    pair_off: Any,
     target_pair: Any,
     root_id: int,
 ) -> Tuple[int, int]:
@@ -259,11 +269,15 @@ def _whole_counts(
     𝔾 has one chain edge per copy and one solid edge per group of
     non-skipped window edges with the same source copy, target copy
     and weight.  An edge is skipped when it enters the root, is a
-    self-loop, or its source has no copy at or before its start.
+    self-loop, or its source has no copy at or before its start: its
+    source copy lies before the source's first pair.
     """
     source_pair, copies_key = _solid_copies(pair_key, src, starts, target_pair, root_id)
+    source_first = np.searchsorted(
+        pair_key, _time_keys(src, np.full(len(src), -np.inf))
+    )
     skip = (tgt == root_id) | (src == tgt)
-    skip |= (src != root_id) & (source_pair < pair_off[src])
+    skip |= (src != root_id) & (source_pair < source_first)
     live = ~skip
     copies_key, kw = copies_key[live], weights[live]
     grp = np.lexsort((kw, copies_key))
@@ -300,6 +314,71 @@ def _time_keys(vertices: Any, times: Any) -> Any:
     return keys
 
 
+def _instance_pairs(tgt: Any, arrivals: Any) -> Tuple[Any, Any, Any, Any, Any, Any]:
+    """Step 1(a) over edges with targets ``tgt`` and ``arrivals``.
+
+    Returns ``(pair_key, edge_pair, pair_first, targets, pair_off,
+    block)``: the distinct (target, arrival) instance pairs as
+    :func:`_time_keys`, sorted; each edge's pair, which is its target
+    copy in Step 2(b); each pair's first edge; the distinct targets in
+    id order; ``pair_off[j]``, the first pair of ``targets[j]``, with
+    the pair count appended; and the targets' indices in first-occurrence
+    order, which is 𝔾's vertex-block order.  The stable sort keeps edge
+    order within ties, so a pair's first edge is the first realising it
+    (the exact int/float value a Python ``set`` would have kept).
+    """
+    edge_keys = _time_keys(tgt, arrivals)
+    order = np.argsort(edge_keys, kind="stable")
+    sorted_keys = edge_keys[order]
+    new_pair = _run_starts(sorted_keys)
+    edge_pair = np.empty(len(order), dtype=np.int64)
+    edge_pair[order] = np.cumsum(new_pair) - 1
+    runs = np.flatnonzero(_run_starts(tgt[order]))
+    pair_key = sorted_keys[new_pair]
+    pair_off = np.append(edge_pair[order[runs]], len(pair_key))
+    block = np.argsort(np.minimum.reduceat(order, runs))
+    return pair_key, edge_pair, order[new_pair], tgt[order[runs]], pair_off, block
+
+
+def _whole_statistics(
+    store: Any, pos: Any, chronological: bool, root: Vertex
+) -> Tuple[int, int, int, Tuple]:
+    """``(|V(𝔾)|, |E(𝔾)|, skipped edges, instance parts)`` of the window.
+
+    Step 1(a) over the whole window: every in-window edge ``pos`` holds
+    (chronological order; graph order is restored here unless
+    ``chronological``), not only the edges into the root's reach.
+    :attr:`TransformedGraph.arrival_instances` is built from the
+    instance parts: ``store``, the pairs' arrivals and first positions,
+    the pair offsets and the non-root targets in block order.
+    """
+    if not chronological:
+        pos = np.sort(pos)
+    root_id = store.vertex_ids[root]
+    src = store.sources[pos]
+    tgt = store.targets[pos]
+    keep = np.flatnonzero(src != tgt)
+    pair_key, edge_pair, pair_first, targets, pair_off, block = _instance_pairs(
+        tgt[keep], store.arrivals[pos[keep]]
+    )
+    block = block[targets[block] != root_id]
+    num_copies = int((pair_off[block + 1] - pair_off[block]).sum())
+    target_pair = np.full(len(pos), -1, dtype=np.int64)
+    target_pair[keep] = edge_pair
+    num_edges, skipped = _whole_counts(
+        num_copies,
+        src,
+        tgt,
+        store.starts[pos],
+        store.weights[pos],
+        pair_key,
+        target_pair,
+        root_id,
+    )
+    parts = (store, pair_key.imag, pos[keep][pair_first], pair_off, targets, block)
+    return 1 + len(block) + num_copies, num_edges, skipped, parts
+
+
 def transform_temporal_graph(
     graph: TemporalGraph,
     root: Vertex,
@@ -318,8 +397,10 @@ def transform_temporal_graph(
     their whole-𝔾 copy indices, and vertices and adjacency lists come
     in the order :func:`repro.steiner.instance.rooted_instance` gives
     the whole 𝔾, so the DST instance, its closure and every solve are
-    unchanged by building only the reach.  ``num_vertices``,
-    ``num_edges`` and ``skipped_edges`` count the whole 𝔾.
+    unchanged by building only the reach.  Only the edges into ``V_r``
+    are sorted; ``num_vertices``, ``num_edges``, ``skipped_edges`` and
+    ``arrival_instances`` describe the whole 𝔾 and are computed on
+    first read.
 
     The window's edges are taken in graph order, or in chronological
     order when ``chronological`` is set: the order of
@@ -341,64 +422,51 @@ def transform_temporal_graph(
     labels_by_id = store.vertex_labels
     root_id = store.vertex_ids[root]
     earliest = store.earliest_arrival_labels(root_id, t_alpha, t_omega)
+    pos = store.window_positions(t_alpha, t_omega)
 
-    if chronological:
-        pos = store.window_positions(t_alpha, t_omega)
-    else:
-        pos = store.window_positions_graph_order(t_alpha, t_omega)
-    # ``seq`` ranks the edges in that order; ``pos`` locates them.
-    seq = np.arange(len(pos), dtype=np.int64)
-    src = store.sources[pos]
+    # The edges into V_r: in-window, no self-loop, and the target is a
+    # reached non-root vertex.  They are all of a reached vertex's
+    # in-window in-edges, so each reached v keeps its whole-window
+    # instances (hence copy indices) and its block position, and every
+    # usable solid edge is among them.  ``seq`` orders them as the
+    # window does: by insertion position, or by chronological rank.
     tgt = store.targets[pos]
-    starts = store.starts[pos]
-    arrivals = store.arrivals[pos]
-    weights = store.weights[pos]
+    into = np.flatnonzero((earliest[tgt] < np.inf) & (tgt != root_id))
+    if chronological:
+        seq = into
+        sub = pos[into]
+    else:
+        seq = sub = np.sort(pos[into])
+    src = store.sources[sub]
+    tgt = store.targets[sub]
+    loop_free = np.flatnonzero(src != tgt)
+    seq, sub = seq[loop_free], sub[loop_free]
+    src, tgt = src[loop_free], tgt[loop_free]
+    starts = store.starts[sub]
+    weights = store.weights[sub]
 
-    # Step 1(a): the distinct (target, arrival) instance pairs of the
-    # whole window, self-loops excluded.  The stable sort keeps edge
-    # order within ties, so each pair's representative position is the
-    # first in-window edge realising it (the exact int/float value a
-    # Python ``set`` would have kept).
-    keep = np.flatnonzero(src != tgt)
-    kt = tgt[keep]
-    edge_keys = _time_keys(kt, arrivals[keep])
-    order = np.argsort(edge_keys, kind="stable")
-    sorted_keys = edge_keys[order]
-    sorted_t = kt[order]
-    new_pair = _run_starts(sorted_keys)
-    pair_key = sorted_keys[new_pair]
-    pair_t = sorted_t[new_pair]
-    pair_a = pair_key.imag
-    pair_rep = pos[keep][order][new_pair]
-    pair_off = np.zeros(store.num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_t, minlength=store.num_vertices), out=pair_off[1:])
-    # Targets in first-occurrence order: 𝔾's vertex-block order.
-    target_runs = np.flatnonzero(_run_starts(sorted_t))
-    first_seen = np.minimum.reduceat(keep[order], target_runs)
-    targets_order = sorted_t[target_runs][np.argsort(first_seen)]
-    nonroot = targets_order[targets_order != root_id]
-    num_copies = len(pair_t) - int(pair_off[root_id + 1] - pair_off[root_id])
-
-    # Step 2(b).  Copies are numbered globally by pair id (copy i of v
-    # is pair pair_off[v] + i); the root's single [t_alpha] copy gets
-    # id -1.  The target copy is the edge's own (target, arrival) pair.
-    target_pair = np.full(len(pos), -1, dtype=np.int64)
-    target_pair[keep[order]] = np.cumsum(new_pair) - 1
+    # Step 1(a) for V_r.  Step 2(b)'s target copy is the edge's pair.
+    pair_key, target_pair, _, reached, pair_off, block = _instance_pairs(
+        tgt, store.arrivals[sub]
+    )
 
     # The root's reach.  EA(v) is one of v's instances, so copy (v, t)
     # is reachable iff EA(v) <= t: v's copies from index ``first`` on.
-    reached = nonroot[earliest[nonroot] < np.inf]
+    pair_off, num_pairs = pair_off[:-1], np.diff(pair_off)
     first = (
-        np.searchsorted(pair_key, _time_keys(reached, earliest[reached]))
-        - pair_off[reached]
+        np.searchsorted(pair_key, _time_keys(reached, earliest[reached])) - pair_off
     )
-    kept = pair_off[reached + 1] - pair_off[reached] - first
+    kept = num_pairs - first
     offsets = np.concatenate(
-        (np.ones(1, dtype=np.int64), 1 + np.cumsum(kept + 1))
+        (np.ones(1, dtype=np.int64), 1 + np.cumsum(kept[block] + 1))
     )
-    # Pair p of a reached vertex v sits in slot p + shift[v].
-    shift = np.zeros(store.num_vertices, dtype=np.int64)
-    shift[reached] = offsets[:-1] - pair_off[reached] - first
+    # Pair p sits in slot ``pair_slot[p]``; the root's single copy is
+    # pair -1, in slot 0.
+    shift = np.empty(len(block), dtype=np.int64)
+    shift[block] = offsets[:-1] - pair_off[block] - first[block]
+    pair_slot = np.zeros(len(pair_key) + 1, dtype=np.int64)
+    pair_slot[:-1] = np.arange(len(pair_key)) + np.repeat(shift, num_pairs)
+    reached, first, kept = reached[block], first[block], kept[block]
 
     root_label = copy_label(root, 0)
     total = int(offsets[-1])
@@ -463,9 +531,9 @@ def transform_temporal_graph(
     # first in edge order).  A group shares its source copy, so it is
     # wholly usable or wholly not, and these are the whole 𝔾's choices.
     solid_parts: Optional[Tuple] = None
-    usable = np.flatnonzero((earliest[src] <= starts) & (src != tgt) & (tgt != root_id))
+    usable = np.flatnonzero(earliest[src] <= starts)
     if len(usable):
-        kq, ks, ktg = seq[usable], src[usable], tgt[usable]
+        kq, ks, kpos = seq[usable], src[usable], sub[usable]
         kw, kst, ktp = weights[usable], starts[usable], target_pair[usable]
         ksp, copies_key = _solid_copies(pair_key, ks, kst, ktp, root_id)
         grp = np.lexsort((kq, kw, copies_key))
@@ -475,11 +543,9 @@ def transform_temporal_graph(
         picked = grp[new]
         by_insert = np.argsort(kq[picked])
         picked, rep = picked[by_insert], rep[by_insert]
-        u_first = np.where(
-            ks[picked] == root_id, 0, ksp[picked] + shift[ks[picked]]
-        ).tolist()
-        v_first = (ktp[picked] + shift[ktg[picked]]).tolist()
-        ins = pos[kq[picked]]
+        u_first = pair_slot[ksp[picked]].tolist()
+        v_first = pair_slot[ktp[picked]].tolist()
+        ins = kpos[picked]
         if store.weights_are_float:
             w_list = kw[picked].tolist()
         else:
@@ -489,7 +555,7 @@ def transform_temporal_graph(
         for v, entry in zip(v_first, zip(u_first, w_list)):
             in_adjacency[v].append(entry)
         num_reach_edges += len(ins)
-        solid_parts = (ins, pos[kq[rep]], u_first, v_first, labels_list)
+        solid_parts = (ins, kpos[rep], u_first, v_first, labels_list)
 
     digraph = StaticDigraph.from_parts(
         labels_list, adjacency, in_adjacency, num_reach_edges
@@ -500,16 +566,9 @@ def transform_temporal_graph(
         root=root,
         digraph=digraph,
         root_label=root_label,
-        arrival_instances=None,
         solid_origin=None if solid_parts is not None else {},
-        skipped_edges=None,
         solid_parts=solid_parts,
-        instance_parts=(store, pair_a, pair_rep, pair_off, targets_order, root_id),
-        num_vertices=1 + len(nonroot) + num_copies,
-        count_parts=(
-            num_copies, src, tgt, starts, weights, pair_key, pair_off,
-            target_pair, root_id,
-        ),
+        whole_parts=(store, pos, chronological),
     )
 
 

@@ -13,7 +13,6 @@ benchmark harness).
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
@@ -362,15 +361,15 @@ def prepared_from_closure(
     root = graph.index_of(instance.root)
     terminals = tuple(graph.index_of(t) for t in instance.terminals)
     if require_reachable:
-        unreachable = [
-            instance.terminals[j]
-            for j, t in enumerate(terminals)
-            if not math.isfinite(closure.cost(root, t))
-        ]
-        if unreachable:
+        # One read of the root's row: finite at every terminal index.
+        row = closure.costs_from(root)
+        unreachable = np.flatnonzero(
+            ~np.isfinite(row[np.array(terminals, dtype=np.intp)])
+        )
+        if len(unreachable):
             raise UnreachableRootError(
                 f"{len(unreachable)} terminals unreachable from root "
-                f"{instance.root!r}, e.g. {unreachable[0]!r}"
+                f"{instance.root!r}, e.g. {instance.terminals[unreachable[0]]!r}"
             )
     return PreparedInstance(instance, closure, root, terminals)
 

@@ -13,11 +13,13 @@ the job if any test here is skipped.
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import pickle
 import tracemalloc
 from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -234,6 +236,36 @@ def test_reach_only_transformation_matches_rooted_oracle(case):
     assert sorted(transformed.dst_instance().terminals) == sorted(
         ("dummy", v) for v in terminals
     )
+
+
+WHOLE_STATISTICS = ("num_vertices", "num_edges", "skipped_edges", "arrival_instances")
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=reach_cases())
+def test_whole_statistics_match_oracle_in_every_read_order(case):
+    """The whole-𝔾 statistics are computed on first read, whichever is read first.
+
+    Each of the 24 read orders runs on a fresh transformation, in graph
+    order against the whole-window oracle and in chronological order
+    against the oracle over the window subgraph.
+    """
+    graph, root, window = case
+    window = window or TimeWindow.unbounded()
+    subgraph = TemporalGraph(
+        TemporalEdgeIndex(graph).edges_in(window), vertices=graph.vertices
+    )
+    for chronological, oracle_graph in ((False, graph), (True, subgraph)):
+        expected = whole_fingerprint(legacy_transform(oracle_graph, root, window))
+        fresh = _fresh(graph)
+        for order in itertools.permutations(WHOLE_STATISTICS):
+            got = transform_temporal_graph(
+                fresh, root, window, chronological=chronological
+            )
+            read = SimpleNamespace(root_label=got.root_label)
+            for name in order:
+                setattr(read, name, getattr(got, name))
+            assert whole_fingerprint(read) == expected, order
 
 
 @settings(max_examples=60, deadline=None)

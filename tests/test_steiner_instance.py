@@ -59,6 +59,18 @@ class TestPrepare:
         with pytest.raises(UnreachableRootError):
             prepare_instance(DSTInstance(g, "r", ("island",)))
 
+    @pytest.mark.parametrize("method", ["auto", "dag", "dijkstra"])
+    def test_unreachable_message_counts_and_names_the_first(self, method):
+        g = diamond()
+        g.add_vertex("island2")
+        g.add_vertex("island1")
+        instance = DSTInstance(g, "r", ("t1", "island2", "t2", "island1"))
+        with pytest.raises(UnreachableRootError) as excinfo:
+            prepare_instance(instance, closure_method=method)
+        assert str(excinfo.value) == (
+            "2 terminals unreachable from root 'r', e.g. 'island2'"
+        )
+
     def test_unreachable_allowed_when_disabled(self):
         g = diamond()
         g.add_vertex("island")

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core import transformation
 from repro.core.errors import UnreachableRootError
+from repro.core.mstw import minimum_spanning_tree_w
 from repro.core.transformation import (
     copy_label,
     dummy_label,
     transform_temporal_graph,
 )
+from repro.perf.legacy import legacy_transform
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.paths import earliest_arrival_times
@@ -184,6 +187,37 @@ class TestReachOnly:
         assert t.num_vertices == 3  # 2's copy and dummy, and the root copy
         with pytest.raises(UnreachableRootError):
             t.dst_instance(terminals=[2])
+
+    def test_whole_counts_are_computed_only_when_read(self, monkeypatch):
+        # A wide window whose root reaches one vertex: the query sorts
+        # only that vertex's in-edges and never counts the whole 𝔾.
+        edges = [TemporalEdge(0, 1, 0, 1, 2)] + [
+            TemporalEdge(2 + i % 30, 2 + (7 * i + 1) % 30, i, i + 1, 1 + i % 3)
+            for i in range(300)
+        ]
+        g = TemporalGraph(edges)
+        whole_statistics = transformation._whole_statistics
+
+        def forbidden(*args):
+            raise AssertionError("the whole window's 𝔾 was counted")
+
+        monkeypatch.setattr(transformation, "_whole_statistics", forbidden)
+        result = minimum_spanning_tree_w(g, 0, level=2)
+        assert result.num_terminals == 1
+        assert result.transformed.digraph.num_vertices == 3
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return whole_statistics(*args)
+
+        monkeypatch.setattr(transformation, "_whole_statistics", counting)
+        legacy = legacy_transform(g, 0, TimeWindow.unbounded())
+        assert result.transformed_edges == legacy.num_edges
+        assert result.transformed_vertices == legacy.num_vertices
+        assert result.transformed.skipped_edges == legacy.skipped_edges
+        assert len(calls) == 1
 
 
 class TestDSTInstanceCreation:

@@ -19,11 +19,9 @@ report Table 4-6 style rows without re-running stages.
 
 from __future__ import annotations
 
-import threading
 import time
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import UnreachableRootError
 from repro.core.postprocess import closure_tree_to_temporal
@@ -234,102 +232,33 @@ def minimum_spanning_tree_w(
     )
 
 
-#: Graphs that currently hold a prepare memo (``graph.prepare_memo()``),
-#: tracked weakly so :func:`clear_prepare_memo` can reach them without
-#: extending their lifetime.
-#:
-#: The memo itself lives *on each graph* -- ``(root, window) ->
-#: (transformed, prepared)`` -- not in a module-level weak-keyed map.
-#: The memoised ``TransformedGraph`` strongly references its source
-#: graph, so a ``WeakKeyDictionary`` value would pin its own key alive
-#: forever (every batch of fresh window subgraphs leaked its closure
-#: matrices); a graph->memo->graph cycle, by contrast, is ordinary
-#: garbage the cycle collector reclaims once the graph is dropped.
-#:
-#: Memos are strictly **per-process**: parallel workers each warm their
-#: own deserialized graph objects, and no state is ever shared or
-#: synchronised across workers (see ``docs/performance.md``).  Within a
-#: process, access is guarded by ``_PREPARE_LOCK`` so threaded callers
-#: cannot corrupt the LRU.
-_MEMO_GRAPHS: "weakref.WeakSet[TemporalGraph]" = weakref.WeakSet()
-
-_PREPARE_LOCK = threading.Lock()
-
-_PREPARE_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
-
-#: Per-graph LRU bound for :func:`prepare_mstw_instance` results.  The
-#: closure is the dominant preprocessing cost and repeated queries (the
-#: fallback ladder replays, sliding windows, bench repeats) tend to hit
-#: a handful of (root, window) pairs, so the window is kept small.
-PREPARE_MEMO_SIZE = 4
-
-
 def prepare_cache_info() -> Dict[str, int]:
-    """This process's ``prepare_mstw_instance`` memo counters.
+    """Always ``{"hits": 0, "misses": 0}``: preparation keeps no memo.
 
-    Returns a ``{"hits", "misses"}`` *copy* (mutating it does not
-    touch the live counters).  Counters are per-process, like the memo
-    itself: aggregate across workers at the call site if a batch-wide
-    view is needed.
+    Exists only because the end-to-end tracer
+    (``benchmarks/e2e/tracing.py``) still probes it; it goes when that
+    probe is dropped from the benchmark.
     """
-    with _PREPARE_LOCK:
-        return dict(_PREPARE_STATS)
-
-
-def clear_prepare_memo() -> None:
-    """Drop every memoised ``prepare_mstw_instance`` result (and stats)."""
-    with _PREPARE_LOCK:
-        for graph in list(_MEMO_GRAPHS):
-            graph.prepare_memo().clear()
-        _MEMO_GRAPHS.clear()
-        _PREPARE_STATS["hits"] = 0
-        _PREPARE_STATS["misses"] = 0
+    return {"hits": 0, "misses": 0}
 
 
 def prepare_mstw_instance(
     graph: TemporalGraph,
     root: Vertex,
     window: Optional[TimeWindow] = None,
-    use_cache: bool = True,
-):
+) -> Tuple[TransformedGraph, PreparedInstance]:
     """Stages 1-3 only: ``(transformed, prepared)`` for repeated solving.
 
     Benchmarks use this to time the DST solvers in isolation on a shared
     preprocessed instance, exactly as the paper separates ``Tprep``
-    (Table 4) from solver runtimes (Table 5).
-
-    ``use_cache`` (default on) memoises the result per ``(root,
-    window)`` in a small per-graph LRU: repeated queries -- the fallback
-    ladder, window replays, bench repeats -- then skip the reachability
-    sweep, the transformation, and the closure build entirely.  The
-    graph is immutable, so a memoised result is exact, not stale.
-
-    The memo is per-process and lock-guarded: safe under threads, never
-    shared across worker processes (each worker warms its own), and
-    introspected via :func:`prepare_cache_info` -- callers must not
-    reach into the internals.
+    (Table 4) from solver runtimes (Table 5).  Nothing is cached: a
+    caller that solves several variants of one query holds on to the
+    pair itself.
     """
     if window is None:
         window = TimeWindow.unbounded()
-    key = (root, window)
-    if use_cache:
-        with _PREPARE_LOCK:
-            per_graph = graph.prepare_memo()
-            hit = per_graph.get(key)
-            if hit is not None:
-                per_graph.move_to_end(key)
-                _PREPARE_STATS["hits"] += 1
-                return hit
-            _PREPARE_STATS["misses"] += 1
     transformed = transform_temporal_graph(graph, root, window)
     prepared = prepare_instance(
         transformed.dst_instance(terminals=_terminals(transformed))
     )
-    if use_cache:
-        with _PREPARE_LOCK:
-            per_graph = graph.prepare_memo()
-            _MEMO_GRAPHS.add(graph)
-            per_graph[key] = (transformed, prepared)
-            if len(per_graph) > PREPARE_MEMO_SIZE:
-                per_graph.popitem(last=False)
     return transformed, prepared

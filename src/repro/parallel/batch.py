@@ -12,12 +12,12 @@ by :func:`run_batch` across worker processes with three properties:
   that share ``(window, root)`` form one task: it extracts the window
   once from the worker's column-built graph (the same
   :func:`~repro.temporal.window.extract_window` call
-  :func:`run_sweep_serial` makes), and the run's query variants
-  (levels / algorithms) share one ``prepare_mstw_instance`` memo entry
-  on that subgraph.  Tasks are submitted one per pool chunk, so a
-  worker that finishes early takes the next run instead of idling
-  behind a fixed share of the windows.  A task keeps nothing once it
-  returns;
+  :func:`run_sweep_serial` makes) and prepares it once with
+  ``prepare_mstw_instance``; the run's query variants (levels /
+  algorithms) all solve that one preparation.  Tasks are submitted one
+  per pool chunk, so a worker that finishes early takes the next run
+  instead of idling behind a fixed share of the windows.  A task keeps
+  nothing once it returns;
 * **lossless resilience round-trips** -- each cell runs under its own
   per-task :class:`~repro.resilience.budget.Budget` created *inside*
   the worker (budgets anchor to a process-local clock and must never be
@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import BudgetExceededError
 from repro.core.mstw import minimum_spanning_tree_w, prepare_mstw_instance
 from repro.core.postprocess import closure_tree_to_temporal
+from repro.core.transformation import TransformedGraph
 from repro.experiments.checkpoint import decode_cell, encode_cell
 from repro.experiments.runner import DegradedCell, OverBudgetCell
 from repro.parallel.engine import ParallelExecutor
@@ -52,6 +53,7 @@ from repro.resilience.budget import Budget
 from repro.resilience.fallback import run_with_fallback
 from repro.steiner.charikar import charikar_dst
 from repro.steiner.improved import improved_dst
+from repro.steiner.instance import PreparedInstance
 from repro.steiner.pruned import pruned_dst
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.window import TimeWindow, extract_window
@@ -143,18 +145,17 @@ def _release_worker() -> None:
 
 
 def _cell_value(
-    sub: TemporalGraph,
+    pair: Tuple[TransformedGraph, PreparedInstance],
     cell: SweepCell,
     budget: Optional[Budget],
 ):
-    """Solve one cell on an already-extracted subgraph.
+    """Solve one cell on its run's ``(transformed, prepared)`` pair.
 
     Mirrors ``minimum_spanning_tree_w`` exactly -- same terminal
-    ordering, same solver entry points, same postprocessing -- but goes
-    through the per-process ``prepare_mstw_instance`` memo so cells that
-    share a ``(root, window)`` pair share stages 1-3.
+    ordering, same solver entry points, same postprocessing -- on the
+    stages 1-3 the run prepared once for all its cells.
     """
-    transformed, prepared = prepare_mstw_instance(sub, cell.root, cell.window)
+    transformed, prepared = pair
     if cell.fallback:
         outcome = run_with_fallback(
             prepared, budget=budget, level=cell.level, solver=cell.algorithm
@@ -169,9 +170,11 @@ def _cell_value(
 
 
 def run_sweep_cell(
-    sub: TemporalGraph, cell: SweepCell, budget_seconds: Optional[float] = None
+    pair: Tuple[TransformedGraph, PreparedInstance],
+    cell: SweepCell,
+    budget_seconds: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Solve one cell on its run's extracted window.
+    """Solve one cell on its run's prepared instance.
 
     Returns a JSON-stable payload -- the encoded cell value and the
     fallback-ladder summary -- so results survive the process boundary
@@ -180,7 +183,7 @@ def run_sweep_cell(
     budget = Budget.per_task(budget_seconds)
     fallback_summary: Optional[Dict[str, Any]] = None
     try:
-        value, fallback_summary = _cell_value(sub, cell, budget)
+        value, fallback_summary = _cell_value(pair, cell, budget)
     except BudgetExceededError as exc:
         value = OverBudgetCell(elapsed=exc.elapsed_seconds)
     return {"cell": encode_cell(value), "fallback": fallback_summary}
@@ -192,10 +195,10 @@ def _run_sweep_run(
     """Worker task: every cell of one ``(window, root)`` run.
 
     The window is extracted once from the worker's column-built graph,
-    exactly as :func:`run_sweep_serial` extracts it; each cell then goes
-    through :func:`run_sweep_cell`.  Nothing outlives the call: the
-    subgraph, which carries the run's prepare memo entry, is garbage
-    once the call returns.
+    exactly as :func:`run_sweep_serial` extracts it, and prepared once
+    with :func:`~repro.core.mstw.prepare_mstw_instance`; each cell then
+    goes through :func:`run_sweep_cell` on that pair.  Nothing outlives
+    the call: the subgraph and its closure are freed when it returns.
     """
     graph = _worker_graph
     if graph is None:
@@ -203,8 +206,10 @@ def _run_sweep_run(
             "a sweep run outside an initialised batch worker; "
             "use run_batch(), which installs the worker initializer"
         )
-    sub = extract_window(graph, run[0].window)
-    return [run_sweep_cell(sub, cell, budget_seconds) for cell in run]
+    first = run[0]
+    sub = extract_window(graph, first.window)
+    pair = prepare_mstw_instance(sub, first.root, first.window)
+    return [run_sweep_cell(pair, cell, budget_seconds) for cell in run]
 
 
 def _runs(cells: Sequence[SweepCell]) -> List[Tuple[SweepCell, ...]]:

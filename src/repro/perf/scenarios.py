@@ -27,11 +27,7 @@ from repro import faults
 from repro.experiments.checkpoint import ExperimentContext
 from repro.faults import TASK_ERROR, TORN_WRITE, FaultPlan, FaultSpec
 
-from repro.core.mstw import (
-    clear_prepare_memo,
-    minimum_spanning_tree_w,
-    prepare_mstw_instance,
-)
+from repro.core.mstw import minimum_spanning_tree_w, prepare_mstw_instance
 from repro.core.sliding import iter_windows, sliding_msta, sliding_mstw
 from repro.core.transformation import transform_temporal_graph
 from repro.datasets.registry import load_dataset
@@ -183,9 +179,7 @@ def _mstw_state(spec: _ScaleSpec):
     window = middle_tenth_window(base, fraction=fraction)
     sub = extract_window(base, window)
     root = select_root(sub, window, min_reach_fraction=0.02)
-    transformed, prepared = prepare_mstw_instance(
-        sub, root, window, use_cache=False
-    )
+    transformed, prepared = prepare_mstw_instance(sub, root, window)
     return {
         "base": base,
         "graph": sub,
@@ -212,7 +206,7 @@ def _dst_kernels_state(spec: _ScaleSpec):
     window = middle_tenth_window(base, fraction=fraction)
     sub = extract_window(base, window)
     root = select_root(sub, window, min_reach_fraction=0.02)
-    _, prepared = prepare_mstw_instance(sub, root, window, use_cache=False)
+    _, prepared = prepare_mstw_instance(sub, root, window)
     cells = prepared.num_vertices * len(prepared.terminals)
     if cells < kernels.KERNEL_MIN_CELLS:
         raise RuntimeError(
@@ -310,21 +304,8 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
         "fraction": msta_fraction,
     }
 
-    def prepare_setup():
-        state = _mstw_state(spec)
-        clear_prepare_memo()
-        return state
-
-    def prepare_uncached_run(state):
-        prepare_mstw_instance(
-            state["graph"], state["root"], state["window"], use_cache=False
-        )
-        return None
-
-    def prepare_memo_run(state):
-        prepare_mstw_instance(
-            state["graph"], state["root"], state["window"], use_cache=True
-        )
+    def prepare_run(state):
+        prepare_mstw_instance(state["graph"], state["root"], state["window"])
         return None
 
     def pipeline_run(state):
@@ -439,23 +420,11 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
             group="transformation",
             description=(
                 "Full instance preparation (reachability sweep, "
-                "transformation, DAG metric closure), memo disabled."
+                "transformation, DAG metric closure)."
             ),
             params=dict(mstw_params),
-            setup=prepare_setup,
-            run=prepare_uncached_run,
-        ),
-        Scenario(
-            name="prepare_memo",
-            group="transformation",
-            description=(
-                "Instance preparation through the (root, window) LRU "
-                "memo -- the fallback ladder's repeated-query path."
-            ),
-            params=dict(mstw_params),
-            setup=prepare_setup,
-            run=prepare_memo_run,
-            baseline="closure_prepare",
+            setup=lambda: _mstw_state(spec),
+            run=prepare_run,
         ),
         Scenario(
             name="solve_charikar_i1",
@@ -504,7 +473,7 @@ def build_scenarios(scale: str, jobs: int = 1) -> List[Scenario]:
                 "including preparation."
             ),
             params=dict(mstw_params, level=2),
-            setup=prepare_setup,
+            setup=lambda: _mstw_state(spec),
             run=pipeline_run,
         ),
         Scenario(

@@ -9,13 +9,11 @@ from repro.static.dag import (
     build_metric_closure_dag,
     topological_order,
 )
-from repro.static.lazy import LazyMetricClosure, prepare_instance_lazy
 from repro.static.mst import kruskal_mst, prim_mst
 from repro.static.arborescence import minimum_spanning_arborescence
 
 __all__ = [
     "DagMetricClosure",
-    "LazyMetricClosure",
     "MetricClosure",
     "StaticDigraph",
     "build_metric_closure",
@@ -24,7 +22,6 @@ __all__ = [
     "dijkstra",
     "kruskal_mst",
     "minimum_spanning_arborescence",
-    "prepare_instance_lazy",
     "prim_mst",
     "topological_order",
 ]

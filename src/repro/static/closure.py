@@ -13,8 +13,7 @@ per vertex, stored as dense ``float64`` / ``int32`` matrices.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from repro.static.digraph import StaticDigraph
 from repro.static.shortest_paths import dijkstra, reconstruct_path
 
 
-class MetricClosure:
-    """All-pairs shortest distances with path reconstruction.
+class ClosureBase:
+    """The read interface every metric closure shares.
 
     Attributes
     ----------
@@ -32,20 +31,17 @@ class MetricClosure:
     dist:
         ``(n, n)`` matrix; ``dist[u, v]`` is the shortest-path weight
         (``inf`` when ``v`` is unreachable from ``u``).
+
+    Subclasses differ only in how :meth:`path` walks the stored
+    predecessor or next-hop rows.
     """
 
-    __slots__ = ("graph", "dist", "_pred", "_edge_weights", "_path_memo")
+    __slots__ = ("graph", "dist", "_edge_weights")
 
-    #: Bound on memoised reconstructed paths (LRU); repeated expansions
-    #: query the same (root, terminal) pairs, so a small window suffices.
-    PATH_MEMO_SIZE = 4096
-
-    def __init__(self, graph: StaticDigraph, dist: np.ndarray, pred: np.ndarray) -> None:
+    def __init__(self, graph: StaticDigraph, dist: np.ndarray) -> None:
         self.graph = graph
         self.dist = dist
-        self._pred = pred
-        self._edge_weights: dict = {}
-        self._path_memo: "OrderedDict[Tuple[int, int], List[tuple]]" = OrderedDict()
+        self._edge_weights: Dict[Tuple[int, int], float] = {}
 
     @property
     def num_vertices(self) -> int:
@@ -67,29 +63,14 @@ class MetricClosure:
 
         Empty when unreachable; ``[source]`` when ``source == target``.
         """
-        return reconstruct_path(self._pred[source], source, target)
+        raise NotImplementedError
 
-    def path_edges(self, source: int, target: int) -> List[tuple]:
-        """The shortest path as ``(u, v, w)`` edge triples in the base graph.
-
-        Memoised (bounded LRU): tree expansion and the shortest-paths
-        fallback rung re-reconstruct the same root-to-terminal paths
-        across repeated solves.  Callers must not mutate the result.
-        """
-        key = (source, target)
-        memo = self._path_memo
-        cached = memo.get(key)
-        if cached is not None:
-            memo.move_to_end(key)
-            return cached
+    def path_edges(self, source: int, target: int) -> List[Tuple[int, int, float]]:
+        """The shortest path as ``(u, v, w)`` edge triples in the base graph."""
         vertices = self.path(source, target)
-        edges = [
+        return [
             (u, v, self._edge_weight(u, v)) for u, v in zip(vertices, vertices[1:])
         ]
-        memo[key] = edges
-        if len(memo) > self.PATH_MEMO_SIZE:
-            memo.popitem(last=False)
-        return edges
 
     def _edge_weight(self, u: int, v: int) -> float:
         """Cheapest direct edge weight ``u -> v`` in the base graph (memoised)."""
@@ -102,6 +83,19 @@ class MetricClosure:
                 best = w
         self._edge_weights[(u, v)] = best
         return best
+
+
+class MetricClosure(ClosureBase):
+    """All-pairs shortest distances with per-source predecessor rows."""
+
+    __slots__ = ("_pred",)
+
+    def __init__(self, graph: StaticDigraph, dist: np.ndarray, pred: np.ndarray) -> None:
+        super().__init__(graph, dist)
+        self._pred = pred
+
+    def path(self, source: int, target: int) -> List[int]:
+        return reconstruct_path(self._pred[source], source, target)
 
 
 def build_metric_closure(

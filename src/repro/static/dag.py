@@ -12,12 +12,12 @@ the graph is a DAG and silently falls back to Dijkstra otherwise.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from typing import List, Optional
 
 import numpy as np
 
-from repro.static.closure import build_metric_closure
+from repro.static.closure import ClosureBase, build_metric_closure
 from repro.static.digraph import StaticDigraph
 
 
@@ -41,43 +41,21 @@ def topological_order(graph: StaticDigraph) -> Optional[List[int]]:
     return order
 
 
-class DagMetricClosure:
+class DagMetricClosure(ClosureBase):
     """All-pairs shortest distances of a DAG with next-hop reconstruction.
 
-    Exposes the same read interface as
-    :class:`repro.static.closure.MetricClosure` (``dist``, ``cost``,
-    ``costs_from``, ``is_reachable``, ``path``, ``path_edges``,
-    ``num_vertices``); paths are rebuilt by following the stored
-    next-hop matrix instead of per-source predecessors.
+    The :class:`~repro.static.closure.ClosureBase` read interface; paths
+    are rebuilt by following the stored next-hop matrix instead of
+    per-source predecessors.
     """
 
-    __slots__ = ("graph", "dist", "_next_hop", "_edge_weights", "_path_memo")
-
-    #: Bound on memoised reconstructed paths; see MetricClosure.
-    PATH_MEMO_SIZE = 4096
+    __slots__ = ("_next_hop",)
 
     def __init__(self, graph: StaticDigraph, dist: np.ndarray, next_hop: np.ndarray):
-        self.graph = graph
-        self.dist = dist
+        super().__init__(graph, dist)
         self._next_hop = next_hop
-        self._edge_weights: dict = {}
-        self._path_memo: "OrderedDict[tuple, List[tuple]]" = OrderedDict()
-
-    @property
-    def num_vertices(self) -> int:
-        return self.graph.num_vertices
-
-    def cost(self, source: int, target: int) -> float:
-        return float(self.dist[source, target])
-
-    def costs_from(self, source: int) -> np.ndarray:
-        return self.dist[source]
-
-    def is_reachable(self, source: int, target: int) -> bool:
-        return math.isfinite(self.dist[source, target])
 
     def path(self, source: int, target: int) -> List[int]:
-        """Shortest path as vertex indices (empty when unreachable)."""
         if source == target:
             return [source]
         if not math.isfinite(self.dist[source, target]):
@@ -88,35 +66,6 @@ class DagMetricClosure:
             current = int(self._next_hop[current, target])
             path.append(current)
         return path
-
-    def path_edges(self, source: int, target: int) -> List[tuple]:
-        """Shortest path as ``(u, v, w)`` base-graph edge triples.
-
-        Memoised (bounded LRU) like ``MetricClosure.path_edges``;
-        callers must not mutate the result.
-        """
-        key = (source, target)
-        memo = self._path_memo
-        cached = memo.get(key)
-        if cached is not None:
-            memo.move_to_end(key)
-            return cached
-        vertices = self.path(source, target)
-        edges = []
-        weights = self._edge_weights
-        for u, v in zip(vertices, vertices[1:]):
-            best = weights.get((u, v))
-            if best is None:
-                best = math.inf
-                for w_target, w in self.graph.out_neighbors(u):
-                    if w_target == v and w < best:
-                        best = w
-                weights[(u, v)] = best
-            edges.append((u, v, best))
-        memo[key] = edges
-        if len(memo) > self.PATH_MEMO_SIZE:
-            memo.popitem(last=False)
-        return edges
 
 
 def build_metric_closure_dag(

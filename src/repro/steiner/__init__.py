@@ -19,7 +19,6 @@ from repro.steiner.charikar import charikar_dst
 from repro.steiner.improved import improved_dst
 from repro.steiner.pruned import pruned_dst
 from repro.steiner.exact import exact_dst_cost, exact_dst
-from repro.steiner.exact_labeling import exact_dst_cost_labeling
 from repro.steiner.bounds import combined_lower_bound
 from repro.steiner.heuristics import (
     arborescence_prune_heuristic,
@@ -38,7 +37,6 @@ __all__ = [
     "count_operations",
     "exact_dst",
     "exact_dst_cost",
-    "exact_dst_cost_labeling",
     "expand_closure_tree",
     "improved_dst",
     "prepare_instance",

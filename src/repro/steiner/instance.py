@@ -20,10 +20,9 @@ from typing import Any, Hashable, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.errors import GraphFormatError, UnreachableRootError
-from repro.static.closure import MetricClosure, build_metric_closure
-from repro.static.dag import build_metric_closure_auto, build_metric_closure_dag
+from repro.static.closure import ClosureBase
+from repro.static.dag import build_metric_closure_auto
 from repro.static.digraph import StaticDigraph
-from repro.static.lazy import LazyMetricClosure
 
 Label = Hashable
 
@@ -112,7 +111,7 @@ class PreparedInstance:
     def __init__(
         self,
         instance: DSTInstance,
-        closure: MetricClosure,
+        closure: ClosureBase,
         root: int,
         terminals: Tuple[int, ...],
     ) -> None:
@@ -128,7 +127,7 @@ class PreparedInstance:
 
     def __getstate__(
         self,
-    ) -> Tuple[DSTInstance, MetricClosure, int, Tuple[int, ...]]:
+    ) -> Tuple[DSTInstance, ClosureBase, int, Tuple[int, ...]]:
         """Pickle only the problem data, never the memo dictionaries.
 
         The ``cost_row`` / ``terminal_row`` memos and the sorted
@@ -139,7 +138,7 @@ class PreparedInstance:
         return (self.instance, self.closure, self.root, self.terminals)
 
     def __setstate__(
-        self, state: Tuple[DSTInstance, MetricClosure, int, Tuple[int, ...]]
+        self, state: Tuple[DSTInstance, ClosureBase, int, Tuple[int, ...]]
     ) -> None:
         instance, closure, root, terminals = state
         self.instance = instance
@@ -210,22 +209,11 @@ class PreparedInstance:
         filtered prefix of it -- instead of an ``n``-length
         :meth:`cost_row`.  Bounded like :meth:`cost_row`
         (:data:`TERMINAL_ROW_MEMO_SIZE` entries, LRU eviction).
-
-        A :class:`~repro.static.lazy.LazyMetricClosure` sorts just this
-        source's row instead, so a level-1 solve still runs a single
-        Dijkstra; the values are the same.
         """
         row = self._terminal_rows.get(source)
         if row is None:
-            if isinstance(self.closure, LazyMetricClosure):
-                costs, ids = _sort_terminal_costs(
-                    self.closure.costs_from(source)[np.newaxis, :], self.terminals
-                )
-                index = 0
-            else:
-                costs, ids = self.terminal_block()
-                index = source
-            row = (costs[index].tolist(), ids[index].tolist())
+            costs, ids = self.terminal_block()
+            row = (costs[source].tolist(), ids[source].tolist())
             self._terminal_rows[source] = row
             if len(self._terminal_rows) > TERMINAL_ROW_MEMO_SIZE:
                 self._terminal_rows.popitem(last=False)
@@ -293,14 +281,17 @@ def _reached_from(graph: StaticDigraph, source: int) -> bytearray:
 def prepare_instance(
     instance: DSTInstance,
     require_reachable: bool = True,
-    closure_method: str = "auto",
 ) -> PreparedInstance:
     """Close the rooted instance and index the root/terminals.
 
     The closure is built over :func:`rooted_instance`, so its size is
     set by what the root reaches, not by the whole graph; the returned
     ``prepared.instance`` is that rooted instance, and closure indices
-    refer to its graph.
+    refer to its graph.  The rooted graph picks the closure: the
+    vectorised DAG recurrence when it is acyclic -- which the Section
+    4.2 transformation guarantees for positive-duration temporal graphs
+    -- and one Dijkstra per vertex otherwise.  A cycle the root cannot
+    reach does not count.
 
     Parameters
     ----------
@@ -310,47 +301,28 @@ def prepare_instance(
         When True (default) every terminal must be reachable from the
         root -- the precondition under which the greedy density
         algorithms terminate with a covering tree.
-    closure_method:
-        ``"auto"`` (default) uses the vectorised DAG closure whenever
-        the graph is acyclic -- which the Section 4.2 transformation
-        guarantees for positive-duration temporal graphs -- and falls
-        back to one-Dijkstra-per-vertex otherwise; ``"dijkstra"`` and
-        ``"dag"`` force a specific method.  Both judge the graph being
-        closed, the rooted one: a cycle the root cannot reach does not
-        count.
 
     Raises
     ------
     UnreachableRootError
         If ``require_reachable`` and some terminal is unreachable.
-    ValueError
-        For an unknown ``closure_method``, or ``"dag"`` when the rooted
-        graph is cyclic.
     """
     rooted = rooted_instance(instance)
-    if closure_method == "auto":
-        closure: Any = build_metric_closure_auto(rooted.graph)
-    elif closure_method == "dag":
-        closure = build_metric_closure_dag(rooted.graph)
-    elif closure_method == "dijkstra":
-        closure = build_metric_closure(rooted.graph)
-    else:
-        raise ValueError(
-            f"unknown closure_method {closure_method!r}; "
-            "expected 'auto', 'dag', or 'dijkstra'"
-        )
-    return prepared_from_closure(rooted, closure, require_reachable)
+    return prepared_from_closure(
+        rooted, build_metric_closure_auto(rooted.graph), require_reachable
+    )
 
 
 def prepared_from_closure(
     instance: DSTInstance,
-    closure: Any,
+    closure: ClosureBase,
     require_reachable: bool = True,
 ) -> PreparedInstance:
     """Wrap ``instance`` and a closure of its graph as a prepared instance.
 
     Indexes the root and terminals densely and applies the reachability
-    guard; every preparation path (eager or lazy) ends here.
+    guard; :func:`prepare_instance` ends here, and tests use it to close
+    an instance with a chosen closure builder.
 
     Raises
     ------

@@ -21,7 +21,6 @@ edges) and the whole edge tuple only when something reads
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import repeat
 from typing import (
     Any,
@@ -77,7 +76,6 @@ class TemporalGraph:
         "_chronological",
         "_zero_duration",
         "_arrival_sorted",
-        "_prepare_memo",
         "_columnar",
         "__weakref__",
     )
@@ -174,7 +172,6 @@ class TemporalGraph:
         self._chronological: Optional[Tuple[TemporalEdge, ...]] = None
         self._zero_duration: Optional[bool] = None
         self._arrival_sorted: Optional[Tuple[TemporalEdge, ...]] = None
-        self._prepare_memo: Optional[OrderedDict[Any, Any]] = None
         self._columnar: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -200,30 +197,14 @@ class TemporalGraph:
         """The cached store if one was already built (no build triggered)."""
         return self._columnar
 
-    def prepare_memo(self) -> OrderedDict[Any, Any]:
-        """The per-graph memo slot used by ``prepare_mstw_instance``.
-
-        The memo lives *on* the graph rather than in a module-level
-        weak-keyed map because memoised results (transformed graphs,
-        prepared DST instances) reference the graph they describe: a
-        value->key reference inside a ``WeakKeyDictionary`` pins the
-        entry forever, while a graph->memo->graph cycle is ordinary
-        garbage the collector reclaims once the graph is dropped.
-        :mod:`repro.core.mstw` owns the contents and the locking.
-        """
-        if self._prepare_memo is None:
-            self._prepare_memo = OrderedDict()
-        return self._prepare_memo
-
     def __getstate__(self) -> Tuple[Any, Any]:
         # Pickle only the defining state: the store's stdlib column
         # export (building the store if the graph has none), which
         # pickles several times smaller and faster than M
-        # ``TemporalEdge`` NamedTuples.  The edge tuple, the lazy
-        # layout caches and the prepare memo are per-process derived
-        # state; shipping them (e.g. in a worker initializer payload)
-        # would multiply the payload by the size of the closure
-        # matrices.
+        # ``TemporalEdge`` NamedTuples.  The edge tuple and the lazy
+        # layout caches are per-process derived state; shipping them
+        # (e.g. in a worker initializer payload) would multiply the
+        # payload.
         return (_COLUMNAR_STATE_TAG, self.columnar().export_columns())
 
     def __setstate__(self, state: Tuple[Any, Any]) -> None:

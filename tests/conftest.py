@@ -7,6 +7,13 @@ import random
 import pytest
 
 from repro.datasets.paper_examples import figure1_graph, figure3_graph
+from repro.static.closure import build_metric_closure
+from repro.static.dag import build_metric_closure_auto, build_metric_closure_dag
+from repro.steiner.instance import (
+    prepare_instance,
+    prepared_from_closure,
+    rooted_instance,
+)
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
 
@@ -53,6 +60,30 @@ def random_temporal(
         weight = rng.randint(1, 9)
         edges.append(TemporalEdge(u, v, start, start + duration, weight))
     return TemporalGraph(edges, vertices=range(n))
+
+
+#: Closure builders by name: ``prepare_instance`` picks ``"auto"``;
+#: the other two force one closure kind.
+CLOSURE_BUILDERS = {
+    "auto": build_metric_closure_auto,
+    "dag": build_metric_closure_dag,
+    "dijkstra": build_metric_closure,
+}
+
+
+def prepare_with(instance, method, require_reachable=True):
+    """``prepare_instance(instance)`` with the closure built by ``method``.
+
+    ``"auto"`` is ``prepare_instance`` itself; the other builders close
+    :func:`rooted_instance` through :func:`prepared_from_closure`, so a
+    test can run one draw on both closure kinds.  ``"dag"`` raises
+    ``ValueError`` on a cyclic rooted graph.
+    """
+    if method == "auto":
+        return prepare_instance(instance, require_reachable)
+    rooted = rooted_instance(instance)
+    closure = CLOSURE_BUILDERS[method](rooted.graph)
+    return prepared_from_closure(rooted, closure, require_reachable)
 
 
 def _bits(value):

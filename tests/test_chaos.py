@@ -18,8 +18,6 @@ tests that happen to break things on purpose.
 
 import io
 import json
-import os
-import pickle
 import random
 
 import pytest
@@ -31,12 +29,7 @@ from repro.core.errors import (
     GraphFormatError,
     UnreachableRootError,
 )
-from repro.core.mstw import (
-    clear_prepare_memo,
-    minimum_spanning_tree_w,
-    prepare_cache_info,
-    prepare_mstw_instance,
-)
+from repro.core.mstw import minimum_spanning_tree_w
 from repro.core.sliding import SweepResult, WindowMeasurement, iter_windows, sweep
 from repro.experiments.checkpoint import (
     ExperimentContext,
@@ -123,29 +116,6 @@ def _normalized(values):
 # ----------------------------------------------------------------------
 # Worker-side probes (top level: they cross the pickle boundary)
 # ----------------------------------------------------------------------
-_PROBE_GRAPH = None
-
-
-def _install_probe_graph(payload):
-    global _PROBE_GRAPH
-    _PROBE_GRAPH = pickle.loads(payload)
-
-
-def _cache_probe(_item):
-    """Warm this worker's per-process caches and report their counters."""
-    graph = _PROBE_GRAPH
-    clear_prepare_memo()
-    window = TimeWindow(0, 20)
-    prepare_mstw_instance(graph, 0, window)
-    prepare_mstw_instance(graph, 0, window)
-    info = prepare_cache_info()
-    return {
-        "pid": os.getpid(),
-        "memo_hits": info["hits"],
-        "memo_misses": info["misses"],
-    }
-
-
 def _encode_probe(item):
     """A cell value of every structured flavor, encoded worker-side."""
     if item % 3 == 0:
@@ -254,31 +224,6 @@ class TestPoolRecovery:
         with faults.injected(plan):
             result = run_batch(graph, cells, jobs=2)
         assert result.values == expected
-
-
-class TestCacheRewarm:
-    def test_worker_caches_rewarm_after_pool_rebuild(self):
-        """Satellite: per-process caches survive (re-warm after) a rebuild.
-
-        The ``prepare_mstw_instance`` memo is process-local, so a
-        crashed worker takes its copy with it.  The probes run after
-        the rebuild and must see a *working* cache in the replacement
-        workers: a miss on first derivation and a hit on the repeat.
-        """
-        graph = _sweep_graph()
-        payload = pickle.dumps(graph)
-        plan = FaultPlan.of(FaultSpec("parallel.task", WORKER_CRASH, occurrence=1))
-        driver_pid = os.getpid()
-        with faults.injected(plan):
-            with ParallelExecutor(
-                2, initializer=_install_probe_graph, initargs=(payload,), chunk_size=1
-            ) as executor:
-                results = executor.map(_cache_probe, list(range(4)))
-        assert executor.stats.rebuilds >= 1
-        for entry in results:
-            assert entry["pid"] != driver_pid  # computed in a (fresh) worker
-            assert entry["memo_misses"] >= 1  # re-derived, not inherited
-            assert entry["memo_hits"] >= 1  # ...and serving hits again
 
 
 # ----------------------------------------------------------------------

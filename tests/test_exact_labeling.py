@@ -6,9 +6,9 @@ import pytest
 
 from repro.static.digraph import StaticDigraph
 from repro.steiner.exact import exact_dst_cost
-from repro.steiner.exact_labeling import exact_dst_cost_labeling
 from repro.steiner.instance import DSTInstance, prepare_instance
 
+from tests.exact_labeling import exact_dst_cost_labeling
 from tests.test_steiner_algorithms import hub_instance, random_instance
 
 

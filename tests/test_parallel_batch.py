@@ -4,8 +4,8 @@ Headline property (the engine's reason to exist): ``run_batch`` output
 equals the pre-engine serial reference loop ``run_sweep_serial`` on the
 same cells at any ``jobs`` value and any cell order -- including cells
 that go over budget or answer through the fallback ladder -- while each
-run extracts its window once, from the worker's columns, and leaves
-nothing behind in the driver.
+run extracts and prepares its window once, from the worker's columns,
+and leaves nothing behind in the driver.
 """
 
 import gc
@@ -172,6 +172,29 @@ class TestWorkerState:
         assert len(copies) == 1
         assert batch._worker_graph is None
         assert copies[0]() is None
+
+    def test_one_preparation_per_run_freed_on_return(self, monkeypatch):
+        subs = []
+        prepare = batch.prepare_mstw_instance
+
+        def spy(sub, root, window=None):
+            subs.append(weakref.ref(sub))
+            return prepare(sub, root, window)
+
+        monkeypatch.setattr(batch, "prepare_mstw_instance", spy)
+        graph = _sweep_graph()
+        cells = _cells()
+        gc.disable()
+        try:
+            result = run_batch(graph, cells, jobs=1)
+            # Each window's variants form one run, prepared once.
+            assert len(subs) == len(WINDOWS) < len(cells)
+            # No reference cycle holds a run's subgraph (and with it
+            # the run's closure): refcounting alone frees it.
+            assert [ref() for ref in subs] == [None] * len(WINDOWS)
+        finally:
+            gc.enable()
+        assert result.values == run_sweep_serial(graph, cells)
 
 
 @st.composite

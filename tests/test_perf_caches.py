@@ -6,7 +6,7 @@ tests pin that down:
 
 * the reach-only transformation against the rooted whole-𝔾 oracle
   as the window changes on one graph;
-* end-to-end ``MST_w`` weight identity with caches on vs off;
+* end-to-end ``MST_w`` weight identity across repeated runs on one graph;
 * the optimised level-``i`` solvers vs the verbatim pre-optimisation
   implementation (:mod:`repro.perf.legacy`);
 * the memoised per-source rows/orders vs their numpy originals.
@@ -16,11 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.mstw import (
-    clear_prepare_memo,
-    minimum_spanning_tree_w,
-    prepare_mstw_instance,
-)
+from repro.core.mstw import minimum_spanning_tree_w, prepare_mstw_instance
 import repro.steiner.instance as steiner_instance
 from repro.perf.legacy import legacy_improved_dst
 from repro.steiner.improved import improved_dst
@@ -29,11 +25,7 @@ from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.window import TimeWindow
 
-from tests.conftest import (
-    assert_matches_rooted_oracle,
-    rooted_fingerprint,
-    whole_fingerprint,
-)
+from tests.conftest import assert_matches_rooted_oracle
 
 
 @st.composite
@@ -78,28 +70,11 @@ class TestPipelineCacheIdentity:
         level=st.integers(min_value=1, max_value=3),
     )
     def test_mstw_weight_identical_with_caches(self, graph, level):
-        clear_prepare_memo()
         first = minimum_spanning_tree_w(graph, 0, level=level)
-        # Second run hits the prepare memo.
+        # The second run reuses the graph's store and sort orders.
         second = minimum_spanning_tree_w(graph, 0, level=level)
         assert first.weight == second.weight
         assert first.tree.parent_edge == second.tree.parent_edge
-
-    @settings(max_examples=25, deadline=None)
-    @given(graph=reachable_graphs())
-    def test_prepare_memo_returns_equal_instance(self, graph):
-        clear_prepare_memo()
-        t1, p1 = prepare_mstw_instance(graph, 0)
-        t2, p2 = prepare_mstw_instance(graph, 0)
-        assert t2 is t1  # memo hit
-        assert p2 is p1
-        t3, p3 = prepare_mstw_instance(graph, 0, use_cache=False)
-        assert t3 is not t1
-        assert rooted_fingerprint(t3.dst_instance(), t3) == rooted_fingerprint(
-            t1.dst_instance(), t1
-        )
-        assert whole_fingerprint(t3) == whole_fingerprint(t1)
-        assert p3.num_terminals == p1.num_terminals
 
 
 class TestSolverEquivalence:
@@ -110,7 +85,7 @@ class TestSolverEquivalence:
     )
     def test_improved_matches_legacy(self, graph, level):
         """The optimised Algorithm 4/5 returns the legacy solver's tree."""
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         old = legacy_improved_dst(prepared, level)
         new = improved_dst(prepared, level)
         assert new.cost == old.cost
@@ -124,7 +99,7 @@ class TestSolverEquivalence:
     )
     def test_pruned_matches_legacy(self, graph, level):
         """Algorithm 6 still agrees with the legacy solver (Theorem 9)."""
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         old = legacy_improved_dst(prepared, level)
         new = pruned_dst(prepared, level)
         assert new.cost == pytest.approx(old.cost)
@@ -137,7 +112,7 @@ class TestSolverEquivalence:
         k=st.integers(min_value=1, max_value=4),
     )
     def test_partial_coverage_matches_legacy(self, graph, level, k):
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         old = legacy_improved_dst(prepared, level, k=k)
         new = improved_dst(prepared, level, k=k)
         assert new.cost == old.cost
@@ -148,7 +123,7 @@ class TestRowMemoEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(graph=reachable_graphs())
     def test_cost_row_matches_closure(self, graph):
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         for source in range(prepared.num_vertices):
             row = prepared.cost_row(source)
             costs = prepared.closure.costs_from(source)
@@ -160,7 +135,7 @@ class TestRowMemoEquivalence:
     @given(graph=reachable_graphs())
     def test_sorted_terminals_matches_fresh_sort(self, graph):
         """Each terminal row is a fresh ``(cost, index)`` sort of the closure."""
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         for source in range(prepared.num_vertices):
             costs, ids = prepared.terminal_row(source)
             row = prepared.closure.costs_from(source).tolist()
@@ -184,7 +159,7 @@ class TestRowMemoEquivalence:
                 for t, v in enumerate(range(1, 6), start=1)
             ]
         )
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         assert prepared.num_vertices >= 5
         rows = [prepared.cost_row(s) for s in range(5)]
         assert len(prepared._cost_rows) == 3
@@ -213,7 +188,7 @@ class TestRowMemoEquivalence:
                 for t, v in enumerate(range(1, 6), start=1)
             ]
         )
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         assert prepared.num_vertices >= 5
         rows = [prepared.terminal_row(s) for s in range(5)]
         block = prepared.terminal_block()
@@ -239,7 +214,7 @@ class TestRowMemoEquivalence:
                 for t, v in enumerate(range(1, 6), start=1)
             ]
         )
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         cold = len(pickle.dumps(prepared))
         costs, ids = prepared.terminal_block()
         assert costs.shape == ids.shape

@@ -79,15 +79,15 @@ class TestHarness:
             assert "n" in row["params"] and "M" in row["params"]
 
     def test_baseline_pulled_in_and_speedup_computed(self):
-        doc = run_benchmarks("smoke", repeats=1, names=["prepare_memo"])
+        doc = run_benchmarks("smoke", repeats=1, names=["solve_improved_i2"])
         names = {r["name"] for r in doc["scenarios"]}
-        # prepare_memo's baseline joins the run automatically.
-        assert names == {"prepare_memo", "closure_prepare"}
-        cached = next(
-            r for r in doc["scenarios"] if r["name"] == "prepare_memo"
+        # solve_improved_i2's baseline joins the run automatically.
+        assert names == {"solve_improved_i2", "solve_improved_i2_legacy"}
+        optimised = next(
+            r for r in doc["scenarios"] if r["name"] == "solve_improved_i2"
         )
-        assert cached["baseline"] == "closure_prepare"
-        assert cached["speedup"] is not None and cached["speedup"] > 0
+        assert optimised["baseline"] == "solve_improved_i2_legacy"
+        assert optimised["speedup"] is not None and optimised["speedup"] > 0
 
     def test_solver_scenario_reports_expansions(self):
         doc = run_benchmarks("smoke", repeats=1, names=["solve_pruned_i2"])

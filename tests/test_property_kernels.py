@@ -255,7 +255,7 @@ class TestSolverIdentity:
     @settings(max_examples=30, deadline=None)
     @given(graph=reachable_graphs(), level=st.sampled_from([1, 2, 3, 4]))
     def test_trees_match_scalar(self, graph, level):
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         for floor in FLOORS:
             with kernel_floor(floor), lockstep_calls() as calls:
                 for new, old in _pairs(level):
@@ -271,7 +271,7 @@ class TestSolverIdentity:
         max_expansions=st.integers(min_value=1, max_value=60),
     )
     def test_budget_trips_match_scalar(self, graph, level, max_expansions):
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         for floor in FLOORS:
             with kernel_floor(floor), lockstep_calls() as calls:
                 for new, old in _pairs(level):
@@ -294,7 +294,7 @@ class TestSolverIdentity:
         """
         for seed in range(3):
             graph = _random_reachable_graph(seed, n=70)
-            _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+            _, prepared = prepare_mstw_instance(graph, 0)
             with kernel_floor(0), chunk_steps() as steps:
                 new = pruned_dst(prepared, 2)
             assert steps, "the walk never left the scalar head"
@@ -310,7 +310,7 @@ class TestSolverIdentity:
         """
         for seed in range(2):
             graph = _random_reachable_graph(seed, n=25)
-            _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+            _, prepared = prepare_mstw_instance(graph, 0)
             assert kernels.lockstep(prepared)
             with lockstep_calls() as calls:
                 new = pruned_dst(prepared, 3)
@@ -337,7 +337,7 @@ class TestSolverIdentity:
         """
         for seed in range(3):
             graph = _random_reachable_graph(seed, n=40)
-            _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+            _, prepared = prepare_mstw_instance(graph, 0)
             terminals = prepared.num_terminals
             assert prepared.num_vertices * terminals >= DEFAULT_FLOOR
             assert kernels.eligible(prepared)
@@ -364,7 +364,7 @@ class TestSolverIdentity:
         children instead; above it only Algorithm 6's level-3 walks
         do."""
         graph = _random_reachable_graph(0, n=12)
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         assert prepared.num_vertices * prepared.num_terminals < 4096
         assert not kernels.eligible(prepared)
         assert kernels.lockstep(prepared)
@@ -381,7 +381,7 @@ class TestSolverIdentity:
     def test_lockstep_groups_respect_the_cell_cap(self, monkeypatch):
         """A capped pass splits the children into groups, same answers."""
         graph = _random_reachable_graph(1, n=15)
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         cells = prepared.num_vertices * prepared.num_terminals
         monkeypatch.setattr(kernels, "LOCKSTEP_MAX_CELLS", 3 * cells)
         groups = []
@@ -401,7 +401,7 @@ class TestSolverIdentity:
         """Algorithm 6's groups are capped on per-child state and every
         density pass on gathered cells; same answers."""
         graph = _random_reachable_graph(1, n=15)
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         n = prepared.num_vertices
         cap = 2 * n * prepared.num_terminals
         monkeypatch.setattr(kernels, "LOCKSTEP_MAX_CELLS", cap)
@@ -440,7 +440,7 @@ class TestKernelTieBreak:
         sort of the closure row, and the sorted block the kernels scan
         would surface immediately.
         """
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         # One block per instance, built once and shared.
         block_costs, block_ids = prepared.terminal_block()
         assert prepared.terminal_block()[0] is block_costs
@@ -456,7 +456,7 @@ class TestKernelTieBreak:
     @settings(max_examples=25, deadline=None)
     @given(graph=reachable_graphs(), data=st.data())
     def test_best_prefix_candidate_matches_scalar_scan(self, graph, data):
-        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        _, prepared = prepare_mstw_instance(graph, 0)
         terminals = sorted(prepared.terminals)
         remaining = frozenset(
             data.draw(
@@ -509,7 +509,7 @@ class TestFallbackCaveatParity:
         }
         for seed, n in ((0, 40), (1, 24)):
             graph = _random_reachable_graph(seed, n=n)
-            _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+            _, prepared = prepare_mstw_instance(graph, 0)
             with kernel_floor(0):
                 for solver in ("pruned", "improved", "charikar"):
                     for max_expansions in (1, 25, 400, 10**9):

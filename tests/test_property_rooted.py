@@ -38,14 +38,9 @@ from hypothesis import given, settings
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.transformation import transform_temporal_graph
 from repro.resilience.budget import Budget
-from repro.static.closure import MetricClosure, build_metric_closure
-from repro.static.dag import (
-    DagMetricClosure,
-    build_metric_closure_dag,
-    topological_order,
-)
+from repro.static.closure import MetricClosure
+from repro.static.dag import DagMetricClosure
 from repro.static.digraph import StaticDigraph
-from repro.static.lazy import prepare_instance_lazy
 from repro.steiner import kernels
 from repro.steiner.charikar import charikar_dst
 from repro.steiner.exact import exact_dst
@@ -61,7 +56,7 @@ from repro.steiner.pruned import pruned_dst
 from repro.temporal.paths import reachable_set
 from repro.temporal.window import TimeWindow
 
-from tests.conftest import random_temporal
+from tests.conftest import CLOSURE_BUILDERS, prepare_with, random_temporal
 
 SOLVERS = (charikar_dst, improved_dst, pruned_dst)
 
@@ -86,15 +81,9 @@ def kernel_floor(value):
 def whole_graph_prepared(instance, method="auto"):
     """A prepared instance closed over the whole graph, with no rooting."""
     graph = instance.graph
-    if method == "auto":
-        method = "dag" if topological_order(graph) is not None else "dijkstra"
-    if method == "dag":
-        closure = build_metric_closure_dag(graph)
-    else:
-        closure = build_metric_closure(graph)
     return PreparedInstance(
         instance,
-        closure,
+        CLOSURE_BUILDERS[method](graph),
         graph.index_of(instance.root),
         tuple(graph.index_of(t) for t in instance.terminals),
     )
@@ -241,7 +230,7 @@ class TestIslands:
     @settings(max_examples=40, deadline=None)
     def test_solvers_match_whole_graph(self, drawn):
         method, (_, padded) = drawn
-        rooted = prepare_instance(padded, closure_method=method)
+        rooted = prepare_with(padded, method)
         whole = whole_graph_prepared(padded, method)
         assert rooted.num_vertices < whole.num_vertices
         for floor in FLOORS:
@@ -256,7 +245,7 @@ class TestIslands:
     @settings(max_examples=30, deadline=None)
     def test_closure_rows_match_whole_graph(self, drawn):
         method, (_, padded) = drawn
-        rooted = prepare_instance(padded, closure_method=method)
+        rooted = prepare_with(padded, method)
         whole = whole_graph_prepared(padded, method)
         kept = [
             whole.instance.graph.index_of(label)
@@ -271,7 +260,7 @@ class TestIslands:
     @settings(max_examples=30, deadline=None)
     def test_exact_and_shortest_paths_match_whole_graph(self, drawn):
         method, (_, padded) = drawn
-        rooted = prepare_instance(padded, closure_method=method)
+        rooted = prepare_with(padded, method)
         whole = whole_graph_prepared(padded, method)
         for solve in (exact_dst, shortest_paths_heuristic):
             rooted_cost, rooted_edges = solve(rooted)
@@ -279,18 +268,6 @@ class TestIslands:
             assert rooted_cost == whole_cost
             assert labelled_edges(rooted, rooted_edges) == labelled_edges(
                 whole, whole_edges
-            )
-
-    @given(islanded_instances())
-    @settings(max_examples=20, deadline=None)
-    def test_lazy_matches_whole_graph(self, pair):
-        _, padded = pair
-        # The lazy closure runs one Dijkstra per row on first use.
-        lazy = prepare_instance_lazy(padded)
-        whole = whole_graph_prepared(padded, "dijkstra")
-        for level in (1, 2):
-            assert labelled(lazy, pruned_dst(lazy, level)) == labelled(
-                whole, pruned_dst(whole, level)
             )
 
 
@@ -338,7 +315,7 @@ class TestTemporal:
         # Zero durations can leave a cycle outside the root's reach,
         # where "auto" differs by design (TestClosureMethod).
         method = "dijkstra" if zero_duration else "auto"
-        rooted = prepare_instance(instance, closure_method=method)
+        rooted = prepare_with(instance, method)
         whole = whole_graph_prepared(instance, method)
         for floor in FLOORS:
             with kernel_floor(floor):
@@ -385,7 +362,7 @@ class TestClosureMethod:
         assert cost == 0.1 + (0.2 + 0.3)
         whole = whole_graph_prepared(instance, "dijkstra")
         assert whole.cost(whole.root, whole.terminals[0]) == (0.1 + 0.2) + 0.3 != cost
-        assert prepare_instance(instance, closure_method="dag").cost(
+        assert prepare_with(instance, "dag").cost(
             prepared.root, prepared.terminals[0]
         ) == cost
 
@@ -395,4 +372,4 @@ class TestClosureMethod:
         assert isinstance(prepared.closure, MetricClosure)
         assert prepared.cost(prepared.root, prepared.terminals[0]) == (0.1 + 0.2) + 0.3
         with pytest.raises(ValueError):
-            prepare_instance(instance, closure_method="dag")
+            prepare_with(instance, "dag")

@@ -44,10 +44,10 @@ def test_top_level_exports():
         ("repro.temporal", ["TemporalEdgeIndex", "earliest_arrival_times",
                             "information_latency", "iter_snapshots"]),
         ("repro.static", ["StaticDigraph", "build_metric_closure",
-                          "build_metric_closure_dag", "LazyMetricClosure",
+                          "build_metric_closure_dag",
                           "minimum_spanning_arborescence"]),
         ("repro.steiner", ["charikar_dst", "improved_dst", "pruned_dst",
-                           "exact_dst_cost", "exact_dst_cost_labeling",
+                           "exact_dst_cost",
                            "prepare_instance", "combined_lower_bound"]),
         ("repro.core", ["OnlineMSTa", "sliding_msta", "cluster_by_weight",
                         "sweep", "SweepResult", "WindowMeasurement",

@@ -123,23 +123,12 @@ class TestEndToEnd:
 
     def test_mstw_same_result_with_both_closures(self, figure1):
         from repro.core.transformation import transform_temporal_graph
-        from repro.steiner.instance import prepare_instance
         from repro.steiner.pruned import pruned_dst
+
+        from tests.conftest import prepare_with
 
         transformed = transform_temporal_graph(figure1, 0)
         instance = transformed.dst_instance()
-        cost_dag = pruned_dst(
-            prepare_instance(instance, closure_method="dag"), 2
-        ).cost
-        cost_dij = pruned_dst(
-            prepare_instance(instance, closure_method="dijkstra"), 2
-        ).cost
+        cost_dag = pruned_dst(prepare_with(instance, "dag"), 2).cost
+        cost_dij = pruned_dst(prepare_with(instance, "dijkstra"), 2).cost
         assert cost_dag == pytest.approx(cost_dij)
-
-    def test_unknown_method(self, figure1):
-        from repro.core.transformation import transform_temporal_graph
-        from repro.steiner.instance import prepare_instance
-
-        transformed = transform_temporal_graph(figure1, 0)
-        with pytest.raises(ValueError):
-            prepare_instance(transformed.dst_instance(), closure_method="magic")

@@ -11,6 +11,8 @@ from repro.steiner.instance import (
     restrict_reachable,
 )
 
+from tests.conftest import prepare_with
+
 
 def diamond():
     g = StaticDigraph()
@@ -66,7 +68,7 @@ class TestPrepare:
         g.add_vertex("island1")
         instance = DSTInstance(g, "r", ("t1", "island2", "t2", "island1"))
         with pytest.raises(UnreachableRootError) as excinfo:
-            prepare_instance(instance, closure_method=method)
+            prepare_with(instance, method)
         assert str(excinfo.value) == (
             "2 terminals unreachable from root 'r', e.g. 'island2'"
         )

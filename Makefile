@@ -6,17 +6,7 @@ PYTHON ?= python
 # without `pip install -e .`; a caller's PYTHONPATH is kept after src.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test identity chaos bench bench-full bench-parallel bench-sliding bench-dst bench-check bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
-
-# Bench defaults (override: make bench BENCH_SCALE=full BENCH_REPEATS=9).
-BENCH_SCALE ?= smoke
-BENCH_REPEATS ?= 5
-BENCH_OUT ?= BENCH_PR2.json
-BENCH_BASELINE ?= benchmarks/baseline_smoke.json
-BENCH_JOBS ?= 4
-BENCH_PARALLEL_OUT ?= BENCH_PR4.json
-BENCH_SLIDING_OUT ?= BENCH_PR5.json
-BENCH_DST_OUT ?= BENCH_PR10.json
+.PHONY: install test identity chaos work-counts bench-e2e bench-e2e-compare pybench examples report quickcheck ci lint typecheck clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -55,48 +45,11 @@ identity:
 chaos:
 	$(PYTHON) -m pytest tests/ -m chaos
 
-# The deterministic perf suite (repro.perf): median-of-N timings to a
-# schema-versioned JSON document.
-bench:
-	$(PYTHON) -m repro bench --scale $(BENCH_SCALE) --repeats $(BENCH_REPEATS) --out $(BENCH_OUT)
-
-bench-full:
-	$(MAKE) bench BENCH_SCALE=full
-
-# The parallel_speedup family at full scale: serial reference vs the
-# batch engine at jobs 1/2/4 (the committed BENCH_PR4.json evidence).
-bench-parallel:
-	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
-		--jobs $(BENCH_JOBS) --out $(BENCH_PARALLEL_OUT)
-
-# The sliding_sweep family at full scale: SlidingEngine sweeps, each
-# window one query over the parent graph's columns (MST_a by Algorithm
-# 1, MST_w by the cold pipeline; BENCH_PR5.json holds older evidence).
-bench-sliding:
-	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
-		--only sliding_msta_incremental --only sliding_mstw_incremental \
-		--out $(BENCH_SLIDING_OUT)
-
-# The dst_kernels family at full scale: the frozen scalar MST_w ladder
-# (repro.perf.legacy scalar_*) vs the batched density kernels (the
-# committed BENCH_PR10.json evidence).
-bench-dst:
-	$(PYTHON) -m repro bench --scale full --repeats $(BENCH_REPEATS) \
-		--only dst_kernels_charikar_scalar --only dst_kernels_charikar \
-		--only dst_kernels_improved_scalar --only dst_kernels_improved \
-		--only dst_kernels_pruned_scalar --only dst_kernels_pruned \
-		--out $(BENCH_DST_OUT)
-
-# The CI regression gate: run at smoke scale with two workers (as CI's
-# bench-smoke job does, so the baseline's jobs=2 scenarios run) and diff
-# against the committed baseline (exit 1 on regression).  The document
-# goes under build/, so the gate never rewrites committed evidence.
-BENCH_CHECK_OUT ?= build/bench-check.json
-
-bench-check:
-	@mkdir -p $(dir $(BENCH_CHECK_OUT))
-	$(PYTHON) -m repro bench --scale smoke --repeats $(BENCH_REPEATS) --jobs 2 \
-		--out $(BENCH_CHECK_OUT) --compare $(BENCH_BASELINE) --tolerance 3.0
+# CI's work-counts gate: exact, host-independent work counts (solver
+# expansions, closure sizes, fallback rungs, Algorithm 2's stack pops)
+# pinned as literals, so the gate reproduces on any host.
+work-counts:
+	$(PYTHON) -m pytest tests/test_work_counts.py -q
 
 # The end-to-end benchmark (benchmarks/e2e, declared by BENCHMARK.json):
 # four whole workloads, each repeat in a fresh process, to one JSON

@@ -1,10 +1,9 @@
 """Rule: benchmarked code must be deterministic.
 
-The perf harness (PR 2) certifies its scenarios bit-identical across
-runs, and the experiment tables are only reproducible if solver output
-never depends on wall-clock time, the process-global RNG, or set
-iteration order (hash-seed dependent for strings).  This rule bans, in
-library modules outside ``repro.perf.harness``:
+The experiment tables and the end-to-end benchmark's op digests are
+only reproducible if solver output never depends on wall-clock time,
+the process-global RNG, or set iteration order (hash-seed dependent
+for strings).  This rule bans, in every library module:
 
 * wall-clock reads (``time.time``, ``datetime.now`` and friends) --
   elapsed-time probes via ``time.perf_counter``/``time.monotonic`` are
@@ -70,9 +69,6 @@ GLOBAL_RANDOM_FUNCS = frozenset(
     }
 )
 
-#: Modules allowed to touch the wall clock (the timing harness itself).
-ALLOWED_MODULES = frozenset({"repro.perf.harness"})
-
 #: Method names whose call sites consume results in completion order.
 UNORDERED_CALLS = frozenset({"imap_unordered", "as_completed"})
 
@@ -101,9 +97,7 @@ class DeterminismRule(Rule):
 
     def applies(self, module: ParsedModule) -> bool:
         name = module.module_name
-        if name is None or not (name == "repro" or name.startswith("repro.")):
-            return False
-        return name not in ALLOWED_MODULES
+        return name is not None and (name == "repro" or name.startswith("repro."))
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         unordered_allowed = module.module_name in UNORDERED_ALLOWED_MODULES

@@ -10,8 +10,6 @@ exposes the library's main entry points on edge-list files:
 * ``generate`` -- write a synthetic dataset in the native format;
 * ``experiment`` -- regenerate a paper table/figure (table1..table8,
   fig8a, fig8b, or ``all``);
-* ``bench``    -- run the deterministic perf suite (``repro.perf``),
-  optionally diffing against a baseline JSON for regression gating.
 
 Files use the native 5-column format ``u v start arrival weight`` or
 KONECT rows (``--format konect``); ``-`` reads stdin.
@@ -318,38 +316,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.perf import compare, harness, scenarios
-
-    if args.list:
-        for name in scenarios.scenario_names(args.scale, jobs=args.jobs):
-            print(name)
-        return 0
-    document = harness.run_benchmarks(
-        args.scale,
-        repeats=args.repeats,
-        names=args.only or None,
-        progress=lambda line: print(line, file=sys.stderr),
-        jobs=args.jobs,
-    )
-    harness.summarize(document, stream=sys.stderr)
-    if args.out:
-        harness.write_benchmarks(document, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.compare:
-        try:
-            baseline = compare.load_document(args.compare)
-            report = compare.compare_benchmarks(
-                baseline, document, tolerance=args.tolerance
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report.render())
-        return 0 if report.ok else 1
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis.cli import main as lint_main
 
@@ -474,61 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to --jobs 1; default 1)",
     )
     p_exp.set_defaults(func=_cmd_experiment)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the deterministic perf suite (repro.perf)"
-    )
-    p_bench.add_argument(
-        "--scale",
-        choices=["smoke", "full"],
-        default="smoke",
-        help="workload scale (default: smoke, the CI-sized suite)",
-    )
-    p_bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=5,
-        help="timed repetitions per scenario; the median is reported",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the bench JSON document to this file",
-    )
-    p_bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="diff against a baseline bench JSON; exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        type=_positive_float,
-        default=1.25,
-        help="default allowed slowdown factor for --compare (default 1.25)",
-    )
-    p_bench.add_argument(
-        "--only",
-        action="append",
-        default=None,
-        metavar="SCENARIO",
-        help="run only this scenario (repeatable; baselines are pulled in)",
-    )
-    p_bench.add_argument(
-        "--list",
-        action="store_true",
-        help="list the scale's scenario names and exit",
-    )
-    p_bench.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="unlock parallel_speedup scenarios up to this worker count "
-        "(default 1: serial + jobs=1 engine variants only)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_lint = sub.add_parser(
         "lint",

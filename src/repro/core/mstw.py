@@ -188,16 +188,10 @@ def minimum_spanning_tree_w(
     # Preprocessing has no degraded alternative, so with fallback on
     # its checkpoints must not raise: the chain's final unbudgeted rung
     # still answers, just from an already-drained budget.
-    check = budget is not None and not fallback
     prep_start = time.perf_counter()
-    transformed = transform_temporal_graph(graph, root, window)
-    if check:
-        budget.checkpoint()
-    terminals = _terminals(transformed)
-    instance = transformed.dst_instance(terminals=terminals)
-    prepared = prepare_instance(instance)
-    if check:
-        budget.checkpoint()
+    transformed, prepared = prepare_mstw_instance(
+        graph, root, window, budget=None if fallback else budget
+    )
     prep_seconds = time.perf_counter() - prep_start
 
     solve_start = time.perf_counter()
@@ -220,7 +214,7 @@ def minimum_spanning_tree_w(
     return MSTwResult(
         tree=tree,
         closure_tree_cost=closure_tree.cost,
-        num_terminals=len(terminals),
+        num_terminals=prepared.num_terminals,
         preprocessing_seconds=prep_seconds,
         solve_seconds=solve_seconds,
         level=level,
@@ -246,6 +240,8 @@ def prepare_mstw_instance(
     graph: TemporalGraph,
     root: Vertex,
     window: Optional[TimeWindow] = None,
+    chronological: bool = False,
+    budget: Optional[Budget] = None,
 ) -> Tuple[TransformedGraph, PreparedInstance]:
     """Stages 1-3 only: ``(transformed, prepared)`` for repeated solving.
 
@@ -254,11 +250,26 @@ def prepare_mstw_instance(
     (Table 4) from solver runtimes (Table 5).  Nothing is cached: a
     caller that solves several variants of one query holds on to the
     pair itself.
+
+    ``chronological`` is forwarded to :func:`transform_temporal_graph`
+    (the sliding engine's window-subgraph edge order).  A ``budget`` is
+    checkpointed after the transformation and after the closure.
+
+    Raises
+    ------
+    UnreachableRootError
+        If the root reaches no other vertex within the window.
     """
     if window is None:
         window = TimeWindow.unbounded()
-    transformed = transform_temporal_graph(graph, root, window)
+    transformed = transform_temporal_graph(
+        graph, root, window, chronological=chronological
+    )
+    if budget is not None:
+        budget.checkpoint()
     prepared = prepare_instance(
         transformed.dst_instance(terminals=_terminals(transformed))
     )
+    if budget is not None:
+        budget.checkpoint()
     return transformed, prepared

@@ -177,8 +177,8 @@ def sweep(
     """The packaged sliding-window protocol, as a :class:`SweepResult`.
 
     One :class:`repro.incremental.SlidingEngine` answers every window.
-    :func:`sliding_msta` / :func:`sliding_mstw`, examples, the
-    experiment runner, and the bench scenarios all enter here.
+    :func:`sliding_msta` / :func:`sliding_mstw`, examples and the
+    experiment runner all enter here.
     """
     from repro.incremental import SlidingEngine
 

@@ -37,11 +37,9 @@ from types import SimpleNamespace
 
 from repro.core.errors import UnreachableRootError
 from repro.core.msta import minimum_spanning_tree_a
-from repro.core.mstw import _SOLVERS, _terminals
+from repro.core.mstw import _SOLVERS, prepare_mstw_instance
 from repro.core.postprocess import closure_tree_to_temporal
 from repro.core.sliding import WindowMeasurement
-from repro.core.transformation import transform_temporal_graph
-from repro.steiner.instance import prepare_instance
 from repro.temporal.edge import Vertex
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.index import TemporalEdgeIndex
@@ -114,13 +112,11 @@ class SlidingEngine:
         try:
             # The parent graph's store slices the window in the window
             # subgraph's (chronological) edge order.
-            transformed = transform_temporal_graph(
+            transformed, prepared = prepare_mstw_instance(
                 self.graph, self.root, window, chronological=True
             )
-            terminals = _terminals(transformed)
         except UnreachableRootError:
             return WindowMeasurement(window, None)
-        prepared = prepare_instance(transformed.dst_instance(terminals=terminals))
         closure_tree = solver(prepared, self.level)
         tree = closure_tree_to_temporal(transformed, prepared, closure_tree)
         return WindowMeasurement(window, tree)

@@ -29,9 +29,8 @@ by :func:`run_batch` across worker processes with three properties:
   would have produced.
 
 :func:`run_sweep_serial` is the *pre-engine* reference loop -- one full
-``extract + prepare + solve`` pipeline per cell, no sharing -- kept both
-as the output-identity oracle for the tests and as the honest baseline
-the ``parallel_speedup`` bench scenarios compare against.
+``extract + prepare + solve`` pipeline per cell, no sharing -- kept as
+the output-identity oracle for the tests.
 """
 
 from __future__ import annotations
@@ -271,8 +270,7 @@ def run_sweep_serial(
     the transformation and closure from scratch (no cross-cell sharing
     of any kind) -- exactly what the experiment sweeps did before this
     engine existed.  Kept as the output-identity oracle for the batch
-    tests and as the honest baseline of the ``parallel_speedup`` bench
-    scenarios.
+    tests.
     """
     values: List[Any] = []
     for cell in cells:

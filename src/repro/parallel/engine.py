@@ -219,7 +219,7 @@ class ParallelExecutor:
         serialized graph to every worker without per-task pickling.
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; ``None`` uses the
-        platform default (recorded by the perf harness in its output).
+        platform default.
     chunk_size:
         Optional fixed pool chunk size; ``None`` derives one via
         :func:`chunk_size_for`.

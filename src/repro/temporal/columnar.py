@@ -16,7 +16,8 @@ read a compressed sparse row (CSR) layout per direction instead.
 
 The columns are numpy ``float64``/``int64`` arrays and queries use
 ``searchsorted``/boolean masks.  Outputs are property-tested against
-the scalar object-level code frozen in :mod:`repro.perf.legacy`.
+the scalar object-level code frozen in the test oracle
+``tests/legacy.py``.
 
 The store holds no ``TemporalEdge`` objects.  A value column float64
 cannot stand in for exactly (int or ``Fraction`` timestamps, say) also

@@ -54,7 +54,7 @@ def earliest_arrival_times(
     (:meth:`ColumnarEdgeStore.earliest_arrival`), which is correct for
     zero-duration edges, unlike the one-pass Algorithm 1; it is
     property-tested against the heap-based label-setting sweep frozen
-    as :func:`repro.perf.legacy.legacy_earliest_arrival`.
+    as ``legacy_earliest_arrival`` in the test oracle ``tests/legacy.py``.
     """
     if window is None:
         window = TimeWindow.unbounded()

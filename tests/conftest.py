@@ -142,14 +142,14 @@ def assert_matches_rooted_oracle(graph, root, window=None, got=None):
     """``transform_temporal_graph`` against the whole-𝔾 oracle, rooted.
 
     The oracle is the frozen object-loop transformation
-    (:func:`repro.perf.legacy.legacy_transform`) cut down by
+    (:func:`tests.legacy.legacy_transform`) cut down by
     :func:`repro.steiner.instance.rooted_instance` to the reachable set
     ``V_r`` of the heap-based earliest-arrival sweep.  ``got``
     defaults to transforming ``graph``.  Returns the reach-only
     transformation and ``V_r`` without the root.
     """
     from repro.core.transformation import transform_temporal_graph
-    from repro.perf.legacy import legacy_earliest_arrival, legacy_transform
+    from tests.legacy import legacy_earliest_arrival, legacy_transform
     from repro.steiner.instance import rooted_instance
     from repro.temporal.window import TimeWindow
 

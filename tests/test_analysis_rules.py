@@ -268,14 +268,16 @@ def test_determinism_rule_flags_global_random(tmp_path):
     assert [f.rule for f in findings] == ["determinism"]
 
 
-def test_determinism_rule_allows_perf_harness(tmp_path):
+def test_determinism_rule_exempts_no_module(tmp_path):
+    # The wall-clock ban has no allow-list: even a module named like a
+    # timing harness is flagged.
     findings, errors = _analyze_snippet(
         tmp_path,
         ("repro", "perf", "harness.py"),
         "import time\n\n\ndef stamp():\n    return time.time()\n",
     )
     assert errors == []
-    assert findings == []
+    assert [f.rule for f in findings] == ["determinism"]
 
 
 def test_determinism_rule_allows_unordered_in_engine(tmp_path):

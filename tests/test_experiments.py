@@ -119,6 +119,22 @@ class TestPaperShapes:
             assert e2 >= -1e-9
             assert e2 <= e1 + 1e-9
 
+    def test_table8_errors_within_the_approximation_bound(self, results):
+        """Every Alg6-i error against the exact optimum is in [0, ratio - 1]."""
+        from repro.experiments.steinlib_tables import QUICK_INSTANCES
+        from repro.steiner.instance import approximation_ratio
+        from repro.steiner.steinlib import generate_b_series
+
+        table = results["table8"]
+        assert table.header[1:] == QUICK_INSTANCES
+        problems = generate_b_series(QUICK_INSTANCES)
+        for row in table.rows:
+            level = int(row[0][len("i="):])
+            for name, error in zip(QUICK_INSTANCES, row[1:]):
+                k = len(problems[name].terminals)
+                bound = approximation_ratio(level, k) - 1
+                assert 0 <= error <= bound, (name, level, error, bound)
+
     def test_fig8a_flat(self, results):
         times = [c for c in results["fig8a"].rows[0][1:]]
         assert max(times) <= 5 * min(times) + 0.05

@@ -68,10 +68,15 @@ class TestArguments:
         assert result.tree.vertices == {0, 1, 2, 3}
 
 
+#: Seeds of ``random_temporal(seed, n=6, m=14)``; 3 of the 9 draws
+#: reach fewer than 3 vertices and skip.
+THEOREM5_SEEDS = range(9)
+
+
 class TestTheorem5:
     """Exact DST on the transformed graph equals exact MST_w."""
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", THEOREM5_SEEDS)
     def test_exact_dst_equals_brute_force_mstw(self, seed):
         g = random_temporal(seed, n=6, m=14)
         reach = reachable_set(g, 0)
@@ -81,6 +86,15 @@ class TestTheorem5:
         assert exact_dst_cost(prepared) == pytest.approx(
             brute_force_mstw_weight(g, 0)
         )
+
+    def test_six_draws_are_checked(self):
+        """A generator change cannot hollow the check out by skipping."""
+        checked = [
+            seed
+            for seed in THEOREM5_SEEDS
+            if len(reachable_set(random_temporal(seed, n=6, m=14), 0)) >= 3
+        ]
+        assert len(checked) == 6, checked
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_exact_dst_equals_brute_force_zero_durations(self, seed):

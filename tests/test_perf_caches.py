@@ -8,7 +8,7 @@ tests pin that down:
   as the window changes on one graph;
 * end-to-end ``MST_w`` weight identity across repeated runs on one graph;
 * the optimised level-``i`` solvers vs the verbatim pre-optimisation
-  implementation (:mod:`repro.perf.legacy`);
+  implementation (:mod:`tests.legacy`);
 * the memoised per-source rows/orders vs their numpy originals.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 
 from repro.core.mstw import minimum_spanning_tree_w, prepare_mstw_instance
 import repro.steiner.instance as steiner_instance
-from repro.perf.legacy import legacy_improved_dst
+from tests.legacy import legacy_improved_dst
 from repro.steiner.improved import improved_dst
 from repro.steiner.pruned import pruned_dst
 from repro.temporal.edge import TemporalEdge

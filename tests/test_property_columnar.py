@@ -2,7 +2,7 @@
 
 Every query the :class:`repro.temporal.columnar.ColumnarEdgeStore`
 answers is checked against the scalar object-level code it replaced,
-frozen in :mod:`repro.perf.legacy`, and the contract is not "close
+frozen in :mod:`tests.legacy`, and the contract is not "close
 enough" but *byte-identical output*: same values, same types, same
 ordering, all the way up through the MST_a / MST_w solvers.
 
@@ -42,7 +42,7 @@ from repro.core.transformation import transform_temporal_graph
 from repro.datasets.registry import DATASETS, load_dataset
 from repro.incremental import SlidingEngine
 from repro.resilience.budget import NULL_BUDGET, Budget
-from repro.perf.legacy import (
+from tests.legacy import (
     legacy_earliest_arrival,
     legacy_extract_window,
     legacy_transform,

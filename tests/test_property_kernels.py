@@ -4,7 +4,7 @@ The vectorised solver cores in :mod:`repro.steiner.kernels` are only
 admissible if they return *exactly* what the scalar scans returned --
 same trees, same cost floats, same budget trips, same fallback
 caveats.  These properties pin that against the verbatim
-pre-kernel solvers frozen in :mod:`repro.perf.legacy`
+pre-kernel solvers frozen in :mod:`tests.legacy`
 (``scalar_charikar_dst`` / ``scalar_improved_dst`` /
 ``scalar_pruned_dst``), and the batched candidate scan against the
 per-vertex scalar scan below (:func:`_scalar_best_candidate`).
@@ -37,7 +37,7 @@ from hypothesis import given, settings
 from repro.core.errors import BudgetExceededError
 from repro.core.mstw import prepare_mstw_instance
 from repro.experiments.runner import DegradedCell, OverBudgetCell
-from repro.perf.legacy import (
+from tests.legacy import (
     scalar_charikar_dst,
     scalar_improved_dst,
     scalar_pruned_dst,

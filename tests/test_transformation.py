@@ -10,7 +10,7 @@ from repro.core.transformation import (
     dummy_label,
     transform_temporal_graph,
 )
-from repro.perf.legacy import legacy_transform
+from tests.legacy import legacy_transform
 from repro.temporal.edge import TemporalEdge
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.paths import earliest_arrival_times

@@ -11,26 +11,33 @@ gives the improved ``O(n^i k^i)`` complexity with the unchanged
 ``i^2 (i-1) k^{1/i}`` ratio.
 
 Each w-iteration's vertex scan (:func:`_best_branch`) takes one of
-three forms, chosen per call by :func:`_scan_mode`:
+four forms, chosen per call by :func:`_scan_mode` and the level:
 
 * above the kernel floor, the level-2 scan (one ``B^1`` prefix
   evaluation per candidate vertex) is one batched pass of
   :mod:`repro.steiner.kernels` -- one argmin over every ``(vertex,
   prefix)`` pair instead of ``n`` Python loops;
+* below the floor, and on duck-typed instances (the instrumentation
+  proxies), the level-2 scan is the scalar loop of
+  :func:`repro.steiner.kernels.best_star`: it scores each vertex's
+  ``B^1`` from its terminal row (:func:`repro.steiner.kernels.best_prefix`)
+  and builds no tree but the winner's;
 * below the floor, the level-3 scan solves its ``n`` ``B^2`` children
   in lockstep (:class:`repro.steiner.kernels.SubSolves`) and then runs
   the scalar ``v``-ascending winner loop over their densities,
   rebuilding only the winner's tree;
-* otherwise -- duck-typed instances (the instrumentation proxies),
-  levels 4 and up, and level 2 below the floor -- the scalar loop.
+* otherwise -- a level-3 scan above the floor or on a duck-typed
+  instance, and every scan at level 4 and up -- the scalar recursive
+  loop over ``B^{i-1}`` calls.
 
 Winners, trees, and budget-trip behaviour are bit-identical across
 the forms: each posts the scalar loop's tick totals (``2n`` per
-batched scan, ``1 + child ticks`` per lockstep vertex).
+level-2 scan, ``1 + child ticks`` per lockstep vertex).
 """
 
 from __future__ import annotations
 
+import math
 from typing import FrozenSet, List, Optional, Set
 
 from repro.resilience.budget import NULL_BUDGET, Budget
@@ -75,7 +82,7 @@ def _a_improved(
         # The shared base: the k cheapest closure edges to terminals.
         budget.checkpoint()
         return kernels.materialize_prefix(
-            prepared, r, terminals, min(k, len(terminals))
+            r, prepared.terminal_row(r), terminals, min(k, len(terminals))
         )
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
@@ -110,14 +117,10 @@ def _b_prefix(
     Runs the Algorithm-3 greedy accumulation rooted at ``r`` but returns
     the intermediate tree ``T_c`` minimising
     ``den(T_c ∪ e) = (cost(e) + cost(T_c)) / k(T_c)`` over all
-    w-iterations, covering *at most* ``k`` terminals.
+    w-iterations, covering *at most* ``k`` terminals.  Called at
+    ``i >= 2`` only: a level-2 scan scores its ``B^1`` children without
+    building them (:func:`kernels.best_star`).
     """
-    if i == 1:
-        # The best-density prefix of r's cheapest-first terminal row.
-        budget.checkpoint()
-        return kernels.best_prefix_tree(
-            prepared, r, terminals, min(k, len(terminals)), incoming_cost
-        )
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
     best = ClosureTree.EMPTY  # density_with_edge == inf for the empty tree
@@ -149,7 +152,8 @@ def _scan_mode(prepared: PreparedInstance, i: int) -> Optional[str]:
     ``"batched"``: a level-2 scan on an instance above the kernel floor,
     one :func:`kernels.best_prefix_candidate` pass.  ``"lockstep"``: a
     level-3 scan below the floor, whose ``B^2`` children run together
-    in one :class:`kernels.SubSolves`.  ``None``: the scalar loop.
+    in one :class:`kernels.SubSolves`.  ``None``: a scalar loop,
+    :func:`kernels.best_star` at level 2 and the recursive loop above.
     """
     if i == 2 and kernels.eligible(prepared):
         return "batched"
@@ -182,10 +186,8 @@ def _best_branch(
         v, length, _ = kernels.best_prefix_candidate(
             prepared, k, remaining, r
         )
-        subtree = (
-            ClosureTree.EMPTY
-            if length == 0
-            else kernels.materialize_prefix(prepared, v, remaining, length)
+        subtree = kernels.materialize_prefix(
+            v, prepared.terminal_row(v), remaining, length
         )
         return subtree.with_edge(r, v, root_row[v])
 
@@ -204,6 +206,14 @@ def _best_branch(
         branch = children.tree(best_vertex)
         return branch.with_edge(r, best_vertex, root_row[best_vertex])
 
+    if i == 2:
+        # Algorithm 4's scan is Algorithm 6's walk with no stale bounds:
+        # every -inf bound is below any density, so all n vertices are
+        # scored in index order.
+        return kernels.best_star(
+            prepared, k, r, remaining, root_row, range(num_vertices),
+            [-math.inf] * num_vertices, budget,
+        )
     best: Optional[ClosureTree] = None
     for v in range(num_vertices):
         budget.checkpoint()

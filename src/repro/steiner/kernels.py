@@ -39,24 +39,53 @@ and Algorithm 6 at every size, where each child's stale-tau walk is
 evaluated only along its prefix.  Levels 4 and up reach those level-3
 scans through the scalar recursion above them.
 
+Below the floor a level-2 scan stays a scalar loop, but it builds no
+tree per candidate.  Its scorers read the candidate's terminal row and
+return the density the candidate tree would have, with that tree's
+float operations: :func:`prefix_density` scores Algorithm 3's
+``A^1(k', v, X) ∪ (r, v)``, re-walking the row for every ``k'`` as the
+faithful baseline must, and :func:`best_prefix` scores the ``B^1``
+branch of Algorithms 4 and 6, whose one walk :func:`best_star` is.
+The first strict-``<`` winner alone is built, by
+:func:`materialize_prefix` from the row it was scored on.
+
 Budget policy stays in the solver modules: callers batch the identical
 tick totals (``budget.checkpoint(amount)``) at iteration boundaries, so
 a rung trips on exactly the same w-iteration as the scalar scan did.
+The exception is the scalar walk :func:`best_star`, which posts the
+recursive form's ticks itself, one by one at the same points.
 Instrumentation proxies (``CountingInstance``) are not
 ``PreparedInstance`` objects, so both :func:`eligible` and
 :func:`lockstep` decline them and the solvers keep their scalar loops
-for those runs.
+for those runs; the scalar scans read the closure through the proxy
+exactly as the recursive forms did, one terminal row per ``A^1`` or
+``B^1`` evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.resilience.budget import Budget
 from repro.steiner.instance import PreparedInstance
 from repro.steiner.tree import ClosureTree
+
+#: One source's terminal row, ``(costs, ids)`` cheapest first, as
+#: :meth:`repro.steiner.instance.PreparedInstance.terminal_row` returns it.
+TerminalRow = Tuple[List[float], List[int]]
 
 #: Smallest ``num_vertices * num_terminals`` for which each level-2
 #: scan runs as one batched pass.  Below this floor a single scan's
@@ -208,81 +237,142 @@ def _row_minima(densities: Any) -> Tuple[Any, Any]:
     )
 
 
+def prefix_density(
+    row: TerminalRow,
+    remaining: AbstractSet[int],
+    length: int,
+    incoming: float,
+) -> float:
+    """``den(A^1(length, v, X) ∪ e)`` from ``v``'s terminal ``row``, unbuilt.
+
+    The density of the star :func:`materialize_prefix` would build --
+    the first ``length`` remaining terminals of the row, their costs
+    summed left to right -- with the incoming edge ``e`` of cost
+    ``incoming``: ``(cost + incoming) / count``, or ``inf`` when no
+    terminal remains.  Algorithm 3's scorer, one call per ``k'``.
+    """
+    costs, ids = row
+    count = 0
+    cost = 0.0
+    for terminal_cost, terminal in zip(costs, ids):
+        if count >= length:
+            break
+        if terminal not in remaining:
+            continue
+        count += 1
+        cost += terminal_cost
+    if not count:
+        return math.inf
+    return (cost + incoming) / count
+
+
 def best_prefix(
-    prepared: PreparedInstance,
-    source: int,
+    row: TerminalRow,
     remaining: AbstractSet[int],
     k: int,
     incoming: float,
-) -> Tuple[List[int], int, float, float]:
-    """The best-density prefix of ``source``'s terminal row.
+) -> Tuple[int, float]:
+    """``B^1(k, v, X, e)`` scored on ``v``'s terminal ``row``: the best prefix.
 
     Walks the cheapest-first row, skipping terminals not in
     ``remaining``, for at most ``k`` picks; the ``j``-prefix has density
-    ``(running cost + incoming) / j``.  Returns ``(chosen, length, cost,
-    density)`` for the first prefix achieving the minimum: it is
-    ``chosen[:length]`` (``chosen`` holds every pick scanned), and
-    ``cost`` is the running sum at that length, accumulated left to
-    right.  ``length == 0`` (density ``inf``) means no prefix has a
-    finite density.
+    ``(running cost + incoming) / j``.  Returns ``(length, density)``
+    for the first prefix achieving the minimum -- :func:`materialize_prefix`
+    of that length is the prefix, at the running sum's cost.
+    ``length == 0`` (density ``inf``) means no prefix has a finite
+    density.  The scorer of Algorithms 4 and 6.
     """
-    costs, ids = prepared.terminal_row(source)
-    chosen: List[int] = []
+    costs, ids = row
     count = 0
     cost = 0.0
     best_length = 0
-    best_cost = 0.0
     best_density = math.inf
-    for position, terminal in enumerate(ids):
+    for terminal_cost, terminal in zip(costs, ids):
         if count >= k:
             break
         if terminal not in remaining:
             continue
-        chosen.append(terminal)
         count += 1
-        cost += costs[position]
+        cost += terminal_cost
         density = (cost + incoming) / count
         if density < best_density:
             best_length = count
-            best_cost = cost
             best_density = density
-    return chosen, best_length, best_cost, best_density
+    return best_length, best_density
 
 
-def best_prefix_tree(
+def best_star(
     prepared: PreparedInstance,
-    source: int,
-    remaining: AbstractSet[int],
     k: int,
-    incoming: float,
+    r: int,
+    remaining: FrozenSet[int],
+    root_row: List[float],
+    order: Iterable[int],
+    tau: List[float],
+    budget: Budget,
 ) -> ClosureTree:
-    """``B^1(k, source, X, e)``: :func:`best_prefix` as a star tree."""
-    chosen, length, cost, _ = best_prefix(prepared, source, remaining, k, incoming)
-    return _star_tree(source, chosen[:length], cost)
+    """One scalar level-2 w-iteration of Algorithms 4 and 6.
+
+    The best branch ``B^1(k, v, X, (r, v)) ∪ (r, v)``: walks ``order``
+    and stops at the first vertex whose stale bound ``tau[v]`` is no
+    lower than the best density so far; every vertex before it is
+    scored by :func:`best_prefix` on its terminal row, and ``tau[v]``
+    takes that density.  The first strict-``<`` minimum wins (the first
+    vertex walked when every density is ``inf``), and only its tree is
+    built.  This is Algorithm 6's pruned walk; Algorithm 4's scan is
+    the same walk over ``range(n)`` with every bound ``-inf``, which
+    never breaks.  Each walked vertex posts the recursive form's two
+    ticks, the scan tick and the ``B^1`` base tick, and reads its
+    terminal row once, as the recursive ``B^1`` call did.
+    """
+    best_row: Optional[TerminalRow] = None
+    best_vertex = 0
+    best_length = 0
+    best_density = math.inf
+    for v in order:
+        if best_row is not None and tau[v] >= best_density:
+            break
+        budget.checkpoint()
+        edge_cost = root_row[v]
+        budget.checkpoint()
+        row = prepared.terminal_row(v)
+        length, density = best_prefix(row, remaining, k, edge_cost)
+        tau[v] = density
+        if best_row is None or density < best_density:
+            best_row = row
+            best_vertex = v
+            best_length = length
+            best_density = density
+    assert best_row is not None
+    return materialize_prefix(
+        best_vertex, best_row, remaining, best_length
+    ).with_edge(r, best_vertex, root_row[best_vertex])
 
 
 def materialize_prefix(
-    prepared: PreparedInstance,
     source: int,
+    row: TerminalRow,
     remaining: AbstractSet[int],
     length: int,
 ) -> ClosureTree:
-    """The first ``length`` remaining terminals of ``source``'s row.
+    """The first ``length`` remaining terminals of ``source``'s ``row``.
 
     A star tree rooted at ``source`` whose cost is summed left to
     right in row order (``EMPTY`` when nothing remains): the ``i == 1``
-    greedy base case, and the winning subtree of a batched scan.
+    greedy base case, and the one tree a level-2 scan builds, its
+    winner's.  ``row`` is ``source``'s terminal row, passed in so that
+    a scan builds its winner from the row it already read.
     """
-    costs, ids = prepared.terminal_row(source)
+    costs, ids = row
     chosen: List[int] = []
     cost = 0.0
-    for position, terminal in enumerate(ids):
+    for terminal_cost, terminal in zip(costs, ids):
         if len(chosen) >= length:
             break
         if terminal not in remaining:
             continue
         chosen.append(terminal)
-        cost += costs[position]
+        cost += terminal_cost
     return _star_tree(source, chosen, cost)
 
 
@@ -400,8 +490,8 @@ class PrunedScan:
             return None
         incoming = float(self._incoming[vertex])
         self._cursor += 1
-        _, length, _, density = best_prefix(
-            self._prepared, vertex, self._remaining, self._k, incoming
+        length, density = best_prefix(
+            self._prepared.terminal_row(vertex), self._remaining, self._k, incoming
         )
         self._tau[vertex] = density
         if self.best_vertex is None or density < self.best_density:
@@ -850,7 +940,7 @@ class SubSolves:
         for step in range(best + 1):
             u = int(choice_u[step, c])
             branch = materialize_prefix(
-                prepared, u, remaining, int(choice_j[step, c])
+                u, prepared.terminal_row(u), remaining, int(choice_j[step, c])
             ).with_edge(v, u, row[u])
             current = current.merged(branch)
             remaining -= branch.covered

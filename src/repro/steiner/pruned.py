@@ -27,8 +27,12 @@ Either way the solver checkpoints the scalar walk's tick totals (two
 per evaluated level-2 vertex; one plus the child's total per
 evaluated level-3 vertex), so rungs trip on the same w-iteration.
 Winners, tau values and budget trips are bit-identical to the scalar
-walk, which remains below for duck-typed instrumentation instances,
-the top levels of level 4 and up, and level 2 below the floor.
+walk.  That walk remains for level 2 below the floor and on duck-typed
+instrumentation instances, where it is
+:func:`repro.steiner.kernels.best_star` -- each walked vertex's
+``FinalB^1`` is scored from its terminal row and only the winner's
+tree is built -- and for the recursive top levels of level 4 and up
+(and of level 3 on duck-typed instances).
 """
 
 from __future__ import annotations
@@ -84,9 +88,10 @@ def _scan_vertices(
     Both are updated in place.  When ``scan`` is given (a batched
     ``FinalA^2``) it owns that state as arrays instead and the walk
     runs in batched chunks; ``tau``/``order`` are then unused.  A
-    level-3 walk on a real :class:`PreparedInstance` takes its
-    ``FinalB^2`` children from :func:`_walk_lockstep` instead of the
-    scalar recursion.
+    scalar level-2 walk is :func:`kernels.best_star`, and a level-3
+    walk on a real :class:`PreparedInstance` takes its ``FinalB^2``
+    children from :func:`_walk_lockstep` instead of the scalar
+    recursion.
     """
     root_row = prepared.cost_row(r)
     if scan is not None:
@@ -105,15 +110,18 @@ def _scan_vertices(
                 budget.checkpoint(ticks)
         best_vertex = scan.best_vertex
         assert best_vertex is not None
-        subtree = (
-            ClosureTree.EMPTY
-            if scan.best_length == 0
-            else kernels.materialize_prefix(
-                prepared, best_vertex, remaining, scan.best_length
-            )
+        subtree = kernels.materialize_prefix(
+            best_vertex,
+            prepared.terminal_row(best_vertex),
+            remaining,
+            scan.best_length,
         )
         return subtree.with_edge(r, best_vertex, root_row[best_vertex])
     order.sort(key=tau.__getitem__)
+    if i == 2:
+        return kernels.best_star(
+            prepared, k, r, remaining, root_row, order, tau, budget
+        )
     if i == 3 and isinstance(prepared, PreparedInstance):
         return _walk_lockstep(prepared, k, r, remaining, tau, order, budget, root_row)
     best: Optional[ClosureTree] = None
@@ -191,7 +199,7 @@ def _final_a(
     if i == 1:
         budget.checkpoint()
         return kernels.materialize_prefix(
-            prepared, r, terminals, min(k, len(terminals))
+            r, prepared.terminal_row(r), terminals, min(k, len(terminals))
         )
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
@@ -224,13 +232,11 @@ def _final_b(
     incoming_cost: float,
     budget: Budget,
 ) -> ClosureTree:
-    """``FinalB^i``: Algorithm 5 with the same pruned vertex scan."""
-    if i == 1:
-        # Same prefix scan as improved._b_prefix's base case.
-        budget.checkpoint()
-        return kernels.best_prefix_tree(
-            prepared, r, terminals, min(k, len(terminals)), incoming_cost
-        )
+    """``FinalB^i``: Algorithm 5 with the same pruned vertex scan.
+
+    Called at ``i >= 2`` only: a level-2 walk scores its ``FinalB^1``
+    children without building them (:func:`kernels.best_star`).
+    """
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
     best = ClosureTree.EMPTY

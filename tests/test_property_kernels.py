@@ -19,7 +19,12 @@ level-2 kernels, including walks long enough to cross the pruned
 scan's scalar head into its chunked steps) and at the default floor,
 at levels up to 4, and assert that the lockstep children ran where the
 dispatch says they must.  Seeded level-3 instances above the default
-floor pin Algorithm 6's lockstep walks there, budgets included.
+floor pin Algorithm 6's lockstep walks there, budgets included.  Below
+the floor every level-2 scan is scalar and builds only its winner's
+tree: seeded instances in the quick tables' terminal range pin those
+scans at levels 2 and 3 under draining budgets, and
+:class:`TestLeanScorers` pins each candidate's score to the density of
+the tree the recursive form built.
 
 CI re-runs this file next to ``test_property_columnar.py`` and fails
 the job if any test here is skipped; ``make identity`` runs that step.
@@ -191,8 +196,8 @@ def _scalar_best_candidate(prepared, k, remaining, source):
     best_length = 0
     best_density = math.inf
     for vertex in range(prepared.num_vertices):
-        _, length, _, density = kernels.best_prefix(
-            prepared, vertex, remaining, k, incoming_row[vertex]
+        length, density = kernels.best_prefix(
+            prepared.terminal_row(vertex), remaining, k, incoming_row[vertex]
         )
         if density < best_density:
             best_vertex = vertex
@@ -358,6 +363,37 @@ class TestSolverIdentity:
                     scalar_pruned_dst, prepared, 3, max_expansions
                 ), (seed, max_expansions)
 
+    def test_lean_scans_match_scalar_under_draining_budgets(self):
+        """Seeded below-floor instances with 10, 18 and 26 terminals.
+
+        That is the quick tables' range, where every level-2 scan is
+        the scalar one that scores each candidate and builds only the
+        winner (``kernels.best_star`` for Algorithms 4 and 6,
+        ``charikar._scored_branch`` for Algorithm 3), both as a whole
+        level-2 solve and as the children of a level-3 scan.  Trees,
+        costs and the expansions at each budget trip match the frozen
+        scalar oracle, unlimited and at budgets that trip on the first
+        tick, early, mid-solve and one tick short.  Charikar's level 3
+        covers ``k = 3`` terminals: its oracle is quartic in ``k``.
+        """
+        for n in (11, 19, 27):
+            graph = _random_reachable_graph(n, n=n)
+            _, prepared = prepare_mstw_instance(graph, 0)
+            assert prepared.num_terminals == n - 1
+            assert not kernels.eligible(prepared)
+            for level in (2, 3):
+                for new, old in SOLVER_PAIRS:
+                    k = 3 if (level, new) == (3, charikar_dst) else None
+                    full = _outcome(new, prepared, level, 10**12, k=k)
+                    assert full == _outcome(old, prepared, level, 10**12, k=k)
+                    total = full[2]
+                    for max_expansions in (1, total // 7, total // 2, total - 1):
+                        assert _outcome(
+                            new, prepared, level, max_expansions, k=k
+                        ) == _outcome(
+                            old, prepared, level, max_expansions, k=k
+                        ), (n, level, new.__name__, max_expansions)
+
     def test_floor_keeps_small_instances_scalar(self):
         """Below ``KERNEL_MIN_CELLS`` the level-2 dispatch declines
         outright and Algorithm 4's level-3 scans take the lockstep
@@ -474,6 +510,48 @@ class TestKernelTieBreak:
         assert kernels.best_prefix_candidate(
             prepared, k, remaining, source
         ) == _scalar_best_candidate(prepared, k, remaining, source)
+
+
+class TestLeanScorers:
+    def test_scores_are_the_built_candidates_densities(self):
+        """The scalar level-2 scans pick winners by score alone.
+
+        So each score must be, bit for bit, the density of the tree the
+        recursive form built: ``prefix_density`` that of
+        ``A^1(k', v, X) ∪ (r, v)``, and ``best_prefix`` the minimum over
+        the ``B^1`` prefixes, at the first prefix that reaches it.
+        Seeded instances with 10 and 26 terminals, a random remaining
+        set per source and every ``k``.
+        """
+        rng = random.Random(0)
+        for n in (11, 27):
+            graph = _random_reachable_graph(n, n=n)
+            _, prepared = prepare_mstw_instance(graph, 0)
+            terminals = sorted(prepared.terminals)
+            for v in range(prepared.num_vertices):
+                row = prepared.terminal_row(v)
+                remaining = frozenset(
+                    rng.sample(terminals, rng.randint(1, len(terminals)))
+                )
+                incoming = prepared.cost(0, v)
+                densities = [
+                    kernels.materialize_prefix(v, row, remaining, j)
+                    .with_edge(0, v, incoming)
+                    .density
+                    for j in range(1, len(remaining) + 1)
+                ]
+                for k in range(1, len(remaining) + 1):
+                    assert kernels.prefix_density(
+                        row, remaining, k, incoming
+                    ) == densities[k - 1]
+                    length, density = kernels.best_prefix(
+                        row, remaining, k, incoming
+                    )
+                    assert density == min(densities[:k])
+                    if math.isinf(density):
+                        assert length == 0
+                    else:
+                        assert length == densities.index(density) + 1
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,10 @@ count below is one the code reports the same way on any machine:
 * the rung :func:`run_with_fallback` answers with under fixed expansion
   ceilings, and the expansions it spent getting there;
 * Charik-3 and Alg6-3 on Table 7's quick b-instances;
+* the closure reads :class:`CountingInstance` tallies for Charik, Alg4
+  and Alg6 at level 2 on quick ``MST_w`` configs and at level 3 on a
+  Table 7 instance -- Charikar's ``A^1(k', v, X)`` reads ``v``'s
+  terminal row once per ``k'``, the faithful baseline's extra work;
 * Algorithm 2's stack pops on zero-duration graphs (Table 3's case).
 
 Every literal is the exact count the code produced when it was
@@ -37,6 +41,7 @@ from repro.resilience.budget import Budget
 from repro.resilience.fallback import run_with_fallback
 from repro.steiner.charikar import charikar_dst
 from repro.steiner.improved import improved_dst
+from repro.steiner.instrumentation import count_operations
 from repro.steiner.kernels import eligible
 from repro.steiner.pruned import pruned_dst
 
@@ -117,6 +122,17 @@ TABLE7_COUNTS = {
     "b09": (441945, 14866),
 }
 
+#: ``(cost lookups, row scans)`` that :class:`CountingInstance` tallies
+#: per solver: at level 2 on quick ``MST_w`` configs (phone has the
+#: fewest terminals, dblp the most) and at level 3 on Table 7's quick
+#: b01.  The proxy is not a ``PreparedInstance``, so every scan runs
+#: scalar; a row scan is one ``cost_row``/``terminal_row`` read.
+COUNTED_READS = {
+    ("phone", 2): {"Charik": (0, 1313), "Alg4": (0, 329), "Alg6": (0, 200)},
+    ("dblp", 2): {"Charik": (0, 9241), "Alg4": (0, 716), "Alg6": (0, 162)},
+    ("b01", 3): {"Charik": (0, 40891), "Alg4": (0, 5251), "Alg6": (0, 2765)},
+}
+
 #: Table 3's quick protocol (zero durations, scale 0.4, window
 #: ``[0, inf]``): ``(root, |E|, stack pops, tree edges)`` of Algorithm 2.
 STACK_COUNTS = {
@@ -185,6 +201,20 @@ def test_table7_quick_counts():
         pruned_dst(prepared[name], 3, budget=alg6)
         counts[name] = (charik.expansions, alg6.expansions)
     assert counts == TABLE7_COUNTS
+
+
+@pytest.mark.parametrize("case", sorted(COUNTED_READS))
+def test_counted_closure_reads(case):
+    name, level = case
+    if name in QUICK_INSTANCES:
+        prepared = _prepare(QUICK_INSTANCES)[name]
+    else:
+        prepared = mstw_workload(_config(QUICK_MSTW_WORKLOADS, name)).prepared
+    counts = {}
+    for solver_name, (solver, _) in SOLVERS.items():
+        tally = count_operations(solver, prepared, level)
+        counts[solver_name] = (tally.cost_lookups, tally.row_scans)
+    assert counts == COUNTED_READS[case]
 
 
 @pytest.mark.parametrize("name", sorted(STACK_COUNTS))
